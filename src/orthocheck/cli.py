@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .dependence import Relation, build_orthogonal_relation, factor_check
-from .errors import OrthoError, RelationParseError
+from .errors import OrthoError, RelationParseError, ShapeError
 from .inner_product import (
     GramInnerProduct,
     evaluate,
@@ -99,9 +99,15 @@ class RunConfig:
         }
 
     def load_inner_product(self) -> GramInnerProduct:
+        """The identity form, or the ``--gram`` file's, sized to ``dim``."""
         if self.gram is None:
             return identity_inner_product(self.dim)
-        return load_gram(self.gram)
+        G = load_gram(self.gram)
+        if G.dim != self.dim:
+            raise ShapeError(
+                f"--gram {self.gram} is {G.dim}x{G.dim} but --dim is {self.dim}"
+            )
+        return G
 
 
 @dataclass(frozen=True)
@@ -370,11 +376,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif args.command == "factor":
             report = cmd_factor(config, args.input)
         elif args.command == "maximality":
-            if config.m != config.dim:
-                raise ValueError(
-                    f"maximality needs --m equal to --dim, got m={config.m}, "
-                    f"dim={config.dim}"
-                )
             report = cmd_maximality(config)
         elif args.command == "chain":
             report = cmd_chain(config)

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError, ShapeError, SpanMembershipError
+from .errors import (
+    DuplicatePointError,
+    PreconditionError,
+    ShapeError,
+    SpanMembershipError,
+)
 from .inner_product import GramInnerProduct, gram_schmidt
 from .linalg import (
     Coordinates,
@@ -83,7 +88,7 @@ class Relation:
         for p in self.points:
             key = (p.frame, p.point)
             if key in seen:
-                raise ValueError(f"duplicate (frame, point) pair: {key}")
+                raise DuplicatePointError(f"duplicate (frame, point) pair: {key}")
             seen.add(key)
 
     @classmethod

@@ -33,6 +33,18 @@ class DefinitenessError(OrthoError, ValueError):
         self.minor_index = minor_index
 
 
+class DependentFrameError(OrthoError, ValueError):
+    """Vectors offered as a frame are linearly dependent."""
+
+
+class DuplicatePointError(OrthoError, ValueError):
+    """A relation holds the same (frame, point) pair twice."""
+
+
+class ChainOrderError(OrthoError, ValueError):
+    """A chain member is not a subset of the next one."""
+
+
 class ZeroVectorError(OrthoError, ValueError):
     """The zero vector was supplied where a nonzero one is required."""
 

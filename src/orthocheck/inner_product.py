@@ -3,13 +3,15 @@
 An inner product is represented by its Gram matrix G: the form is
 ``<x, y> = x^T G y``.  Validation is exact: symmetry entrywise, positive
 definiteness by Sylvester's criterion (all leading principal minors
-strictly positive), no eigenvalue machinery and no tolerances anywhere.
+strictly positive, read off one integer elimination pass), no eigenvalue
+machinery and no tolerances anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -25,8 +27,9 @@ from .linalg import (
     Matrix,
     RationalLike,
     Vector,
+    _bareiss,
+    _cleared,
     as_vector,
-    determinant,
     invert_matrix,
     is_zero,
     mat_mul,
@@ -43,10 +46,16 @@ class GramInnerProduct:
     """A symmetric positive definite matrix defining ``<x, y> = x^T G y``.
 
     Construction validates exactly, so holding an instance is proof the
-    form is an inner product.
+    form is an inner product.  It also keeps G as an integer numerator
+    matrix over one common denominator, which :func:`evaluate` uses; that
+    cache takes no part in equality, hashing or repr.
     """
 
     matrix: Matrix
+    _numerators: tuple[tuple[int, ...], ...] = field(
+        init=False, compare=False, repr=False
+    )
+    _denominator: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(Fraction(e) for e in row) for row in self.matrix)
@@ -61,12 +70,22 @@ class GramInnerProduct:
                         f"matrix is not symmetric at ({i}, {j}): "
                         f"{rows[i][j]} vs {rows[j][i]}"
                     )
-        for k in range(1, n + 1):
-            minor = determinant([row[:k] for row in rows[:k]])
-            if minor <= 0:
+        flat, d = _cleared(e for row in rows for e in row)
+        numerators = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+        object.__setattr__(self, "_numerators", numerators)
+        object.__setattr__(self, "_denominator", d)
+        # Sylvester's criterion in one swap-free elimination: every row was
+        # scaled by d, so the k-th pivot is d**k times the k-th leading
+        # principal minor and has its sign.  A zero pivot ends the pass.
+        work = [list(row) for row in numerators]
+        pivots, _ = _bareiss(work, swap=False)
+        for k in range(n):
+            pivot = work[k][k] if k < len(pivots) else 0
+            if pivot <= 0:
+                minor = Fraction(pivot, d ** (k + 1))
                 raise DefinitenessError(
-                    f"leading principal minor {k} is {minor}, not positive",
-                    minor_index=k,
+                    f"leading principal minor {k + 1} is {minor}, not positive",
+                    minor_index=k + 1,
                 )
 
     @property
@@ -98,20 +117,23 @@ def identity_inner_product(dim: int) -> GramInnerProduct:
 
 
 def evaluate(G: GramInnerProduct, x: Vector, y: Vector) -> Fraction:
-    """Exact value of ``x^T G y``."""
-    x, y = as_vector(x), as_vector(y)
+    """Exact value of ``x^T G y``.
+
+    Computed over integers: with ``x = xn / xd``, ``y = yn / yd`` and
+    ``G = Gn / gd``, the value is ``xn^T Gn yn / (gd xd yd)``.
+    """
+    xn, xd = _cleared(x)
+    yn, yd = _cleared(y)
     n = G.dim
-    if len(x) != n or len(y) != n:
+    if len(xn) != n or len(yn) != n:
         raise ShapeError(
-            f"vectors of dimension {len(x)} and {len(y)} against a {n}x{n} form"
+            f"vectors of dimension {len(xn)} and {len(yn)} against a {n}x{n} form"
         )
-    total = Fraction(0)
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        row = G.matrix[i]
-        total += xi * sum((row[j] * y[j] for j in range(n)), Fraction(0))
-    return total
+    total = sum(
+        xi * sum(map(mul, row, yn))
+        for xi, row in zip(xn, G._numerators) if xi
+    )
+    return Fraction(total, G._denominator * xd * yd)
 
 
 def is_orthogonal_tuple(G: GramInnerProduct, frame: Frame) -> bool:

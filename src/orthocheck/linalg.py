@@ -1,12 +1,14 @@
 """Exact rational vectors, frames, and linear solving.
 
-Everything here computes over `fractions.Fraction`: results are exact and
-runs are bit-reproducible.  Vectors are plain tuples of Fractions; a
-:class:`Frame` is a validated tuple of linearly independent vectors.  The
-elimination kernel is fraction-free (single-step Bareiss) and always picks
-the first row with a nonzero entry as the pivot, so identical inputs give
-identical eliminations, down to which counterexample a downstream check
-ends up reporting.
+Values in and out are `fractions.Fraction`: vectors are plain tuples of
+Fractions, and a :class:`Frame` is a validated tuple of linearly
+independent vectors.  Inside, one elimination kernel (single-step Bareiss,
+integer-preserving) does every rank, determinant, span test, solve and
+inverse: inputs have their denominators cleared and the kernel runs over
+Python ints, dividing only where the division is exact.  There are no
+floats and no tolerances, so results are exact and runs are
+bit-reproducible.  The kernel always picks the first row with a nonzero
+entry as the pivot, so identical inputs give identical eliminations.
 """
 
 from __future__ import annotations
@@ -14,9 +16,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Iterator, Sequence
 
-from .errors import GenerationError, ShapeError, SpanMembershipError
+from .errors import (
+    DependentFrameError,
+    GenerationError,
+    ShapeError,
+    SpanMembershipError,
+)
 
 Rational = Fraction
 RationalLike = Fraction | int | str
@@ -31,6 +39,9 @@ SAMPLING_CAP = 10_000
 
 _MASK64 = (1 << 64) - 1
 
+# Entry types read as exact rationals without conversion.
+_EXACT = (int, Fraction)
+
 
 # ---------------------------------------------------------------------------
 # vectors
@@ -38,7 +49,7 @@ _MASK64 = (1 << 64) - 1
 
 def as_vector(entries: Iterable[RationalLike]) -> Vector:
     """Coerce an iterable of ints, fraction strings, or Fractions."""
-    return tuple(Fraction(e) for e in entries)
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def vec(*entries: RationalLike) -> Vector:
@@ -94,79 +105,126 @@ def linear_combination(
 # elimination kernel
 
 
-def _echelon(
-    rows: list[list[Fraction]], pivot_limit: int | None = None
-) -> tuple[list[int], int]:
-    """Fraction-free forward elimination, in place.
+def _cleared(entries: Iterable[RationalLike]) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator of ``entries``.
 
-    Pivot selection is nonzero-first: the lowest row index with a nonzero
-    entry in the current column wins.  Columns at ``pivot_limit`` and
-    beyond are updated but never become pivots (used for augmented
-    solves).  Returns ``(pivot_columns, swap_count)``.
+    Returns ``(numerators, d)`` with ``entries[k] == numerators[k] / d`` and
+    ``d >= 1``.  Ints and Fractions are read directly; anything else goes
+    through ``Fraction`` first, so fraction strings are accepted too.
+    """
+    values = [e if type(e) in _EXACT else Fraction(e) for e in entries]
+    d = lcm(*[e.denominator for e in values])
+    if d == 1:
+        return [e.numerator for e in values], 1
+    return [e.numerator * (d // e.denominator) for e in values], d
+
+
+def _bareiss(
+    rows: list[list[int]], pivot_limit: int | None = None, swap: bool = True
+) -> tuple[list[int], int]:
+    """Integer-preserving forward elimination (single-step Bareiss), in place.
+
+    Every entry stays an integer: it is always a minor of the input, so
+    each division by the previous pivot is exact.  The pivot found in
+    column ``c`` at step ``r`` is the determinant of the rows and columns
+    pivoted on so far; without swaps these are the leading principal
+    minors.  Pivot selection is nonzero-first: the lowest row index with a
+    nonzero entry in the current column wins.  With ``swap=False``
+    elimination stops at the first zero pivot instead.  Columns at
+    ``pivot_limit`` and beyond are updated but never become pivots (used
+    for augmented solves).  Returns ``(pivot_columns, swap_count)``.
     """
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     limit = n_cols if pivot_limit is None else pivot_limit
     pivots: list[int] = []
     swaps = 0
-    prev = Fraction(1)
+    prev = 1
     r = 0
     for c in range(limit):
         if r == n_rows:
             break
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
+        if rows[r][c] == 0:
+            if not swap:
+                break
+            pivot_row = next((i for i in range(r + 1, n_rows) if rows[i][c]), None)
+            if pivot_row is None:
+                continue
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
             swaps += 1
-        pivot = rows[r][c]
+        top = rows[r]
+        pivot = top[c]
         for i in range(r + 1, n_rows):
-            factor = rows[i][c]
-            # With a zero factor the update scales the row by pivot/prev;
-            # skipping is sound only when that ratio is 1.
-            if factor == 0 and pivot == prev:
-                continue
-            for j in range(c + 1, n_cols):
-                rows[i][j] = (pivot * rows[i][j] - factor * rows[r][j]) / prev
-            rows[i][c] = Fraction(0)
+            row = rows[i]
+            factor = row[c]
+            if factor:
+                row[c + 1:] = [
+                    (pivot * a - factor * b) // prev
+                    for a, b in zip(row[c + 1:], top[c + 1:])
+                ]
+            elif pivot != prev:
+                row[c + 1:] = [pivot * a // prev for a in row[c + 1:]]
+            row[c] = 0
         prev = pivot
         pivots.append(c)
         r += 1
     return pivots, swaps
 
 
-def _as_rows(vectors: Sequence[Sequence[RationalLike]]) -> list[list[Fraction]]:
-    return [[Fraction(e) for e in v] for v in vectors]
+def _back_substitute(rows: list[list[int]], m: int, col: int) -> list[int]:
+    """Cramer numerators of the solved column ``col`` after :func:`_bareiss`.
+
+    Needs pivots on the diagonal of the leading m x m block.  Returns
+    integers ``N`` such that the solution is ``N[k] / rows[m-1][m-1]``.
+    """
+    det = rows[m - 1][m - 1]
+    out = [0] * m
+    for r in range(m - 1, -1, -1):
+        row = rows[r]
+        s = det * row[col] - sum(row[j] * out[j] for j in range(r + 1, m))
+        out[r] = s // row[r]
+    return out
+
+
+def _integer_rows(
+    vectors: Sequence[Sequence[RationalLike]],
+) -> tuple[list[list[int]], list[int]]:
+    """Clear denominators row by row: integer rows plus each row's scale.
+
+    Scaling a row by a positive integer keeps its zero pattern, so the
+    kernel picks the same pivots as it would on the rational rows.
+    """
+    cleared = [_cleared(v) for v in vectors]
+    return [row for row, _ in cleared], [d for _, d in cleared]
 
 
 def matrix_rank(vectors: Sequence[Sequence[RationalLike]]) -> int:
     """Exact rank of the matrix whose rows are ``vectors``."""
-    rows = _as_rows(vectors)
+    rows, _ = _integer_rows(vectors)
     if not rows:
         return 0
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ShapeError("rows of unequal length")
-    pivots, _ = _echelon(rows)
+    pivots, _ = _bareiss(rows)
     return len(pivots)
 
 
 def determinant(rows: Sequence[Sequence[RationalLike]]) -> Fraction:
-    """Exact determinant via fraction-free elimination."""
-    work = _as_rows(rows)
+    """Exact determinant via integer-preserving elimination."""
+    work, scales = _integer_rows(rows)
     n = len(work)
     if any(len(r) != n for r in work):
         raise ShapeError("determinant needs a square matrix")
     if n == 0:
         return Fraction(1)
-    pivots, swaps = _echelon(work)
+    pivots, swaps = _bareiss(work)
     if len(pivots) < n:
         return Fraction(0)
-    # Bareiss: after full elimination the last pivot is the determinant,
-    # up to the sign of the row swaps.
+    # Bareiss: after full elimination the last pivot is the determinant of
+    # the scaled rows, up to the sign of the row swaps.
     det = work[n - 1][n - 1]
-    return -det if swaps % 2 else det
+    return Fraction(-det if swaps % 2 else det, prod(scales))
 
 
 def transpose(rows: Matrix) -> Matrix:
@@ -191,26 +249,29 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def invert_matrix(rows: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
+    """Exact inverse; raises ShapeError on singular input.
+
+    Rows are cleared to integers (``S A`` for a diagonal scale S), the
+    kernel eliminates ``[S A | I]``, and each identity column is solved by
+    back substitution, so ``A^-1 = (S A)^-1 S``.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ShapeError("inverse needs a square matrix")
-    work = [[Fraction(e) for e in row] + [
-        Fraction(1) if i == j else Fraction(0) for j in range(n)
-    ] for i, row in enumerate(rows)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot_row is None:
-            raise ShapeError("matrix is singular")
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-        pivot = work[c][c]
-        work[c] = [e / pivot for e in work[c]]
-        for i in range(n):
-            if i != c and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [e - factor * p for e, p in zip(work[i], work[c])]
-    return tuple(tuple(row[n:]) for row in work)
+    if n == 0:
+        return ()
+    work, scales = _integer_rows(rows)
+    for i, row in enumerate(work):
+        row.extend(1 if i == j else 0 for j in range(n))
+    pivots, _ = _bareiss(work, pivot_limit=n)
+    if len(pivots) < n:
+        raise ShapeError("matrix is singular")
+    det = work[n - 1][n - 1]
+    columns = [_back_substitute(work, n, n + j) for j in range(n)]
+    return tuple(
+        tuple(Fraction(columns[j][i] * scales[j], det) for j in range(n))
+        for i in range(n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +303,9 @@ class Frame:
                 f"{len(vectors)} vectors cannot be independent in dimension {n}"
             )
         if not is_independent(vectors):
-            raise ValueError(f"frame vectors are linearly dependent: {vectors}")
+            raise DependentFrameError(
+                f"frame vectors are linearly dependent: {vectors}"
+            )
 
     @property
     def dim(self) -> int:
@@ -307,20 +370,22 @@ def solve_coordinates(frame: Frame, x: Vector) -> Coordinates:
     n, m = frame.dim, frame.size
     if len(x) != n:
         raise ShapeError(f"point has dimension {len(x)}, frame has {n}")
-    # Columns are the frame vectors, augmented with x.
-    rows = [[frame[j][r] for j in range(m)] + [x[r]] for r in range(n)]
-    pivots, _ = _echelon(rows, pivot_limit=m)
+    # Columns are the frame vectors, each cleared to integers by its own
+    # scale d_k, augmented with x cleared by d_x.  The scaled system solves
+    # to c_k * d_x / d_k.
+    columns, scales = _integer_rows(frame.vectors)
+    xn, xd = _cleared(x)
+    rows = [[col[r] for col in columns] + [xn[r]] for r in range(n)]
+    pivots, _ = _bareiss(rows, pivot_limit=m)
     assert len(pivots) == m, "frame invariant guarantees full column rank"
     for i in range(m, n):
         if rows[i][m] != 0:
             raise SpanMembershipError(f"{x} is not in the span of the frame")
-    coords = [Fraction(0)] * m
-    for r in range(m - 1, -1, -1):
-        s = rows[r][m] - sum(
-            (rows[r][j] * coords[j] for j in range(r + 1, m)), Fraction(0)
-        )
-        coords[r] = s / rows[r][r]
-    return tuple(coords)
+    det = rows[m - 1][m - 1]
+    numerators = _back_substitute(rows, m, m)
+    return tuple(
+        Fraction(num * d, det * xd) for num, d in zip(numerators, scales)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NoViolationError, PreconditionError, ShapeError
+from .errors import (
+    ChainOrderError,
+    NoViolationError,
+    PreconditionError,
+    ShapeError,
+)
 from .inner_product import (
     GramInnerProduct,
     evaluate,
@@ -49,7 +54,7 @@ class Chain:
         for earlier, later in zip(self.relations, self.relations[1:]):
             missing = set(earlier.points) - set(later.points)
             if missing:
-                raise ValueError(
+                raise ChainOrderError(
                     f"chain is not ascending: {len(missing)} points drop out"
                 )
 

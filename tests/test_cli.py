@@ -145,6 +145,18 @@ def test_gram_file_feeds_the_run(capsys, tmp_path):
     assert report["config"]["gram"] == str(path)
 
 
+@pytest.mark.parametrize("command", ["equivalence", "factor", "maximality", "chain"])
+def test_gram_dim_mismatch_is_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "gram3.json"
+    path.write_text('[["2","0","0"],["0","3","0"],["0","0","1"]]',
+                    encoding="utf-8")
+    code, report, err = run_cli(capsys, command, "--gram", str(path),
+                                "--frames", "1", "--points", "1")
+    assert code == 2
+    assert report is None
+    assert err == f"ortho: --gram {path} is 3x3 but --dim is 2\n"
+
+
 def test_env_seed_override(capsys, monkeypatch):
     monkeypatch.setenv("ORTHO_SEED", "123")
     code, report, _ = run_cli(capsys, "equivalence", "--seed", "7")

@@ -5,6 +5,8 @@ import pytest
 
 from orthocheck import (
     Counterexample,
+    DuplicatePointError,
+    OrthoError,
     PreconditionError,
     Relation,
     RelationPoint,
@@ -90,6 +92,14 @@ def test_relation_rejects_duplicates_and_mixed_shapes():
     q3 = relation_point(frame_of((1, 0, 0), (0, 1, 0)), (1, 1, 0))
     with pytest.raises(ShapeError):
         Relation((p, q3))
+
+
+def test_relation_duplicate_has_its_own_error_type():
+    p = relation_point(E2, (3, 5))
+    with pytest.raises(DuplicatePointError) as err:
+        Relation((p, relation_point(E2, (3, 5))))
+    assert isinstance(err.value, OrthoError)
+    assert isinstance(err.value, ValueError)
 
 
 def test_from_points_dedupes_keeping_first():

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orthocheck import (
@@ -25,6 +25,11 @@ from orthocheck import (
     validate_inner_product,
     verify_projection_equivalence,
 )
+from orthocheck.linalg import mat_mul, transpose
+
+from oracles import det_cofactor
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 I2 = identity_inner_product(2)
 I3 = identity_inner_product(3)
@@ -60,6 +65,56 @@ def test_rejects_indefinite_with_minor_index():
     assert err.value.minor_index == 1
 
 
+@st.composite
+def symmetric_rational(draw):
+    """Symmetric rational matrices: M^T M shifted by a multiple of I (so
+    the first failing minor can sit at any index), or arbitrary ones."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        M = draw(st.lists(st.lists(rationals, min_size=n, max_size=n),
+                          min_size=n, max_size=n))
+        shift = draw(st.fractions(min_value=0, max_value=8, max_denominator=3))
+        G = mat_mul(transpose(M), M)
+        return [[G[i][j] - (shift if i == j else 0) for j in range(n)]
+                for i in range(n)]
+    upper = draw(st.lists(rationals, min_size=n * (n + 1) // 2,
+                          max_size=n * (n + 1) // 2))
+    cells = iter(upper)
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(cells)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_rational())
+@example([[F(1), F(1)], [F(1), F(1)]])
+# a zero leading minor with a nonzero entry below it: a pass with row
+# swaps would step past the failure
+@example([[F(0), F(1)], [F(1), F(3)]])
+@example([[F(1), F(1), F(1)], [F(1), F(1), F(2)], [F(1), F(2), F(5)]])
+@example([[F(1, 2), F(1, 3), F(0)], [F(1, 3), F(1, 2), F(1)], [F(0), F(1), F(1, 4)]])
+def test_definiteness_matches_leading_minor_oracle(rows):
+    n = len(rows)
+    minors = [det_cofactor([row[:k] for row in rows[:k]]) for k in range(1, n + 1)]
+    failing = next((k for k, d in enumerate(minors, 1) if d <= 0), None)
+    if failing is None:
+        assert validate_inner_product(rows).dim == n
+        return
+    with pytest.raises(DefinitenessError) as err:
+        validate_inner_product(rows)
+    assert err.value.minor_index == failing
+    assert f"minor {failing} is {minors[failing - 1]}, not positive" in str(err.value)
+
+
+def test_integer_cache_stays_out_of_eq_hash_and_repr():
+    G = validate_inner_product([["1/2", "1/3"], ["1/3", "1"]])
+    H = GramInnerProduct(((F(1, 2), F(1, 3)), (F(1, 3), F(1))))
+    assert G == H and hash(G) == hash(H)
+    assert repr(G) == f"GramInnerProduct(matrix={G.matrix!r})"
+
+
 def test_rejects_non_square():
     with pytest.raises(ShapeError):
         validate_inner_product([[1, 0, 0], [0, 1, 0]])
@@ -84,6 +139,20 @@ def test_evaluate_matches_naive_bilinear_form():
         x = tuple(F(rng.randint(-4, 4)) for _ in range(3))
         y = tuple(F(rng.randint(-4, 4)) for _ in range(3))
         assert evaluate(G, x, y) == naive_bilinear(G, x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(rationals, min_size=n, max_size=n),
+    st.lists(rationals, min_size=n, max_size=n),
+)))
+def test_evaluate_matches_naive_bilinear_on_rational_gram(case):
+    M, x, y = case
+    assume(det_cofactor(M) != 0)
+    G = GramInnerProduct(mat_mul(transpose(M), M))
+    assume(any(e.denominator != 1 for row in G.matrix for e in row))
+    assert evaluate(G, x, y) == naive_bilinear(G, x, y)
 
 
 @settings(max_examples=80, deadline=None)

@@ -2,12 +2,14 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orthocheck import (
+    DependentFrameError,
     Frame,
     GenerationError,
+    OrthoError,
     ShapeError,
     SpanMembershipError,
     derive_seed,
@@ -73,6 +75,81 @@ def test_rank_matches_minor_enumeration(rows):
     assert matrix_rank(rows) == rank_by_minors(frac_rows)
 
 
+@st.composite
+def rational_rows(draw, max_rows=4, max_cols=3):
+    """Rational rows with mixed denominators; some rows are rational
+    combinations of earlier ones, so rank deficiency shows up often."""
+    width = draw(st.integers(1, max_cols))
+    row = st.lists(rationals, min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=1, max_size=max_rows))
+    if len(rows) < max_rows and draw(st.booleans()):
+        coeffs = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+        rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), F(0))
+                     for j in range(width)])
+    return rows
+
+
+@st.composite
+def rational_frames(draw, max_dim=4):
+    """An independent rational frame, its dimension and size drawn too."""
+    dim = draw(st.integers(2, max_dim))
+    m = draw(st.integers(2, dim))
+    vector = st.lists(rationals, min_size=dim, max_size=dim)
+    vectors = draw(st.lists(vector, min_size=m, max_size=m))
+    assume(rank_by_minors(vectors) == m)
+    return Frame(tuple(map(tuple, vectors)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_rows())
+def test_rank_matches_minor_enumeration_on_rationals(rows):
+    assert matrix_rank(rows) == rank_by_minors(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_frames(), st.data())
+def test_span_contains_matches_minor_enumeration(frame, data):
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(rationals, min_size=frame.size,
+                                    max_size=frame.size))
+        x = linear_combination(frame.vectors, coeffs)
+    else:
+        x = tuple(data.draw(st.lists(rationals, min_size=frame.dim,
+                                     max_size=frame.dim)))
+    rows = [list(v) for v in frame.vectors] + [list(x)]
+    assert span_contains(frame, x) == (rank_by_minors(rows) == frame.size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_frames(), st.data())
+def test_solve_round_trip_on_rational_frames(frame, data):
+    coeffs = tuple(data.draw(st.lists(rationals, min_size=frame.size,
+                                      max_size=frame.size)))
+    x = linear_combination(frame.vectors, coeffs)
+    assert solve_coordinates(frame, x) == coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(rationals, min_size=2, max_size=2),
+    st.lists(rationals, min_size=2, max_size=2),
+    st.lists(rationals, min_size=2, max_size=2),
+)
+def test_solve_matches_cramer_on_rational_pairs(v, w, x):
+    assume(v[0] * w[1] - v[1] * w[0] != 0)
+    assert solve_coordinates(frame_of(v, w), x) == solve_2x2_cramer(v, w, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(square))
+def test_invert_matrix_is_a_left_inverse(rows):
+    if det_cofactor(rows) == 0:
+        with pytest.raises(ShapeError):
+            invert_matrix(rows)
+        return
+    assert mat_mul(invert_matrix(rows), rows) == identity_matrix(len(rows))
+
+
 def test_determinant_basics():
     assert determinant([]) == 1
     assert determinant([[F(5)]]) == 5
@@ -120,6 +197,13 @@ def test_frame_rejects_bad_shapes():
         frame_of((1, 0), (0, 1), (1, 1))  # m > n
     with pytest.raises(ValueError):
         frame_of((1, 2), (2, 4))  # dependent
+
+
+def test_frame_dependence_has_its_own_error_type():
+    with pytest.raises(DependentFrameError) as err:
+        frame_of((1, 2), (2, 4))
+    assert isinstance(err.value, OrthoError)
+    assert isinstance(err.value, ValueError)
 
 
 def test_frame_accessors():

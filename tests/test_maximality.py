@@ -5,7 +5,9 @@ import pytest
 
 from orthocheck import (
     Chain,
+    ChainOrderError,
     NoViolationError,
+    OrthoError,
     PreconditionError,
     Relation,
     ShapeError,
@@ -42,6 +44,15 @@ def test_chain_must_ascend():
     Chain((a, b))  # fine
     with pytest.raises(ValueError):
         Chain((b, a))
+
+
+def test_chain_order_has_its_own_error_type():
+    a = Relation((relation_point(E2, (1, 0)),))
+    b = a.union(Relation((relation_point(E2, (0, 1)),)))
+    with pytest.raises(ChainOrderError) as err:
+        Chain((b, a))
+    assert isinstance(err.value, OrthoError)
+    assert isinstance(err.value, ValueError)
 
 
 def test_chain_union_is_last_member_for_nested_chains():
