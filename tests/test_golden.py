@@ -1,9 +1,10 @@
 """Golden payload hashes: the canonical report bytes of fixed CLI runs.
 
 Each entry of ``golden_payloads.json`` names an ``ortho`` command line and
-the sha256 of its canonical report with ``duration_s`` removed.  Running
-twice in one process (criterion 9) cannot catch a change that alters the
-bytes consistently; these pinned digests do.  Commands run from the
+the sha256 of its canonical report with ``duration_s`` removed, and
+optionally the expected ``exit`` code (default 0), so that failing verdicts
+are pinned too.  Running twice in one process (criterion 9) cannot catch a
+change that alters the bytes consistently; these pinned digests do.  Commands run from the
 repository root so that a ``--gram`` path echoes the same in every
 checkout.
 
@@ -27,10 +28,10 @@ FIXTURE = Path(__file__).resolve().parent / "golden_payloads.json"
 GOLDEN = json.loads(FIXTURE.read_text(encoding="utf-8"))
 
 
-def payload_digest(argv, out_path):
+def payload_digest(argv, out_path, exit_code=0):
     """Run one command and hash its report without ``duration_s``."""
     code = cli_main(list(argv) + ["--output", str(out_path)])
-    assert code == 0, f"ortho {' '.join(argv)} exited {code}"
+    assert code == exit_code, f"ortho {' '.join(argv)} exited {code}"
     report = json.loads(Path(out_path).read_text(encoding="utf-8"))
     stripped = {k: v for k, v in report.items() if k != "duration_s"}
     return hashlib.sha256(canonical_dumps(stripped).encode("utf-8")).hexdigest()
@@ -41,7 +42,9 @@ def payload_digest(argv, out_path):
 )
 def test_golden_payload_hash(entry, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
-    digest = payload_digest(entry["argv"], tmp_path / "report.json")
+    digest = payload_digest(
+        entry["argv"], tmp_path / "report.json", entry.get("exit", 0)
+    )
     assert digest == entry["sha256"], (
         f"payload of `ortho {' '.join(entry['argv'])}` changed: "
         f"sha256 {digest}, pinned {entry['sha256']}"
@@ -55,5 +58,7 @@ if __name__ == "__main__":
     os.chdir(ROOT)
     with tempfile.TemporaryDirectory() as scratch:
         for entry in GOLDEN:
-            digest = payload_digest(entry["argv"], Path(scratch) / "report.json")
+            digest = payload_digest(
+                entry["argv"], Path(scratch) / "report.json", entry.get("exit", 0)
+            )
             print(digest, " ".join(entry["argv"]))
