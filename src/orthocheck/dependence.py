@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -43,6 +44,11 @@ class RelationPoint:
     the exact coordinates of the point over the frame.  Building instances
     with arbitrary values is allowed (oracle tests rely on it), but span
     membership is always enforced.
+
+    The hash covers the (frame, point) pair: it combines the frame's hash
+    with ``hash(point)``, which is computed once, on first use, and kept
+    on the instance.  Equality stays exact and entrywise over all three
+    fields, values included.
     """
 
     frame: Frame
@@ -60,6 +66,14 @@ class RelationPoint:
             raise SpanMembershipError(
                 f"point {self.point} is outside the frame's span"
             )
+
+    @cached_property
+    def point_hash(self) -> int:
+        """``hash(self.point)``, computed once per relation point."""
+        return hash(self.point)
+
+    def __hash__(self) -> int:
+        return hash((hash(self.frame), self.point_hash))
 
 
 def relation_point(frame: Frame, point: Vector) -> RelationPoint:
@@ -81,27 +95,26 @@ class Relation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
-        shapes = {(p.frame.dim, p.frame.size) for p in self.points}
-        if len(shapes) > 1:
-            raise ShapeError(f"mixed (dim, size) shapes in relation: {sorted(shapes)}")
-        seen = set()
-        for p in self.points:
-            key = (p.frame, p.point)
-            if key in seen:
-                raise DuplicatePointError(f"duplicate (frame, point) pair: {key}")
-            seen.add(key)
+        _check_one_shape(self.points)
+        _, repeat = _first_of_each_pair(self.points)
+        if repeat is not None:
+            raise DuplicatePointError(
+                f"duplicate (frame, point) pair: {(repeat.frame, repeat.point)}"
+            )
 
     @classmethod
     def from_points(cls, points: Iterable[RelationPoint]) -> "Relation":
         """Build a relation, keeping the first of any duplicated pair."""
-        seen = set()
-        kept = []
-        for p in points:
-            key = (p.frame, p.point)
-            if key not in seen:
-                seen.add(key)
-                kept.append(p)
-        return cls(tuple(kept))
+        kept, _ = _first_of_each_pair(points)
+        _check_one_shape(kept)
+        return cls._trusted(kept)
+
+    @classmethod
+    def _trusted(cls, points: Iterable[RelationPoint]) -> "Relation":
+        """A relation over points already known distinct and of one shape."""
+        rel = object.__new__(cls)
+        object.__setattr__(rel, "points", tuple(points))
+        return rel
 
     def __len__(self) -> int:
         return len(self.points)
@@ -112,7 +125,7 @@ class Relation:
     def take(self, indices: Iterable[int]) -> "Relation":
         """The sub-relation at the given indices, in insertion order."""
         picked = sorted(set(indices))
-        return Relation(tuple(self.points[i] for i in picked))
+        return Relation._trusted(self.points[i] for i in picked)
 
     def union(self, other: "Relation") -> "Relation":
         return Relation.from_points(self.points + other.points)
@@ -123,20 +136,67 @@ class Relation:
         return self.points[0].frame.size if self.points else 0
 
 
+def _check_one_shape(points: Sequence[RelationPoint]) -> None:
+    shapes = {(p.frame.dim, p.frame.size) for p in points}
+    if len(shapes) > 1:
+        raise ShapeError(f"mixed (dim, size) shapes: {sorted(shapes)}")
+
+
+def _first_of_each_pair(
+    points: Iterable[RelationPoint],
+) -> tuple[list[RelationPoint], RelationPoint | None]:
+    """The first point of each (frame, point) pair in order, and the first
+    repeat of an earlier pair (None if there is none).
+
+    Points are bucketed by their cached hashes; whether two points repeat
+    a pair is decided by exact equality of frame and point.
+    """
+    buckets: dict[int, list[RelationPoint]] = {}
+    kept: list[RelationPoint] = []
+    repeat = None
+    for p in points:
+        bucket = buckets.setdefault(hash(p), [])
+        if any(q.point == p.point and q.frame == p.frame for q in bucket):
+            if repeat is None:
+                repeat = p
+        else:
+            bucket.append(p)
+            kept.append(p)
+    return kept, repeat
+
+
 @dataclass(frozen=True)
 class ProjectionKey:
-    """What a slot value is allowed to depend on: (slot index, a_i, x)."""
+    """What a slot value is allowed to depend on: (slot index, a_i, x).
+
+    Equality is exact and entrywise.  The hash combines the index with
+    ``hash(vector)`` and ``hash(point)``; :func:`project` fills it in from
+    the hashes its frame and relation point have cached, and a key built
+    directly computes it on first use, so equal keys always hash equal.
+    """
 
     index: int
     vector: Vector
     point: Vector
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.index, hash(self.vector), hash(self.point)))
 
 
 def project(p: RelationPoint, index: int) -> ProjectionKey:
     """Projection of a relation point onto slot ``index`` (1-based)."""
     if not 1 <= index <= p.frame.size:
         raise IndexError(f"slot index {index} out of range 1..{p.frame.size}")
-    return ProjectionKey(index, p.frame[index - 1], p.point)
+    key = ProjectionKey(index, p.frame[index - 1], p.point)
+    # The value ProjectionKey._hash would compute, from cached ints.
+    key.__dict__["_hash"] = hash(
+        (index, p.frame.slot_hashes[index - 1], p.point_hash)
+    )
+    return key
 
 
 @dataclass(frozen=True)
@@ -168,16 +228,13 @@ def _scan_slot(
     points: Sequence[RelationPoint], index: int
 ) -> tuple[dict[ProjectionKey, Fraction], Counterexample | None]:
     table: dict[ProjectionKey, Fraction] = {}
-    holder: dict[ProjectionKey, RelationPoint] = {}
-    for q in points:
+    for k, q in enumerate(points):
         key = project(q, index)
         value = q.values[index - 1]
-        known = table.get(key)
-        if known is None:
-            table[key] = value
-            holder[key] = q
-        elif known != value:
-            return table, Counterexample(index, holder[key], q)
+        known = table.setdefault(key, value)
+        if known != value:
+            first = next(p for p in points[:k] if project(p, index) == key)
+            return table, Counterexample(index, first, q)
     return table, None
 
 
@@ -190,9 +247,7 @@ def factor_check_points(points: Sequence[RelationPoint]) -> FactorizationOutcome
     """
     if not points:
         return FactorizationOutcome(tables=(), counterexample=None)
-    shapes = {(p.frame.dim, p.frame.size) for p in points}
-    if len(shapes) > 1:
-        raise ShapeError(f"mixed (dim, size) shapes: {sorted(shapes)}")
+    _check_one_shape(points)
     m = points[0].frame.size
     tables = []
     for index in range(1, m + 1):

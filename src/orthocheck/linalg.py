@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -284,7 +285,11 @@ class Frame:
 
     Independence is checked exactly at construction, so holding a Frame is
     proof of it.  Instances are immutable and hashable; equality is
-    entrywise.
+    entrywise and exact.  The hash of each vector is computed once, on
+    first use of :attr:`slot_hashes` or ``hash()``, and kept on the
+    instance (a frame that is never hashed carries nothing extra); the
+    frame's hash combines those ints.  A cached hash only picks a bucket:
+    ``==`` still compares every entry.
     """
 
     vectors: tuple[Vector, ...]
@@ -325,6 +330,14 @@ class Frame:
 
     def __getitem__(self, index: int) -> Vector:
         return self.vectors[index]
+
+    @cached_property
+    def slot_hashes(self) -> tuple[int, ...]:
+        """``hash(v)`` for each vector ``v``, computed once per frame."""
+        return tuple(map(hash, self.vectors))
+
+    def __hash__(self) -> int:
+        return hash(self.slot_hashes)
 
 
 def frame_of(*vectors: Iterable[RationalLike]) -> Frame:

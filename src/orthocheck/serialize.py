@@ -40,7 +40,7 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def rational_to_json(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 def rational_from_json(obj: Any, location: str = "rational") -> Fraction:
@@ -112,13 +112,27 @@ def relation_point_to_json(p: RelationPoint) -> dict[str, Any]:
     }
 
 
-def relation_point_from_json(obj: Any, location: str = "point") -> RelationPoint:
+def relation_point_from_json(
+    obj: Any, location: str = "point", frames: dict[str, Frame] | None = None
+) -> RelationPoint:
+    """Parse one relation point.
+
+    ``frames`` interns parsed frames by the text of their JSON value (its
+    ``repr``, a faithful literal for JSON values), so a frame repeated
+    across points is parsed and validated once and then shared.  Only
+    frames that parsed are stored: a malformed frame raises at its first
+    occurrence, with that occurrence's location.
+    """
     if not isinstance(obj, dict):
         raise RelationParseError("expected an object", location)
     missing = {"frame", "point", "values"} - obj.keys()
     if missing:
         raise RelationParseError(f"missing fields: {sorted(missing)}", location)
-    frame = frame_from_json(obj["frame"], f"{location}.frame")
+    frames = {} if frames is None else frames
+    text = repr(obj["frame"])
+    frame = frames.get(text)
+    if frame is None:
+        frame = frames[text] = frame_from_json(obj["frame"], f"{location}.frame")
     point = vector_from_json(obj["point"], f"{location}.point")
     values = vector_from_json(obj["values"], f"{location}.values")
     try:
@@ -134,8 +148,9 @@ def relation_to_json(rel: Relation) -> list[dict[str, Any]]:
 def relation_from_json(obj: Any, location: str = "points") -> Relation:
     if not isinstance(obj, list):
         raise RelationParseError("expected an array of relation points", location)
+    frames: dict[str, Frame] = {}
     points = tuple(
-        relation_point_from_json(entry, f"{location}[{k}]")
+        relation_point_from_json(entry, f"{location}[{k}]", frames)
         for k, entry in enumerate(obj)
     )
     try:
@@ -150,13 +165,23 @@ def tables_to_json(
     """Per-slot tables; the slot index is the outer list position + 1.
 
     Entries keep the first-seen scan order, so equal relations give
-    byte-equal tables.
+    byte-equal tables.  Keys share their vector and point objects across
+    entries and slots, so each object is converted once per call (memo by
+    identity) and its JSON list is shared by every entry that uses it.
     """
+    memo: dict[int, list[str]] = {}
+
+    def cached(v: Vector) -> list[str]:
+        out = memo.get(id(v))
+        if out is None:
+            out = memo[id(v)] = vector_to_json(v)
+        return out
+
     return [
         [
             {
-                "vector": vector_to_json(key.vector),
-                "point": vector_to_json(key.point),
+                "vector": cached(key.vector),
+                "point": cached(key.point),
                 "value": rational_to_json(value),
             }
             for key, value in table.items()

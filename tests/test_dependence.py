@@ -2,12 +2,16 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthocheck import (
     Counterexample,
     DuplicatePointError,
+    Frame,
     OrthoError,
     PreconditionError,
+    ProjectionKey,
     Relation,
     RelationPoint,
     ShapeError,
@@ -23,7 +27,9 @@ from orthocheck import (
     is_orthogonal_via_factorization,
     project,
     recover_orthogonal_tuples,
+    relation_from_json,
     relation_point,
+    relation_to_json,
     sample_inner_product,
     solve_coordinates,
 )
@@ -64,6 +70,68 @@ def test_project_range_check():
         project(p, 0)
     with pytest.raises(IndexError):
         project(p, 3)
+
+
+# --- cached hashes: equal values hash equal, whatever the route ---
+
+def test_equal_points_and_keys_by_different_routes_hash_equal():
+    canonical = relation_point(frame_of((1, 0), (1, 2)), (3, 4))
+    built = [
+        RelationPoint(
+            Frame(((F(1), F(0)), (F(1), F(2)))), (F(3), F(4)), (F(1), F(2))
+        ),
+        RelationPoint(frame_of(("1", "0/5"), ("2/2", "2")), ("6/2", "4"), (1, "4/2")),
+        relation_from_json(relation_to_json(Relation((canonical,)))).points[0],
+    ]
+    for p in built:
+        assert p == canonical and p.frame is not canonical.frame
+        assert hash(p) == hash(canonical)
+        assert p.point_hash == hash(canonical.point)
+        for i in (1, 2):
+            key = project(p, i)
+            direct = ProjectionKey(i, canonical.frame[i - 1], canonical.point)
+            assert key == project(canonical, i) == direct
+            assert hash(key) == hash(project(canonical, i)) == hash(direct)
+    other_values = RelationPoint(canonical.frame, canonical.point, (F(0), F(2)))
+    assert other_values != canonical
+
+
+def test_hash_caches_stay_out_of_eq_and_repr():
+    p = relation_point(E2, (3, 5))
+    q = relation_point(frame_of((1, 0), (0, 1)), (3, 5))
+    hash(p)
+    assert list(vars(q)) == ["frame", "point", "values"]
+    assert p == q and hash(p) == hash(q)
+    assert repr(p) == repr(q) == (
+        f"RelationPoint(frame={E2!r}, point={p.point!r}, values={p.values!r})"
+    )
+    key, direct = project(p, 2), ProjectionKey(2, (F(0), F(1)), (F(3), F(5)))
+    assert key == direct and hash(key) == hash(direct)
+    assert repr(key) == repr(direct) == (
+        f"ProjectionKey(index=2, vector={direct.vector!r}, point={direct.point!r})"
+    )
+
+
+def test_factor_check_hashes_each_entry_once(monkeypatch):
+    """Building and scanning a relation hashes each distinct frame vector
+    and each point entry at most once."""
+    calls = [0]
+    fraction_hash = F.__hash__
+
+    def counting_hash(self):
+        calls[0] += 1
+        return fraction_hash(self)
+
+    monkeypatch.setattr(F, "__hash__", counting_hash)
+    G = sample_inner_product(4, 3, seed=8)
+    rel = build_orthogonal_relation(
+        G, frame_count=3, points_per_frame=5, bound=4, seed=8
+    )
+    outcome = factor_check(rel)
+    assert outcome.passed and len(rel) == 15
+    frames = {id(p.frame): p.frame for p in rel}.values()
+    budget = sum(fr.size * fr.dim for fr in frames) + sum(len(p.point) for p in rel)
+    assert 0 < calls[0] <= budget
 
 
 # --- relation points ---
@@ -138,6 +206,15 @@ def test_planted_counterexample():
     assert ce.values == (F(3), F(-2))
     # the two entries verifiably collide on the key
     assert project(ce.first, 1) == project(ce.second, 1)
+
+
+def test_counterexample_names_the_first_point_holding_the_key():
+    # E2 and STRETCH agree on slot 1 at (3, 5); SHEAR then disagrees.
+    first, agreeing, clash = (
+        relation_point(fr, (3, 5)) for fr in (E2, STRETCH, SHEAR)
+    )
+    ce = factor_check(Relation((first, agreeing, clash))).counterexample
+    assert (ce.index, ce.first, ce.second) == (1, first, clash)
 
 
 def test_trivial_relations_pass():
@@ -335,3 +412,63 @@ def test_recover_orthogonal_tuples():
 def test_recover_collapses_duplicate_frames():
     rel = Relation((relation_point(E2, (3, 5)), relation_point(E2, (1, 0))))
     assert recover_orthogonal_tuples(rel) == (E2,)
+
+
+# Frame specs per dimension, all with m = 2.  Several share a slot vector,
+# so their points collide on a projection key whenever the points agree.
+FRAME_SPECS = {
+    2: [((1, 0), (0, 1)), ((1, 0), (1, 1)), ((1, 0), (0, 2)), ((1, 1), (0, 1))],
+    3: [((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 1)), ((1, 0, 0), (1, 1, 0))],
+}
+
+
+@st.composite
+def fresh_object_points(draw):
+    """Relation points that each get their own Frame, point and value
+    objects, so equal frames, slot vectors and points are never the same
+    object and every bucket or table hit has to go through ``==``."""
+    dim = draw(st.sampled_from(sorted(FRAME_SPECS)))
+    specs = FRAME_SPECS[dim]
+    points = []
+    for _ in range(draw(st.integers(0, 7))):
+        spec = draw(st.sampled_from(specs))
+        frame = frame_of(*spec)
+        coeffs = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+        x = tuple(
+            F(sum(c * v[d] for c, v in zip(coeffs, spec)), 1) for d in range(dim)
+        )
+        if draw(st.booleans()):
+            points.append(relation_point(frame, x))
+        else:
+            values = draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+            points.append(RelationPoint(frame, x, tuple(map(F, values))))
+    return points
+
+
+@settings(max_examples=300, deadline=None)
+@given(fresh_object_points())
+def test_factor_check_matches_oracle_on_distinct_equal_objects(points):
+    firsts = []
+    for p in points:
+        if not any(q.frame == p.frame and q.point == p.point for q in firsts):
+            firsts.append(p)
+    rel = Relation.from_points(points)
+    assert len(rel) == len(firsts)
+    assert all(p is q for p, q in zip(rel.points, firsts))
+    if len(firsts) < len(points):
+        with pytest.raises(DuplicatePointError):
+            Relation(tuple(points))
+    else:
+        assert Relation(tuple(points)) == rel
+
+    out = factor_check(rel)
+    conflict = first_conflict_pairwise(raw(rel))
+    assert out.passed == (conflict is None)
+    if conflict is None:
+        for i, table in enumerate(out.tables, start=1):
+            assert len(table) == len({project(p, i) for p in rel})
+    else:
+        index, s, t = conflict
+        ce = out.counterexample
+        assert (ce.index, ce.first, ce.second) == (index, rel.points[s], rel.points[t])
+        assert ce.first is rel.points[s] and ce.second is rel.points[t]

@@ -4,9 +4,9 @@ Each entry of ``golden_payloads.json`` names an ``ortho`` command line and
 the sha256 of its canonical report with ``duration_s`` removed, and
 optionally the expected ``exit`` code (default 0), so that failing verdicts
 are pinned too.  Running twice in one process (criterion 9) cannot catch a
-change that alters the bytes consistently; these pinned digests do.  Commands run from the
-repository root so that a ``--gram`` path echoes the same in every
-checkout.
+change that alters the bytes consistently; these pinned digests do.
+Commands run from the repository root so that a ``--gram`` or ``--input``
+path echoes the same in every checkout.
 
 To print the digests of the current code (only when a payload change is
 intended)::

@@ -214,6 +214,25 @@ def test_frame_accessors():
     assert list(fr) == [fr[0], fr[1]]
 
 
+def test_equal_frames_from_ints_fractions_and_strings_hash_equal():
+    from_ints = frame_of((1, 2, 0), (0, -3, 4))
+    from_fractions = Frame(((F(1), F(2), F(0)), (F(0), F(-3), F(4))))
+    from_strings = frame_of(("2/2", "4/2", "0"), ("0", "-6/2", "4"))
+    for other in (from_fractions, from_strings):
+        assert other == from_ints and other is not from_ints
+        assert hash(other) == hash(from_ints)
+        assert other.slot_hashes == tuple(hash(v) for v in from_ints)
+    assert frame_of((1, 2, 0), (0, -3, 5)) != from_ints
+
+
+def test_hash_cache_stays_out_of_eq_and_repr():
+    hashed, fresh = frame_of((1, "1/2"), (0, 1)), frame_of((1, "1/2"), (0, 1))
+    hash(hashed)
+    assert list(vars(fresh)) == ["vectors"]  # never hashed: nothing extra
+    assert hashed == fresh and hash(hashed) == hash(fresh)
+    assert repr(hashed) == repr(fresh) == f"Frame(vectors={fresh.vectors!r})"
+
+
 def test_is_independent_exhaustive_pairs_2d():
     # every ordered pair with entries in [-3, 3] against the minor oracle
     span = range(-3, 4)

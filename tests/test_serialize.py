@@ -155,6 +155,29 @@ def test_relation_parse_error_locations():
     assert err.value.location == "points[0].point[1]"
 
 
+def test_relation_parse_validates_each_distinct_frame_once():
+    rel = Relation.from_points(
+        relation_point(fr, (k, 1)) for k in range(3) for fr in (E2, SHEAR)
+    )
+    again = relation_from_json(json.loads(canonical_dumps(relation_to_json(rel))))
+    assert again == rel
+    assert len({id(p.frame) for p in again}) == 2
+
+    good = {"frame": [["1", "0"], ["0", "1"]], "point": ["1", "1"],
+            "values": ["1", "1"]}
+    dependent = {"frame": [["1", "0"], ["2", "0"]], "point": ["1", "0"],
+                 "values": ["1", "0"]}
+    with pytest.raises(RelationParseError) as err:
+        relation_from_json([good, dependent, dict(dependent)])
+    assert err.value.location == "points[1].frame"
+
+    plane = {"frame": [["1", "0", "0"], ["0", "1", "0"]], "values": ["1", "1"]}
+    with pytest.raises(RelationParseError) as err:  # shared frame, own span test
+        relation_from_json([dict(plane, point=["1", "1", "0"]),
+                            dict(plane, point=["1", "1", "1"])])
+    assert err.value.location == "points[1]"
+
+
 def test_relation_parse_rejects_out_of_span_point():
     obj = [
         {
