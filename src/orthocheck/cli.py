@@ -18,13 +18,14 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 from .dependence import Relation, build_orthogonal_relation, factor_check
 from .errors import OrthoError, RelationParseError, ShapeError
 from .inner_product import (
     GramInnerProduct,
+    coefficient_formula,
     evaluate,
     frame_adapted_inner_product,
     gram_schmidt,
@@ -45,7 +46,6 @@ from .maximality import (
     MaximalityReport,
     chain_union_check,
     exhaustive_candidates_2d,
-    first_nonorthogonal_pair,
     sample_chain,
     verify_orthogonal_maximality,
 )
@@ -88,15 +88,7 @@ class RunConfig:
             raise ValueError(f"bound must be positive, got {self.bound}")
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "dim": self.dim,
-            "m": self.m,
-            "frames": self.frames,
-            "points": self.points,
-            "bound": self.bound,
-            "seed": self.seed,
-            "gram": self.gram,
-        }
+        return asdict(self)
 
     def load_inner_product(self) -> GramInnerProduct:
         """The identity form, or the ``--gram`` file's, sized to ``dim``."""
@@ -169,6 +161,14 @@ def cmd_factor(config: RunConfig, input_path: str | None = None) -> Report:
     started = time.perf_counter()
     if input_path is not None:
         rel = load_relation(input_path)
+        if rel.points and (rel.points[0].frame.dim, rel.slot_count) != (
+            config.dim, config.m
+        ):
+            raise ShapeError(
+                f"--input {input_path} holds a relation with "
+                f"dim={rel.points[0].frame.dim}, m={rel.slot_count} "
+                f"but --dim is {config.dim} and --m is {config.m}"
+            )
     else:
         G = config.load_inner_product()
         rel = build_orthogonal_relation(
@@ -216,8 +216,7 @@ def cmd_maximality(config: RunConfig) -> Report:
     accepted = sum(1 for r in reports if r.accepted)
     rejected = [r for r in reports if not r.accepted]
     sound = all(
-        first_nonorthogonal_pair(G, r.candidate) is None
-        for r in reports if r.accepted
+        is_orthogonal_tuple(G, r.candidate) for r in reports if r.accepted
     ) and all(_recheck_rejection(G, r) for r in rejected)
     payload = {
         "summary": {
@@ -254,9 +253,7 @@ def cmd_pair_ip(config: RunConfig, a: Vector, b: Vector) -> Report:
     G = frame_adapted_inner_product(frame)
     x = sample_span_point(frame, config.bound, derive_seed(config.seed, 0))
     solver = solve_coordinates(frame, x)
-    formula = tuple(
-        evaluate(G, v, x) / evaluate(G, v, v) for v in frame
-    )
+    formula = tuple(coefficient_formula(G, v, x) for v in frame)
     pair_value = evaluate(G, a, b)
     passed = pair_value == 0 and solver == formula
     payload = {

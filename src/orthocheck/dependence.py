@@ -67,6 +67,15 @@ class RelationPoint:
                 f"point {self.point} is outside the frame's span"
             )
 
+    @classmethod
+    def _trusted(
+        cls, frame: Frame, point: Vector, values: Coordinates
+    ) -> "RelationPoint":
+        """An entry whose point is known to lie in the span, values fitting."""
+        p = object.__new__(cls)
+        p.__dict__.update(frame=frame, point=point, values=values)
+        return p
+
     @cached_property
     def point_hash(self) -> int:
         """``hash(self.point)``, computed once per relation point."""
@@ -77,9 +86,10 @@ class RelationPoint:
 
 
 def relation_point(frame: Frame, point: Vector) -> RelationPoint:
-    """Canonical entry: values are the exact coordinates of the point."""
+    """Canonical entry: values are the exact coordinates of the point; the
+    solve is also its span test (SpanMembershipError outside the span)."""
     point = as_vector(point)
-    return RelationPoint(frame, point, solve_coordinates(frame, point))
+    return RelationPoint._trusted(frame, point, solve_coordinates(frame, point))
 
 
 @dataclass(frozen=True)
@@ -264,46 +274,10 @@ def factor_check(rel: Relation) -> FactorizationOutcome:
     Passes iff any two points agreeing on (slot vector, point) also agree
     on the slot's value; the tables returned are exactly those quotient
     functions.  Fails with the first collision in deterministic scan
-    order: ascending slot index, then insertion order.
+    order: ascending slot index, then insertion order, so the
+    counterexample's ``index`` is the first slot that does not factor.
     """
     return factor_check_points(rel.points)
-
-
-@dataclass(frozen=True)
-class ClauseReport:
-    """Pass/fail for a single slot of a two-vector relation."""
-
-    index: int
-    passed: bool
-    counterexample: Counterexample | None
-
-
-@dataclass(frozen=True)
-class PairFactorizationReport:
-    """Per-slot factorization verdicts for relations of vector pairs."""
-
-    lambda_clause: ClauseReport
-    mu_clause: ClauseReport
-
-    @property
-    def passed(self) -> bool:
-        return self.lambda_clause.passed and self.mu_clause.passed
-
-
-def check_pair_factorization(rel: Relation) -> PairFactorizationReport:
-    """Check each slot of an m=2 relation separately.
-
-    Clause one: the first coordinate may depend only on (a, x).  Clause
-    two: the second may depend only on (b, x).  The empty relation passes
-    both; any other frame size raises ShapeError.
-    """
-    if rel.points and rel.slot_count != 2:
-        raise ShapeError(f"pair check needs frames of 2 vectors, got {rel.slot_count}")
-    clauses = []
-    for index in (1, 2):
-        _, collision = _scan_slot(rel.points, index) if rel.points else ({}, None)
-        clauses.append(ClauseReport(index, collision is None, collision))
-    return PairFactorizationReport(*clauses)
 
 
 def is_orthogonal_via_factorization(

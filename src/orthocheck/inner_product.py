@@ -30,6 +30,7 @@ from .linalg import (
     _bareiss,
     _cleared,
     as_vector,
+    identity_matrix,
     invert_matrix,
     is_zero,
     mat_mul,
@@ -108,12 +109,7 @@ def identity_inner_product(dim: int) -> GramInnerProduct:
     """The standard dot product in the given dimension."""
     if dim < 1:
         raise ShapeError(f"dimension must be positive, got {dim}")
-    return GramInnerProduct(
-        tuple(
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(dim))
-            for i in range(dim)
-        )
-    )
+    return GramInnerProduct(identity_matrix(dim))
 
 
 def evaluate(G: GramInnerProduct, x: Vector, y: Vector) -> Fraction:
@@ -136,13 +132,20 @@ def evaluate(G: GramInnerProduct, x: Vector, y: Vector) -> Fraction:
     return Fraction(total, G._denominator * xd * yd)
 
 
-def is_orthogonal_tuple(G: GramInnerProduct, frame: Frame) -> bool:
-    """True iff the frame vectors are pairwise orthogonal under G."""
+def first_nonorthogonal_pair(
+    G: GramInnerProduct, frame: Frame
+) -> tuple[int, int] | None:
+    """Lexicographically smallest (i, j), 1-based, with ``<a_i, a_j> != 0``."""
     for i in range(frame.size):
         for j in range(i + 1, frame.size):
             if evaluate(G, frame[i], frame[j]) != 0:
-                return False
-    return True
+                return (i + 1, j + 1)
+    return None
+
+
+def is_orthogonal_tuple(G: GramInnerProduct, frame: Frame) -> bool:
+    """True iff the frame vectors are pairwise orthogonal under G."""
+    return first_nonorthogonal_pair(G, frame) is None
 
 
 def coefficient_formula(G: GramInnerProduct, a: Vector, x: Vector) -> Fraction:

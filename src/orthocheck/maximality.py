@@ -28,8 +28,8 @@ from .errors import (
 from .inner_product import (
     GramInnerProduct,
     evaluate,
+    first_nonorthogonal_pair,
     gram_schmidt,
-    is_orthogonal_tuple,
 )
 from .dependence import (
     Relation,
@@ -95,7 +95,8 @@ def greedy_maximal_extension(base: Relation, pool: Relation) -> Relation:
     adding any leftover point makes factor_check fail.  Which maximal set
     is reached depends on the scan order; membership soundness does not.
     """
-    if not factor_check(base).passed:
+    outcome = factor_check(base)
+    if not outcome.passed:
         raise PreconditionError("base relation does not factor")
     if base.points and pool.points and (
         (base.points[0].frame.dim, base.slot_count)
@@ -103,37 +104,22 @@ def greedy_maximal_extension(base: Relation, pool: Relation) -> Relation:
     ):
         raise ShapeError("base and pool have different (dim, size) shapes")
     m = base.slot_count or pool.slot_count
-    accepted = list(base.points)
-    accepted_set = set(accepted)
-    tables: list[dict] = [
-        {project(p, i): p.values[i - 1] for p in accepted} for i in range(1, m + 1)
-    ]
+    # The base's own factor tables, extended in place as points are taken.
+    tables = outcome.tables or tuple({} for _ in range(m))
+    accepted = dict.fromkeys(base.points)
     for p in pool.points:
-        if p in accepted_set:
-            continue
         keys = [project(p, i) for i in range(1, m + 1)]
-        collides = any(
-            keys[i] in tables[i] and tables[i][keys[i]] != p.values[i]
-            for i in range(m)
-        )
-        if collides:
-            continue
-        accepted.append(p)
-        accepted_set.add(p)
-        for i in range(m):
-            tables[i][keys[i]] = p.values[i]
-    return Relation(tuple(accepted))
-
-
-def first_nonorthogonal_pair(
-    G: GramInnerProduct, frame: Frame
-) -> tuple[int, int] | None:
-    """Lexicographically smallest (i, j), 1-based, with ``<a_i, a_j> != 0``."""
-    for i in range(frame.size):
-        for j in range(i + 1, frame.size):
-            if evaluate(G, frame[i], frame[j]) != 0:
-                return (i + 1, j + 1)
-    return None
+        if all(
+            table.get(key, value) == value
+            for table, key, value in zip(tables, keys, p.values)
+        ):
+            accepted[p] = None
+            for table, key, value in zip(tables, keys, p.values):
+                table[key] = value
+    # A pool point equal to an accepted one is the same key of ``accepted``;
+    # one repeating an accepted (frame, point) pair with other values
+    # disagrees with some table.  So the accepted pairs are distinct.
+    return Relation._trusted(accepted)
 
 
 def orthogonality_witness(

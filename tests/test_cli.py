@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from orthocheck.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 COUNTEREXAMPLE_RELATION = [
     {"frame": [["1", "0"], ["0", "1"]], "point": ["3", "5"], "values": ["3", "5"]},
@@ -55,6 +58,31 @@ def test_factor_empty_relation_file(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("[]", encoding="utf-8")
     code, report, _ = run_cli(capsys, "factor", "--input", str(path))
+    assert code == 0
+    assert report["payload"] == {"tables": []}
+
+
+RELATION4 = "tests/fixtures/relation4.json"  # dim 4, m = 4
+
+
+@pytest.mark.parametrize("flags, named", [
+    ((), "--dim is 2 and --m is 2"),
+    (("--dim", "4", "--m", "3"), "--dim is 4 and --m is 3"),
+], ids=["default-flags", "dim4-m3"])
+def test_factor_input_must_match_dim_and_m(capsys, monkeypatch, flags, named):
+    monkeypatch.chdir(ROOT)
+    code, report, err = run_cli(capsys, "factor", "--input", RELATION4, *flags)
+    assert code == 2
+    assert report is None
+    assert RELATION4 in err and "dim=4, m=4" in err and named in err
+
+
+def test_factor_empty_input_fits_any_flags(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("[]", encoding="utf-8")
+    code, report, _ = run_cli(
+        capsys, "factor", "--input", str(path), "--dim", "4", "--m", "3"
+    )
     assert code == 0
     assert report["payload"] == {"tables": []}
 

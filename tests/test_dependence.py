@@ -19,7 +19,6 @@ from orthocheck import (
     build_arbitrary_relation,
     build_orthogonal_relation,
     canonical_witness_pool,
-    check_pair_factorization,
     factor_check,
     frame_of,
     identity_inner_product,
@@ -32,6 +31,7 @@ from orthocheck import (
     relation_to_json,
     sample_inner_product,
     solve_coordinates,
+    span_contains,
 )
 
 from oracles import first_conflict_pairwise, grouping_verdict
@@ -149,6 +149,24 @@ def test_relation_point_validation():
     # arbitrary values are allowed as long as the point is in span
     hand = RelationPoint(E2, (1, 1), (F(7), F(9)))
     assert hand.values == (F(7), F(9))
+
+
+def test_span_is_tested_once_per_canonical_point(monkeypatch):
+    import orthocheck.dependence as dependence
+
+    calls = []
+
+    def counted(frame, x):
+        calls.append(x)
+        return span_contains(frame, x)
+
+    monkeypatch.setattr(dependence, "span_contains", counted)
+    p = relation_point(SHEAR, (3, 5))
+    assert calls == []  # the solve is the span test
+    assert p == RelationPoint(SHEAR, (3, 5), (F(-2), F(5)))
+    assert len(calls) == 1  # the public constructor keeps its own
+    with pytest.raises(SpanMembershipError):
+        RelationPoint(frame_of((1, 0, 0), (0, 1, 0)), (0, 0, 1), (F(0), F(0)))
 
 
 # --- relations ---
@@ -297,41 +315,50 @@ def test_subset_monotonicity_seeded():
         assert factor_check(rel.take(indices)).passed
 
 
-# --- the two-clause report at m = 2 ---
+# --- factor_check as the per-slot check at m = 2 ---
 
-def test_pair_report_on_orthogonal_relation():
+def test_factor_check_passes_pair_relation_with_a_table_per_slot():
     rel = build_orthogonal_relation(I2, 3, 2, 4, seed=5)
-    report = check_pair_factorization(rel)
-    assert report.passed
-    assert report.lambda_clause.passed and report.mu_clause.passed
+    out = factor_check(rel)
+    assert out.passed
+    assert len(out.tables) == 2
 
 
-def test_pair_report_fixture_first_clause_fails():
-    rel = Relation((relation_point(SHEAR, (3, 5)), relation_point(E2, (3, 5))))
-    report = check_pair_factorization(rel)
-    assert not report.passed
-    assert not report.lambda_clause.passed
-    assert report.lambda_clause.counterexample.values in (
-        (F(-2), F(3)), (F(3), F(-2))
-    )
-    # second coordinate is 5 over both frames, so the mu clause holds
-    assert report.mu_clause.passed
+def test_factor_check_shear_fixture_names_first_slot():
+    shear, e2 = relation_point(SHEAR, (3, 5)), relation_point(E2, (3, 5))
+    out = factor_check(Relation((shear, e2)))
+    assert not out.passed
+    ce = out.counterexample
+    assert ce.index == 1
+    assert (ce.first, ce.second) == (shear, e2)
+    assert ce.values == (F(-2), F(3))
 
 
-def test_pair_report_empty_and_shape_guard():
-    assert check_pair_factorization(Relation(())).passed
-    # three slots per frame: the two-clause report does not apply
-    e3 = frame_of((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    rel3 = Relation((relation_point(e3, (1, 1, 0)),))
-    with pytest.raises(ShapeError):
-        check_pair_factorization(rel3)
+def test_factor_check_empty_relation_passes_with_no_tables():
+    out = factor_check(Relation(()))
+    assert out.passed
+    assert out.tables == ()
 
 
-def test_pair_report_agrees_with_factor_check():
+def slot_conflicts(rel, index):
+    """True iff two entries share slot ``index``'s key but not its value."""
+    seen = {}
+    for p in rel.points:
+        key = (p.frame[index - 1], p.point)
+        if seen.setdefault(key, p.values[index - 1]) != p.values[index - 1]:
+            return True
+    return False
+
+
+def test_factor_check_index_is_first_failing_slot():
     rng = Random(3)
     for _ in range(120):
         rel = random_relation(rng, hand_valued=True)
-        assert check_pair_factorization(rel).passed == factor_check(rel).passed
+        failing = [i for i in (1, 2) if slot_conflicts(rel, i)]
+        out = factor_check(rel)
+        assert out.passed == (not failing)
+        if failing:
+            assert out.counterexample.index == failing[0]
 
 
 # --- the orthogonality predicate ---

@@ -10,6 +10,7 @@ from orthocheck import (
     OrthoError,
     PreconditionError,
     Relation,
+    RelationPoint,
     ShapeError,
     build_orthogonal_relation,
     canonical_witness_pool,
@@ -30,6 +31,7 @@ from orthocheck import (
     solve_coordinates,
     verify_orthogonal_maximality,
 )
+from orthocheck.dependence import factor_check_points
 
 I2 = identity_inner_product(2)
 E2 = frame_of((1, 0), (0, 1))
@@ -143,6 +145,43 @@ def test_greedy_extension_skips_colliding_witness_points():
     ext = greedy_maximal_extension(base, pool)
     assert len(ext) == 2
     assert relation_point(SHEAR, (3, 5)) not in set(ext.points)
+
+
+def greedy_oracle(base, pool):
+    """The definitional greedy pass: re-run the whole scan per pool point."""
+    accepted = list(base.points)
+    for p in pool.points:
+        if p not in accepted and factor_check_points(accepted + [p]).passed:
+            accepted.append(p)
+    return tuple(accepted)
+
+
+def test_greedy_extension_matches_definitional_oracle():
+    rng = Random(29)
+    # E2 and DIAG are orthogonal, so canonical points over them always
+    # factor; the pool mixes in frames sharing a slot vector with them.
+    diag = frame_of((2, 0), (0, 1))
+    frames = (E2, SHEAR, frame_of((1, 1), (0, 1)), diag)
+
+    def draw():
+        return (F(rng.randint(-1, 1)), F(rng.randint(-1, 1)))
+
+    for _ in range(80):
+        base = Relation.from_points(
+            relation_point(rng.choice((E2, diag)), draw())
+            for _ in range(rng.randint(0, 3))
+        )
+        pool_pts = list(rng.sample(base.points, rng.randint(0, len(base))))
+        for _ in range(rng.randint(0, 10)):
+            fr = rng.choice(frames)
+            if rng.random() < 0.5:
+                pool_pts.append(RelationPoint(fr, draw(), draw()))
+            else:
+                pool_pts.append(relation_point(fr, draw()))
+        rng.shuffle(pool_pts)
+        pool = Relation.from_points(pool_pts)
+        ext = greedy_maximal_extension(base, pool)
+        assert ext.points == greedy_oracle(base, pool)
 
 
 # --- witnesses ---
