@@ -159,6 +159,11 @@ def cmd_equivalence(config: RunConfig) -> Report:
 def cmd_factor(config: RunConfig, input_path: str | None = None) -> Report:
     """Factorization scan over a loaded relation or a fresh orthogonal one."""
     started = time.perf_counter()
+    if input_path is not None and config.gram is not None:
+        raise ValueError(
+            "--gram cannot be combined with --input: a loaded relation is "
+            "checked without an inner product"
+        )
     if input_path is not None:
         rel = load_relation(input_path)
         if rel.points and (rel.points[0].frame.dim, rel.slot_count) != (
@@ -249,6 +254,15 @@ def cmd_chain(config: RunConfig) -> Report:
 def cmd_pair_ip(config: RunConfig, a: Vector, b: Vector) -> Report:
     """Adapted inner product for one independent pair in dimension 2."""
     started = time.perf_counter()
+    if (config.dim, config.m) != (2, 2):
+        raise ValueError(
+            f"pair-ip runs in dimension 2 with m = 2, got --dim {config.dim} "
+            f"and --m {config.m}"
+        )
+    if config.gram is not None:
+        raise ValueError(
+            "pair-ip builds its own adapted inner product and takes no --gram"
+        )
     frame = Frame((a, b))
     G = frame_adapted_inner_product(frame)
     x = sample_span_point(frame, config.bound, derive_seed(config.seed, 0))

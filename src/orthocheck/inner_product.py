@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Sequence
 
 from .errors import (
     DefinitenessError,
-    NoViolationError,
     PreconditionError,
     ShapeError,
     SymmetryError,
@@ -37,8 +37,6 @@ from .linalg import (
     sample_frame,
     solve_coordinates,
     transpose,
-    vector_scale,
-    vector_sub,
 )
 
 
@@ -177,22 +175,49 @@ def verify_projection_equivalence(
 
 
 def gram_schmidt(G: GramInnerProduct, vectors: Frame | Sequence[Vector]) -> Frame:
-    """Orthogonalize a sequence of independent vectors under G, exactly.
+    """Orthogonalize a frame under G, exactly.
 
     Classical Gram-Schmidt without normalization: the first vector is kept
     as is, each later one has its projections onto the previous outputs
-    subtracted.  Prefix spans are preserved.
+    subtracted.  Prefix spans are preserved.  A Frame is trusted; a raw
+    sequence is validated as one first, so dependent input raises
+    DependentFrameError.
+
+    Runs over integers.  Each output is an integer vector U over a positive
+    scale s.  The common denominator of G cancels in every projection
+    coefficient ``<W, U> / <W, W>``, so projecting a previous output W out
+    of U is ``U <- <W,W> U - <W,U> W`` and ``s <- <W,W> s`` under G's
+    numerator matrix, after which ``gcd(s, *U)`` is divided out.  Each
+    output keeps ``Gn W`` and ``<W,W>``, so every later inner product is
+    one dot product, and Fractions are built once per output entry.
     """
-    vs = list(vectors.vectors if isinstance(vectors, Frame) else map(as_vector, vectors))
+    frame = vectors if isinstance(vectors, Frame) else Frame(tuple(vectors))
+    if frame.dim != G.dim:
+        raise ShapeError(
+            f"frame of dimension {frame.dim} against a {G.dim}x{G.dim} form"
+        )
+    rows = G._numerators
+    done: list[tuple[list[int], list[int], int]] = []  # W, Gn W, <W,W>
     out: list[Vector] = []
-    for v in vs:
-        u = v
-        for w in out:
-            coeff = evaluate(G, w, u) / evaluate(G, w, w)
-            if coeff != 0:
-                u = vector_sub(u, vector_scale(coeff, w))
-        out.append(u)
-    return Frame(tuple(out))
+    for v in frame.vectors:
+        U, s = _cleared(v)
+        projected = False
+        for W, GW, WW in done:
+            WU = sum(map(mul, GW, U))
+            if WU:
+                U = [WW * a - WU * b for a, b in zip(U, W)]
+                s *= WW
+                g = gcd(s, *U)
+                if g > 1:
+                    U = [a // g for a in U]
+                    s //= g
+                projected = True
+        # An input orthogonal to every earlier output is its own output.
+        out.append(tuple(Fraction(a, s) for a in U) if projected else v)
+        if len(out) < frame.size:
+            GW = [sum(map(mul, row, U)) for row in rows]
+            done.append((U, GW, sum(map(mul, GW, U))))
+    return Frame._trusted(tuple(out))
 
 
 def frame_adapted_inner_product(frame: Frame) -> GramInnerProduct:

@@ -76,11 +76,6 @@ def vector_add(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
 
 
-def vector_sub(x: Vector, y: Vector) -> Vector:
-    _check_same_dim(x, y)
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def vector_scale(s: RationalLike, x: Vector) -> Vector:
     s = Fraction(s)
     return tuple(s * a for a in x)
@@ -284,12 +279,14 @@ class Frame:
     """An ordered tuple of linearly independent vectors of one dimension.
 
     Independence is checked exactly at construction, so holding a Frame is
-    proof of it.  Instances are immutable and hashable; equality is
-    entrywise and exact.  The hash of each vector is computed once, on
-    first use of :attr:`slot_hashes` or ``hash()``, and kept on the
-    instance (a frame that is never hashed carries nothing extra); the
-    frame's hash combines those ints.  A cached hash only picks a bucket:
-    ``==`` still compares every entry.
+    proof of it.  Library code that has just proved independence another
+    way (a nonzero determinant, a rank test, Gram-Schmidt) builds through
+    the private :meth:`_trusted` instead of proving it again.  Instances
+    are immutable and hashable; equality is entrywise and exact.  The hash
+    of each vector is computed once, on first use of :attr:`slot_hashes`
+    or ``hash()``, and kept on the instance (a frame that is never hashed
+    carries nothing extra); the frame's hash combines those ints.  A
+    cached hash only picks a bucket: ``==`` still compares every entry.
     """
 
     vectors: tuple[Vector, ...]
@@ -311,6 +308,13 @@ class Frame:
             raise DependentFrameError(
                 f"frame vectors are linearly dependent: {vectors}"
             )
+
+    @classmethod
+    def _trusted(cls, vectors: tuple[Vector, ...]) -> "Frame":
+        """A frame over Fraction vectors already known to be independent."""
+        frame = object.__new__(cls)
+        frame.__dict__["vectors"] = vectors
+        return frame
 
     @property
     def dim(self) -> int:
@@ -441,7 +445,7 @@ def sample_frame(dim: int, m: int, bound: int, seed: int) -> Frame:
             for _ in range(m)
         ]
         if is_independent(candidate):
-            return Frame(tuple(candidate))
+            return Frame._trusted(tuple(candidate))
     raise GenerationError(
         f"no independent frame after {SAMPLING_CAP} draws "
         f"(dim={dim}, m={m}, bound={bound})"

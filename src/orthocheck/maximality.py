@@ -147,12 +147,15 @@ def orthogonality_witness(
         raise NoViolationError(
             f"slots {i} and {j} are already orthogonal; no witness exists"
         )
+    # Both reorderings permute an independent frame, so neither is re-proved.
     order = [i - 1] + [k for k in range(m) if k != i - 1]
-    orthogonalized = gram_schmidt(G, [candidate[k] for k in order])
+    orthogonalized = gram_schmidt(
+        G, Frame._trusted(tuple(candidate[k] for k in order))
+    )
     slots: list[Vector | None] = [None] * m
     for position, k in enumerate(order):
         slots[k] = orthogonalized[position]
-    witness = Frame(tuple(slots))  # type: ignore[arg-type]
+    witness = Frame._trusted(tuple(slots))  # type: ignore[arg-type]
     return witness, vector_add(b_i, b_j)
 
 
@@ -265,8 +268,8 @@ def exhaustive_candidates_2d(bound: int) -> tuple[Frame, ...]:
     frames = []
     for v in vectors:
         for w in vectors:
-            if v[0] * w[1] - v[1] * w[0] != 0:
-                frames.append(Frame((v, w)))
+            if v[0] * w[1] - v[1] * w[0] != 0:  # the independence proof
+                frames.append(Frame._trusted((v, w)))
     return tuple(frames)
 
 

@@ -76,3 +76,27 @@ def first_conflict_pairwise(entries):
 def grouping_verdict(entries):
     """True iff no two entries share a slot key with different values."""
     return first_conflict_pairwise(entries) is None
+
+
+def gram_schmidt_fractions(gram, vectors):
+    """Classical Gram-Schmidt under the form ``x^T gram y``, over Fractions.
+
+    No normalization: each vector has its projections onto the earlier
+    outputs subtracted, one coefficient ``<w, u> / <w, w>`` at a time.
+    """
+
+    def form(x, y):
+        return sum(
+            (x[i] * Fraction(gram[i][j]) * y[j]
+             for i in range(len(x)) for j in range(len(y))),
+            Fraction(0),
+        )
+
+    out = []
+    for v in vectors:
+        u = [Fraction(e) for e in v]
+        for w in out:
+            coeff = form(w, u) / form(w, w)
+            u = [a - coeff * b for a, b in zip(u, w)]
+        out.append(tuple(u))
+    return tuple(out)

@@ -77,6 +77,17 @@ def test_factor_input_must_match_dim_and_m(capsys, monkeypatch, flags, named):
     assert RELATION4 in err and "dim=4, m=4" in err and named in err
 
 
+def test_factor_input_rejects_gram(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code, report, err = run_cli(
+        capsys, "factor", "--dim", "4", "--m", "4", "--input", RELATION4,
+        "--gram", "/nonexistent.json",
+    )
+    assert code == 2
+    assert report is None
+    assert "--gram" in err and "--input" in err
+
+
 def test_factor_empty_input_fits_any_flags(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("[]", encoding="utf-8")
@@ -154,6 +165,28 @@ def test_pair_ip_wrong_dimension(capsys):
     code, _, err = run_cli(capsys, "pair-ip", "--a=1,0,0", "--b=0,1,0")
     assert code == 2
     assert "2-dimensional" in err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (("--dim", "5"), "--dim 5"),
+    (("--dim", "3", "--m", "3"), "--m 3"),
+    (("--gram", "/nonexistent.json"), "--gram"),
+    (("--gram", "tests/fixtures/gram4.json", "--dim", "4"), "--dim 4"),
+], ids=["dim5", "dim3-m3", "missing-gram", "gram4-dim4"])
+def test_pair_ip_rejects_dim_m_and_gram(capsys, monkeypatch, flags, named):
+    monkeypatch.chdir(ROOT)
+    code, report, err = run_cli(capsys, "pair-ip", "--a=1,0", "--b=1,1", *flags)
+    assert code == 2
+    assert report is None
+    assert named in err
+
+
+def test_pair_ip_accepts_explicit_dim_two(capsys):
+    code, report, _ = run_cli(
+        capsys, "pair-ip", "--a=1,0", "--b=1,1", "--dim", "2", "--m", "2"
+    )
+    assert code == 0
+    assert report["config"]["dim"] == 2 and report["config"]["gram"] is None
 
 
 def test_bad_gram_file_is_usage_error(capsys, tmp_path):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from orthocheck import (
     DefinitenessError,
+    DependentFrameError,
+    Frame,
     GramInnerProduct,
     PreconditionError,
     ShapeError,
@@ -18,6 +20,7 @@ from orthocheck import (
     frame_of,
     gram_schmidt,
     identity_inner_product,
+    is_independent,
     is_orthogonal_tuple,
     sample_frame,
     sample_inner_product,
@@ -27,7 +30,7 @@ from orthocheck import (
 )
 from orthocheck.linalg import mat_mul, transpose
 
-from oracles import det_cofactor
+from oracles import det_cofactor, gram_schmidt_fractions
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -266,6 +269,39 @@ def test_gram_schmidt_under_sampled_forms():
 def test_gram_schmidt_idempotent_on_orthogonal_input():
     fr = frame_of((2, 0), (0, 3))
     assert gram_schmidt(I2, fr).vectors == fr.vectors
+
+
+@st.composite
+def rational_forms_and_frames(draw):
+    """A rational SPD form ``B^T B + c I`` and a rational frame under it."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(2, n))
+    b = [[draw(rationals) for _ in range(n)] for _ in range(n)]
+    c = draw(st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4))
+    gram = [
+        [sum(b[k][i] * b[k][j] for k in range(n)) + (c if i == j else 0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    vectors = [[draw(rationals) for _ in range(n)] for _ in range(m)]
+    assume(is_independent(vectors))
+    return validate_inner_product(gram), vectors
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_forms_and_frames())
+def test_gram_schmidt_matches_fraction_reference(case):
+    G, vectors = case
+    expected = gram_schmidt_fractions(G.matrix, vectors)
+    assert gram_schmidt(G, Frame(vectors)).vectors == expected
+    assert gram_schmidt(G, vectors).vectors == expected
+
+
+def test_gram_schmidt_rejects_dependent_and_mismatched_input():
+    with pytest.raises(DependentFrameError):
+        gram_schmidt(I3, [(1, 2, 3), (2, 4, 6)])
+    with pytest.raises(ShapeError):
+        gram_schmidt(I3, frame_of((1, 0), (0, 1)))
 
 
 # --- adapted inner product ---

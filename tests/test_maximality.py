@@ -6,10 +6,13 @@ import pytest
 from orthocheck import (
     Chain,
     ChainOrderError,
+    DependentFrameError,
+    Frame,
     NoViolationError,
     OrthoError,
     PreconditionError,
     Relation,
+    RelationParseError,
     RelationPoint,
     ShapeError,
     build_orthogonal_relation,
@@ -21,17 +24,20 @@ from orthocheck import (
     factor_check,
     first_nonorthogonal_pair,
     frame_of,
+    gram_schmidt,
     greedy_maximal_extension,
     identity_inner_product,
     is_orthogonal_tuple,
     orthogonality_witness,
     relation_point,
     sample_chain,
+    sample_frame,
     sample_inner_product,
     solve_coordinates,
     verify_orthogonal_maximality,
 )
 from orthocheck.dependence import factor_check_points
+from orthocheck.serialize import frame_from_json
 
 I2 = identity_inner_product(2)
 E2 = frame_of((1, 0), (0, 1))
@@ -325,3 +331,47 @@ def test_witness_pool_carries_the_collision():
     pool = canonical_witness_pool(SHEAR, I2)
     assert len(pool) == 2
     assert not factor_check(pool).passed
+
+
+# --- frame validation counts ---
+
+@pytest.fixture
+def frame_validations(monkeypatch):
+    """Every run of Frame's validating constructor, in call order."""
+    calls = []
+    validate = Frame.__post_init__
+
+    def counted(self):
+        calls.append(self.vectors)
+        validate(self)
+
+    monkeypatch.setattr(Frame, "__post_init__", counted)
+    return calls
+
+
+def test_internal_frame_producers_validate_nothing(frame_validations):
+    G = sample_inner_product(4, 3, 17)
+    candidates = exhaustive_candidates_2d(2)
+    sampled = sample_frame(4, 4, 3, seed=8)
+    orthogonal = gram_schmidt(G, sampled)
+    witness, _ = orthogonality_witness(SHEAR, 1, 2, I2)
+    reports = verify_orthogonal_maximality(
+        G, [sample_frame(4, 4, 3, seed=s) for s in range(6)]
+    )
+    assert frame_validations == []
+    assert len(candidates) == 496
+    assert is_orthogonal_tuple(G, orthogonal) and orthogonal[0] == sampled[0]
+    assert is_orthogonal_tuple(I2, witness) and witness[0] == SHEAR[0]
+    assert sum(1 for r in reports if not r.accepted) == 6
+
+
+def test_public_frame_constructors_still_validate(frame_validations):
+    with pytest.raises(DependentFrameError):
+        Frame(((1, 2), (2, 4)))
+    with pytest.raises(DependentFrameError):
+        frame_of((1, 2), (2, 4))
+    with pytest.raises(DependentFrameError):
+        gram_schmidt(I2, [(0, 0), (1, 0)])
+    with pytest.raises(RelationParseError):
+        frame_from_json([["1", "2"], ["2", "4"]])
+    assert len(frame_validations) == 4
