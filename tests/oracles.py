@@ -100,3 +100,12 @@ def gram_schmidt_fractions(gram, vectors):
             u = [a - coeff * b for a, b in zip(u, w)]
         out.append(tuple(u))
     return tuple(out)
+
+
+def linear_combination_fractions(vectors, coeffs):
+    """``sum(c_k * v_k)`` over Fractions, one scaled vector added at a time."""
+    out = [Fraction(0)] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        c = Fraction(c)
+        out = [a + c * b for a, b in zip(out, v)]
+    return tuple(out)

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -34,7 +35,13 @@ from orthocheck import (
     span_contains,
 )
 
+from orthocheck.inner_product import first_nonorthogonal_pair, gram_schmidt
+from orthocheck.linalg import sample_frame
+from orthocheck.serialize import load_gram
+
 from oracles import first_conflict_pairwise, grouping_verdict
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 I2 = identity_inner_product(2)
 
@@ -389,6 +396,49 @@ def test_predicate_agrees_with_gram_orthogonality():
         fr = frame_of(a, b)
         pool = canonical_witness_pool(fr, I2)
         assert is_orthogonal_via_factorization(fr, pool) == is_orthogonal_tuple(I2, fr)
+
+
+
+def _form(name):
+    if name.startswith("identity"):
+        return identity_inner_product(int(name[len("identity"):]))
+    return load_gram(str(FIXTURES / f"{name}.json"))
+
+
+@pytest.mark.parametrize("name", ["identity2", "identity3", "identity4",
+                                  "gram4"])
+def test_predicate_agrees_with_first_nonorthogonal_pair(name):
+    G = _form(name)
+    verdicts = set()
+    for seed in range(12):
+        raw = sample_frame(G.dim, G.dim, 2, seed)
+        for fr in (raw, gram_schmidt(G, raw)):
+            pool = canonical_witness_pool(fr, G)
+            expected = first_nonorthogonal_pair(G, fr) is None
+            got = is_orthogonal_via_factorization(fr, pool, seed=seed)
+            assert got == expected
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+# --- built entries carry their exact coordinates (oracle) ---
+
+@pytest.mark.parametrize("name", [f"identity{d}" for d in range(2, 9)]
+                         + ["gram4", "gram6"])
+def test_built_entries_carry_their_solved_coordinates(name):
+    G = _form(name)
+    for m in range(2, G.dim + 1):
+        relations = [build_orthogonal_relation(G, 2, 3, 4, seed=m, m=m)]
+        if name.startswith("identity"):
+            relations.append(build_arbitrary_relation(G.dim, 2, 3, 4,
+                                                      seed=m, m=m))
+        for rel in relations:
+            assert len(rel) > 0
+            for p in rel:
+                assert (p.frame.dim, p.frame.size) == (G.dim, m)
+                assert p.values == solve_coordinates(p.frame, p.point)
+                assert span_contains(p.frame, p.point)
+                assert all(type(e) is F for e in p.point + p.values)
 
 
 # --- builders ---

@@ -28,7 +28,12 @@ from orthocheck import (
 )
 from orthocheck.linalg import mat_mul, identity_matrix, transpose
 
-from oracles import det_cofactor, rank_by_minors, solve_2x2_cramer
+from oracles import (
+    det_cofactor,
+    linear_combination_fractions,
+    rank_by_minors,
+    solve_2x2_cramer,
+)
 
 rationals = st.fractions(
     min_value=-6, max_value=6, max_denominator=4
@@ -52,6 +57,52 @@ def test_vec_builds_fraction_tuple():
 def test_linear_combination():
     fr = frame_of((1, 0), (1, 1))
     assert linear_combination(fr.vectors, (F(-2), F(5))) == (F(3), F(5))
+
+
+@pytest.mark.parametrize("vectors, coeffs", [
+    ([(F(1), F(0)), (F(0), F(1))], (F(1),)),
+    ([(F(1), F(0))], (F(1), F(2))),
+    ([], ()),
+    ([(F(1), F(2)), (F(3),)], (F(1), F(1))),
+    ([(F(1),), (F(2), F(3))], (F(1), F(1))),
+    ([(F(1), F(2)), (F(3), F(4)), (F(5),)], (F(1), F(1), F(1))),
+], ids=["fewer-coeffs", "more-coeffs", "empty", "shorter-last",
+        "shorter-first", "shorter-third"])
+def test_linear_combination_shape_errors(vectors, coeffs):
+    with pytest.raises(ShapeError):
+        linear_combination(vectors, coeffs)
+
+
+def test_linear_combination_reads_int_entries_and_string_coefficients():
+    out = linear_combination([(1, F(1, 2)), (F(1, 3), 0)], (2, "3/4"))
+    assert out == (F(9, 4), F(1))
+    assert all(type(e) is F for e in out)
+    assert linear_combination([()], (F(1),)) == ()
+
+
+non_integer_rationals = st.fractions(
+    min_value=-9, max_value=9, max_denominator=12
+)
+
+
+@st.composite
+def combinations_to_compare(draw):
+    dim = draw(st.integers(1, 6))
+    count = draw(st.integers(1, 6))
+    vector = st.lists(non_integer_rationals, min_size=dim, max_size=dim)
+    vectors = draw(st.lists(vector, min_size=count, max_size=count))
+    coeffs = draw(st.lists(non_integer_rationals, min_size=count,
+                           max_size=count))
+    return [tuple(v) for v in vectors], tuple(coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(combinations_to_compare())
+def test_linear_combination_matches_fraction_reference(case):
+    vectors, coeffs = case
+    out = linear_combination(vectors, coeffs)
+    assert out == linear_combination_fractions(vectors, coeffs)
+    assert all(type(e) is F for e in out)
 
 
 # --- determinant and rank against naive oracles ---
