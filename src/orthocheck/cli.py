@@ -8,8 +8,11 @@ unions), and ``pair-ip`` (adapted inner product for one vector pair).
 
 Reports are canonical JSON.  With a fixed config the payload is
 byte-identical across runs and platforms; only ``duration_s`` varies.
-Exit codes: 0 verdict pass, 1 verdict fail, 2 usage or parse error.
-``ORTHO_SEED`` in the environment overrides ``--seed``.
+Exit codes: 0 verdict pass, 1 verdict fail, 2 usage or parse error, 3 an
+unexpected error inside the library (a bug; the traceback goes to stderr).
+A flag the chosen command path never reads is a usage error; ``--seed`` is
+accepted everywhere.  ``ORTHO_SEED`` in the environment overrides
+``--seed``.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ import argparse
 import os
 import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass
-from typing import Any, Sequence
+from typing import Any, Collection, Sequence
 
 from .dependence import Relation, build_orthogonal_relation, factor_check
-from .errors import OrthoError, RelationParseError, ShapeError
+from .errors import OrthoError, ShapeError, UsageError
 from .inner_product import (
     GramInnerProduct,
     coefficient_formula,
@@ -79,13 +83,13 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if not 2 <= self.m <= self.dim <= 16:
-            raise ValueError(
+            raise UsageError(
                 f"need 2 <= m <= dim <= 16, got m={self.m}, dim={self.dim}"
             )
         if self.frames < 0 or self.points < 0:
-            raise ValueError("frame and point counts must be >= 0")
+            raise UsageError("frame and point counts must be >= 0")
         if self.bound < 1:
-            raise ValueError(f"bound must be positive, got {self.bound}")
+            raise UsageError(f"bound must be positive, got {self.bound}")
 
     def to_json(self) -> dict[str, Any]:
         return asdict(self)
@@ -137,6 +141,14 @@ def _report(command: str, config: RunConfig, payload: dict[str, Any],
     )
 
 
+def _reject_unread(given: Collection[str], path: str, *unread: str) -> None:
+    """Raise UsageError if a flag in ``given`` (the counts passed explicitly
+    on the command line) is one that this command path never reads."""
+    flags = [f"--{name}" for name in unread if name in given]
+    if flags:
+        raise UsageError(f"{path} does not read {' or '.join(flags)}")
+
+
 def cmd_equivalence(config: RunConfig) -> Report:
     """Solver coordinates vs the coefficient formula on orthogonal frames."""
     started = time.perf_counter()
@@ -156,15 +168,21 @@ def cmd_equivalence(config: RunConfig) -> Report:
     return _report("equivalence", config, payload, failures == 0, started)
 
 
-def cmd_factor(config: RunConfig, input_path: str | None = None) -> Report:
-    """Factorization scan over a loaded relation or a fresh orthogonal one."""
+def cmd_factor(config: RunConfig, input_path: str | None = None,
+               given: Collection[str] = ()) -> Report:
+    """Factorization scan over a loaded relation or a fresh orthogonal one.
+
+    ``given`` names the counts passed explicitly; a loaded relation reads
+    none of them.
+    """
     started = time.perf_counter()
     if input_path is not None and config.gram is not None:
-        raise ValueError(
+        raise UsageError(
             "--gram cannot be combined with --input: a loaded relation is "
             "checked without an inner product"
         )
     if input_path is not None:
+        _reject_unread(given, "factor --input", "frames", "points", "bound")
         rel = load_relation(input_path)
         if rel.points and (rel.points[0].frame.dim, rel.slot_count) != (
             config.dim, config.m
@@ -200,18 +218,24 @@ def _recheck_rejection(G: GramInnerProduct, report: MaximalityReport) -> bool:
     )
 
 
-def cmd_maximality(config: RunConfig) -> Report:
+def cmd_maximality(config: RunConfig, given: Collection[str] = ()) -> Report:
     """Candidate sweep: orthogonal frames accepted, the rest rejected with
-    verified witnesses.  Exhaustive grid in dimension 2, sampled above."""
+    verified witnesses.  Exhaustive grid in dimension 2, sampled above.
+
+    ``given`` names the counts passed explicitly; the sweep never reads
+    ``points``, and the grid of dimension 2 does not read ``frames``.
+    """
     started = time.perf_counter()
     if config.m != config.dim:
-        raise ValueError(
+        raise UsageError(
             f"maximality sweep needs m == dim, got m={config.m}, dim={config.dim}"
         )
     G = config.load_inner_product()
     if config.dim == 2:
+        _reject_unread(given, "maximality in dimension 2", "frames", "points")
         candidates: tuple[Frame, ...] = exhaustive_candidates_2d(config.bound)
     else:
+        _reject_unread(given, "maximality", "points")
         candidates = tuple(
             sample_frame(config.dim, config.dim, config.bound,
                          derive_seed(config.seed, k, 0))
@@ -251,18 +275,23 @@ def cmd_chain(config: RunConfig) -> Report:
     return _report("chain", config, payload, union_passes, started)
 
 
-def cmd_pair_ip(config: RunConfig, a: Vector, b: Vector) -> Report:
-    """Adapted inner product for one independent pair in dimension 2."""
+def cmd_pair_ip(config: RunConfig, a: Vector, b: Vector,
+                given: Collection[str] = ()) -> Report:
+    """Adapted inner product for one independent pair in dimension 2.
+
+    ``given`` names the counts passed explicitly; only ``bound`` is read.
+    """
     started = time.perf_counter()
     if (config.dim, config.m) != (2, 2):
-        raise ValueError(
+        raise UsageError(
             f"pair-ip runs in dimension 2 with m = 2, got --dim {config.dim} "
             f"and --m {config.m}"
         )
     if config.gram is not None:
-        raise ValueError(
+        raise UsageError(
             "pair-ip builds its own adapted inner product and takes no --gram"
         )
+    _reject_unread(given, "pair-ip", "frames", "points")
     frame = Frame((a, b))
     G = frame_adapted_inner_product(frame)
     x = sample_span_point(frame, config.bound, derive_seed(config.seed, 0))
@@ -302,11 +331,15 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--dim", type=int, default=2, help="ambient dimension")
         p.add_argument("--m", type=int, default=2, help="vectors per frame")
-        p.add_argument("--frames", type=int, default=8, help="frame count")
-        p.add_argument("--points", type=int, default=4,
-                       help="span points per frame")
-        p.add_argument("--bound", type=int, default=5,
-                       help="integer entry bound for sampling")
+        # No parser defaults: RunConfig fills them in, so that an explicit
+        # flag the command path ignores can be told from a default.
+        p.add_argument("--frames", type=int,
+                       help=f"frame count (default {RunConfig.frames})")
+        p.add_argument("--points", type=int,
+                       help=f"span points per frame (default {RunConfig.points})")
+        p.add_argument("--bound", type=int,
+                       help="integer entry bound for sampling "
+                            f"(default {RunConfig.bound})")
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--gram", default=None,
                        help="path to a Gram matrix JSON file "
@@ -378,31 +411,36 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
 
     try:
-        config = RunConfig(
-            dim=args.dim, m=args.m, frames=args.frames, points=args.points,
-            bound=args.bound, seed=seed, gram=args.gram,
-        )
+        given = {name: getattr(args, name)
+                 for name in ("frames", "points", "bound")
+                 if getattr(args, name) is not None}
+        config = RunConfig(dim=args.dim, m=args.m, seed=seed, gram=args.gram,
+                           **given)
         if args.command == "equivalence":
             report = cmd_equivalence(config)
         elif args.command == "factor":
-            report = cmd_factor(config, args.input)
+            report = cmd_factor(config, args.input, given)
         elif args.command == "maximality":
-            report = cmd_maximality(config)
+            report = cmd_maximality(config, given)
         elif args.command == "chain":
             report = cmd_chain(config)
         else:
             a = parse_vector_literal(args.a)
             b = parse_vector_literal(args.b)
             if len(a) != 2 or len(b) != 2:
-                raise ValueError("pair-ip expects two 2-dimensional vectors")
+                raise UsageError("pair-ip expects two 2-dimensional vectors")
             if not is_independent([a, b]):
-                raise ValueError(f"vectors {args.a} and {args.b} are dependent")
-            report = cmd_pair_ip(config, a, b)
-    except (RelationParseError, OrthoError, ValueError, OSError) as exc:
+                raise UsageError(f"vectors {args.a} and {args.b} are dependent")
+            report = cmd_pair_ip(config, a, b, given)
+        _emit(report, args.output)
+    except (OrthoError, OSError) as exc:
         print(f"ortho: {exc}", file=sys.stderr)
         return 2
-
-    _emit(report, args.output)
+    except Exception:
+        # Not a usage error: a bug.  Exit 3, since Python's own exit code
+        # for an uncaught exception, 1, would read as a failing verdict.
+        traceback.print_exc()
+        return 3
     return 0 if report.passed else 1
 
 

@@ -29,8 +29,9 @@ from .linalg import (
     Vector,
     as_vector,
     derive_seed,
+    linear_combination,
+    sample_coefficients,
     sample_frame,
-    sample_span_point,
     solve_coordinates,
     span_contains,
 )
@@ -41,9 +42,10 @@ class RelationPoint:
     """One relation entry: a frame, a point of its span, and slot values.
 
     The canonical constructor :func:`relation_point` fills ``values`` with
-    the exact coordinates of the point over the frame.  Building instances
-    with arbitrary values is allowed (oracle tests rely on it), but span
-    membership is always enforced.
+    the exact coordinates of the point over the frame; the relation
+    builders make the same entries from the coefficients they draw.
+    Building instances with arbitrary values is allowed (oracle tests rely
+    on it), but span membership is always enforced.
 
     The hash covers the (frame, point) pair: it combines the frame's hash
     with ``hash(point)``, which is computed once, on first use, and kept
@@ -90,6 +92,20 @@ def relation_point(frame: Frame, point: Vector) -> RelationPoint:
     solve is also its span test (SpanMembershipError outside the span)."""
     point = as_vector(point)
     return RelationPoint._trusted(frame, point, solve_coordinates(frame, point))
+
+
+def _sampled_entry(frame: Frame, bound: int, seed: int) -> RelationPoint:
+    """Canonical entry at a sampled span point, built from its coefficients.
+
+    The point is the combination of the frame's vectors with the drawn
+    coefficients, so it lies in the span, and coordinates over an
+    independent frame are unique: the coefficients are exactly what
+    :func:`relation_point` would solve for.  The point is the one
+    ``sample_span_point(frame, bound, seed)`` returns.
+    """
+    coeffs = sample_coefficients(frame.size, bound, seed)
+    point = linear_combination(frame.vectors, coeffs)
+    return RelationPoint._trusted(frame, point, coeffs)
 
 
 @dataclass(frozen=True)
@@ -296,23 +312,22 @@ def is_orthogonal_via_factorization(
     ``maximality.canonical_witness_pool`` the predicate accepts exactly
     the frames orthogonal under the pool's inner product.
     """
-    own = []
-    for t in range(points_per_frame):
-        x = sample_span_point(frame, bound, derive_seed(seed, t))
-        own.append(relation_point(frame, x))
-    rel = Relation.from_points(tuple(own) + witness_pool.points)
+    own = tuple(
+        _sampled_entry(frame, bound, derive_seed(seed, t))
+        for t in range(points_per_frame)
+    )
+    rel = Relation.from_points(own + witness_pool.points)
     return factor_check(rel).passed
 
 
 def _build_relation(
     frames: Sequence[Frame], points_per_frame: int, bound: int, seed: int
 ) -> Relation:
-    points = []
-    for k, frame in enumerate(frames):
-        for t in range(points_per_frame):
-            x = sample_span_point(frame, bound, derive_seed(seed, k, t + 1))
-            points.append(relation_point(frame, x))
-    return Relation.from_points(points)
+    return Relation.from_points(
+        _sampled_entry(frame, bound, derive_seed(seed, k, t + 1))
+        for k, frame in enumerate(frames)
+        for t in range(points_per_frame)
+    )
 
 
 def build_orthogonal_relation(

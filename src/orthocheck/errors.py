@@ -53,6 +53,10 @@ class NoViolationError(OrthoError, ValueError):
     """A witness was requested for a pair that is already orthogonal."""
 
 
+class UsageError(OrthoError, ValueError):
+    """A command-line flag is invalid, or conflicts with another flag."""
+
+
 class PreconditionError(OrthoError, ValueError):
     """An operation's documented precondition does not hold."""
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -58,10 +59,6 @@ def vec(*entries: RationalLike) -> Vector:
     return as_vector(entries)
 
 
-def zero_vector(dim: int) -> Vector:
-    return (Fraction(0),) * dim
-
-
 def is_zero(v: Vector) -> bool:
     return all(e == 0 for e in v)
 
@@ -76,25 +73,33 @@ def vector_add(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
 
 
-def vector_scale(s: RationalLike, x: Vector) -> Vector:
-    s = Fraction(s)
-    return tuple(s * a for a in x)
-
-
 def linear_combination(
     vectors: Sequence[Vector], coeffs: Sequence[RationalLike]
 ) -> Vector:
-    """Return ``sum(c_k * v_k)``, exactly."""
+    """Return ``sum(c_k * v_k)``, exactly.
+
+    Runs over ints: each vector is cleared to an integer row over its own
+    scale ``d_k``, and the coefficients to numerators over one denominator
+    ``e``.  With ``L`` the lcm of the ``d_k``, entry j of the result is
+    ``sum(c_k * (L / d_k) * row_k[j]) / (L * e)``, one Fraction per entry.
+    """
     if len(vectors) != len(coeffs):
         raise ShapeError(
             f"{len(coeffs)} coefficients for {len(vectors)} vectors"
         )
     if not vectors:
         raise ShapeError("empty combination has no dimension")
-    out = zero_vector(len(vectors[0]))
-    for c, v in zip(coeffs, vectors):
-        out = vector_add(out, vector_scale(c, v))
-    return out
+    dims = {len(v) for v in vectors}
+    if len(dims) != 1:
+        raise ShapeError(f"mixed vector dimensions: {sorted(dims)}")
+    rows, scales = _integer_rows(vectors)
+    numerators, e = _cleared(coeffs)
+    L = lcm(*scales)
+    weights = [c * (L // d) for c, d in zip(numerators, scales)]
+    den = L * e
+    return tuple(
+        Fraction(sum(map(mul, weights, column)), den) for column in zip(*rows)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -222,24 +222,28 @@ def maximality_report_to_json(report: MaximalityReport) -> dict[str, Any]:
     return payload
 
 
-def _loads(text: str, source: str) -> Any:
+def _load_json(path: str) -> Any:
+    """Parse a UTF-8 JSON file; undecodable bytes and malformed JSON raise
+    RelationParseError naming the file."""
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        return json.loads(text)
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise RelationParseError(
+            f"not UTF-8 text ({exc.reason})", f"{path} byte {exc.start}"
+        ) from exc
     except json.JSONDecodeError as exc:
         raise RelationParseError(
-            str(exc), f"{source} line {exc.lineno} column {exc.colno}"
+            str(exc), f"{path} line {exc.lineno} column {exc.colno}"
         ) from exc
 
 
 def load_relation(path: str) -> Relation:
     """Read a relation from a JSON file (array of {frame, point, values})."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return relation_from_json(_loads(text, path), "points")
+    return relation_from_json(_load_json(path), "points")
 
 
 def load_gram(path: str) -> GramInnerProduct:
     """Read a Gram matrix from a JSON file (array of arrays of "p/q")."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return gram_from_json(_loads(text, path), "gram")
+    return gram_from_json(_load_json(path), "gram")

@@ -270,3 +270,108 @@ def test_module_entry_point():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["payload"]["trials"] == 4
+
+
+# --- usage errors (exit 2) and bugs (exit 3) ---
+
+@pytest.mark.parametrize("argv, named", [
+    (("equivalence", "--m", "5", "--dim", "3"), "2 <= m <= dim"),
+    (("equivalence", "--points", "-1"), "counts must be >= 0"),
+    (("equivalence", "--bound", "0"), "bound must be positive"),
+    (("factor", "--input", RELATION4, "--dim", "4", "--m", "4",
+      "--gram", "tests/fixtures/gram4.json"), "--gram cannot be combined"),
+    (("maximality", "--dim", "3"), "m == dim"),
+    (("pair-ip", "--a=1,0", "--b=1,1", "--dim", "5"), "--dim 5"),
+    (("pair-ip", "--a=1,0", "--b=1,1", "--gram", "x.json"), "takes no --gram"),
+    (("pair-ip", "--a=1,0,0", "--b=0,1,0"), "2-dimensional"),
+    (("pair-ip", "--a=1,0", "--b=2,0"), "dependent"),
+], ids=["config-m-dim", "config-counts", "config-bound", "factor-input-gram",
+        "maximality-square", "pair-ip-dim", "pair-ip-gram", "pair-ip-vectors",
+        "pair-ip-dependent"])
+def test_usage_checks_exit_two(capsys, monkeypatch, argv, named):
+    monkeypatch.chdir(ROOT)
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert report is None
+    assert err.startswith("ortho: ") and named in err
+    assert "Traceback" not in err
+
+
+def test_library_value_error_exits_three(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("injected library fault")
+
+    monkeypatch.setattr("orthocheck.cli.build_orthogonal_relation", broken)
+    code, report, err = run_cli(capsys, "factor", "--frames", "1")
+    assert code == 3
+    assert report is None
+    assert "Traceback" in err and "ValueError: injected library fault" in err
+
+
+def test_undecodable_input_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'["\xff"]')
+    code, report, err = run_cli(capsys, "factor", "--input", str(path))
+    assert code == 2
+    assert report is None
+    assert str(path) in err and "UTF-8" in err
+
+
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    out = tmp_path / "missing-dir" / "report.json"
+    code, report, err = run_cli(capsys, "equivalence", "--frames", "1",
+                                "--output", str(out))
+    assert code == 2
+    assert "missing-dir" in err and "Traceback" not in err
+
+
+# --- flags a command path never reads ---
+
+@pytest.mark.parametrize("argv, named", [
+    (("maximality", "--bound", "1", "--frames", "3"),
+     "maximality in dimension 2 does not read --frames"),
+    (("maximality", "--bound", "1", "--points", "3", "--frames", "3"),
+     "maximality in dimension 2 does not read --frames or --points"),
+    (("maximality", "--dim", "3", "--m", "3", "--frames", "1",
+      "--points", "2"), "maximality does not read --points"),
+], ids=["dim2-frames", "dim2-frames-points", "dim3-points"])
+def test_maximality_rejects_unread_flags(capsys, argv, named):
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert report is None
+    assert named in err
+
+
+@pytest.mark.parametrize("flag", ["--frames", "--points"])
+def test_pair_ip_rejects_unread_flags(capsys, flag):
+    code, report, err = run_cli(capsys, "pair-ip", "--a=1,0", "--b=1,1",
+                                flag, "3")
+    assert code == 2
+    assert report is None
+    assert f"pair-ip does not read {flag}" in err
+
+
+@pytest.mark.parametrize("flag", ["--frames", "--points", "--bound"])
+def test_factor_input_rejects_unread_flags(capsys, monkeypatch, flag):
+    monkeypatch.chdir(ROOT)
+    code, report, err = run_cli(capsys, "factor", "--input", RELATION4,
+                                "--dim", "4", "--m", "4", flag, "3")
+    assert code == 2
+    assert report is None
+    assert f"factor --input does not read {flag}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("maximality", "--bound", "1", "--seed", "3"),
+    ("maximality", "--dim", "3", "--m", "3", "--frames", "2", "--seed", "3"),
+    ("pair-ip", "--a=1,0", "--b=1,1", "--bound", "2", "--seed", "3"),
+    ("factor", "--input", RELATION4, "--dim", "4", "--m", "4", "--seed", "3"),
+], ids=["maximality-dim2", "maximality-dim3", "pair-ip", "factor-input"])
+def test_read_flags_and_seed_stay_accepted(capsys, monkeypatch, argv):
+    monkeypatch.chdir(ROOT)
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0
+    config = report["config"]
+    assert config["seed"] == 3
+    assert (config["frames"], config["points"]) == (
+        (2, 4) if "--frames" in argv else (8, 4))
