@@ -21,7 +21,6 @@ import argparse
 import os
 import sys
 import time
-import traceback
 from dataclasses import asdict, dataclass
 from typing import Any, Collection, Sequence
 
@@ -142,8 +141,9 @@ def _report(command: str, config: RunConfig, payload: dict[str, Any],
 
 
 def _reject_unread(given: Collection[str], path: str, *unread: str) -> None:
-    """Raise UsageError if a flag in ``given`` (the counts passed explicitly
-    on the command line) is one that this command path never reads."""
+    """Raise UsageError if ``given``, the count flags passed explicitly
+    (``main`` passes them to the commands whose reads depend on the path),
+    holds one that this command path never reads."""
     flags = [f"--{name}" for name in unread if name in given]
     if flags:
         raise UsageError(f"{path} does not read {' or '.join(flags)}")
@@ -170,11 +170,7 @@ def cmd_equivalence(config: RunConfig) -> Report:
 
 def cmd_factor(config: RunConfig, input_path: str | None = None,
                given: Collection[str] = ()) -> Report:
-    """Factorization scan over a loaded relation or a fresh orthogonal one.
-
-    ``given`` names the counts passed explicitly; a loaded relation reads
-    none of them.
-    """
+    """Factorization scan over a loaded relation or a fresh orthogonal one."""
     started = time.perf_counter()
     if input_path is not None and config.gram is not None:
         raise UsageError(
@@ -220,11 +216,7 @@ def _recheck_rejection(G: GramInnerProduct, report: MaximalityReport) -> bool:
 
 def cmd_maximality(config: RunConfig, given: Collection[str] = ()) -> Report:
     """Candidate sweep: orthogonal frames accepted, the rest rejected with
-    verified witnesses.  Exhaustive grid in dimension 2, sampled above.
-
-    ``given`` names the counts passed explicitly; the sweep never reads
-    ``points``, and the grid of dimension 2 does not read ``frames``.
-    """
+    verified witnesses.  Exhaustive grid in dimension 2, sampled above."""
     started = time.perf_counter()
     if config.m != config.dim:
         raise UsageError(
@@ -277,10 +269,7 @@ def cmd_chain(config: RunConfig) -> Report:
 
 def cmd_pair_ip(config: RunConfig, a: Vector, b: Vector,
                 given: Collection[str] = ()) -> Report:
-    """Adapted inner product for one independent pair in dimension 2.
-
-    ``given`` names the counts passed explicitly; only ``bound`` is read.
-    """
+    """Adapted inner product for one independent pair in dimension 2."""
     started = time.perf_counter()
     if (config.dim, config.m) != (2, 2):
         raise UsageError(
@@ -333,13 +322,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, default=2, help="vectors per frame")
         # No parser defaults: RunConfig fills them in, so that an explicit
         # flag the command path ignores can be told from a default.
-        p.add_argument("--frames", type=int,
-                       help=f"frame count (default {RunConfig.frames})")
-        p.add_argument("--points", type=int,
-                       help=f"span points per frame (default {RunConfig.points})")
+        p.add_argument("--frames", type=int, help="frame count")
+        p.add_argument("--points", type=int, help="span points per frame")
         p.add_argument("--bound", type=int,
-                       help="integer entry bound for sampling "
-                            f"(default {RunConfig.bound})")
+                       help="integer entry bound for sampling")
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--gram", default=None,
                        help="path to a Gram matrix JSON file "
@@ -437,9 +423,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"ortho: {exc}", file=sys.stderr)
         return 2
     except Exception:
-        # Not a usage error: a bug.  Exit 3, since Python's own exit code
-        # for an uncaught exception, 1, would read as a failing verdict.
-        traceback.print_exc()
+        # Not a usage error: a bug.  Print the traceback as an uncaught
+        # exception would, but exit 3: Python's own exit code for an
+        # uncaught exception, 1, would read as a failing verdict.
+        sys.excepthook(*sys.exc_info())
         return 3
     return 0 if report.passed else 1
 
