@@ -141,9 +141,8 @@ def _report(command: str, config: RunConfig, payload: dict[str, Any],
 
 
 def _reject_unread(given: Collection[str], path: str, *unread: str) -> None:
-    """Raise UsageError if ``given``, the count flags passed explicitly
-    (``main`` passes them to the commands whose reads depend on the path),
-    holds one that this command path never reads."""
+    """Raise UsageError if ``given``, the count flags passed explicitly on
+    the command line, holds one that this command path never reads."""
     flags = [f"--{name}" for name in unread if name in given]
     if flags:
         raise UsageError(f"{path} does not read {' or '.join(flags)}")
