@@ -3,7 +3,8 @@
 Everything here is deliberately naive: cofactor expansion instead of
 elimination, minor enumeration instead of pivot counting, a quadratic
 pairwise scan instead of hash tables, Cramer's rule instead of the
-solver.  Slow is fine; these only run on small inputs.
+solver, a double sum over the Gram matrix instead of integer images.
+Slow is fine; these only run on small inputs.
 """
 
 from fractions import Fraction
@@ -76,6 +77,25 @@ def first_conflict_pairwise(entries):
 def grouping_verdict(entries):
     """True iff no two entries share a slot key with different values."""
     return first_conflict_pairwise(entries) is None
+
+
+def naive_bilinear(G, x, y):
+    """``x^T G y`` as a double sum over ``G.matrix``, in Fractions."""
+    total = Fraction(0)
+    for i in range(len(x)):
+        for j in range(len(y)):
+            total += Fraction(x[i]) * Fraction(G.matrix[i][j]) * Fraction(y[j])
+    return total
+
+
+def nonorthogonal_pairs(G, vectors):
+    """Every 1-based pair (i, j), i < j, with ``<v_i, v_j> != 0`` under G,
+    in lexicographic order, by one naive evaluation per pair."""
+    return [
+        (i + 1, j + 1)
+        for i, j in combinations(range(len(vectors)), 2)
+        if naive_bilinear(G, vectors[i], vectors[j]) != 0
+    ]
 
 
 def gram_schmidt_fractions(gram, vectors):

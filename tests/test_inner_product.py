@@ -16,6 +16,7 @@ from orthocheck import (
     ZeroVectorError,
     coefficient_formula,
     evaluate,
+    first_nonorthogonal_pair,
     frame_adapted_inner_product,
     frame_of,
     gram_schmidt,
@@ -28,22 +29,21 @@ from orthocheck import (
     validate_inner_product,
     verify_projection_equivalence,
 )
+from orthocheck.dependence import Relation, relation_point
 from orthocheck.linalg import mat_mul, transpose
+from orthocheck.maximality import canonical_witness_pool, orthogonality_witness
 
-from oracles import det_cofactor, gram_schmidt_fractions
+from oracles import (
+    det_cofactor,
+    gram_schmidt_fractions,
+    naive_bilinear,
+    nonorthogonal_pairs,
+)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 I2 = identity_inner_product(2)
 I3 = identity_inner_product(3)
-
-
-def naive_bilinear(G, x, y):
-    total = F(0)
-    for i in range(len(x)):
-        for j in range(len(y)):
-            total += F(x[i]) * F(G.matrix[i][j]) * F(y[j])
-    return total
 
 
 # --- validation ---
@@ -241,6 +241,70 @@ def test_projection_equivalence_random_sweep():
     assert failures == 0
 
 
+# --- the shape contract of the orthogonality predicate and the formula ---
+#
+# Inner products run as integer dot products, which would silently
+# truncate a vector of the wrong length; every entry point must raise
+# ShapeError instead.  Frames of both a smaller and a larger dimension
+# than the form are tried, each one orthogonal under the truncated form.
+
+MISSIZED_FRAMES = [
+    pytest.param(I3, frame_of((1, 0), (0, 1)), id="dim2-frame-under-I3"),
+    pytest.param(I3, frame_of((1, 0), (0, 2)), id="dim2-scaled-under-I3"),
+    pytest.param(I2, frame_of((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                 id="dim3-frame-under-I2"),
+    pytest.param(I2, frame_of((1, 0, 1), (0, 1, 1), (0, 0, 1)),
+                 id="dim3-nonorthogonal-under-I2"),
+]
+
+
+@pytest.mark.parametrize("G, fr", MISSIZED_FRAMES)
+def test_orthogonality_predicate_rejects_missized_frame(G, fr):
+    with pytest.raises(ShapeError):
+        first_nonorthogonal_pair(G, fr)
+    with pytest.raises(ShapeError):
+        is_orthogonal_tuple(G, fr)
+
+
+@pytest.mark.parametrize("G, fr", MISSIZED_FRAMES)
+def test_projection_equivalence_rejects_missized_frame(G, fr):
+    x = tuple(a + b for a, b in zip(fr[0], fr[1]))
+    with pytest.raises(ShapeError):
+        verify_projection_equivalence(G, fr, x)
+
+
+@pytest.mark.parametrize("G, fr", MISSIZED_FRAMES)
+def test_witness_pool_rejects_missized_frame(G, fr):
+    with pytest.raises(ShapeError):
+        canonical_witness_pool(fr, G)
+
+
+@pytest.mark.parametrize("x", [(3, 9), (3, 9, 0, 0), (3, 9, 0, 1), (3,)])
+def test_projection_equivalence_rejects_missized_point(x):
+    fr = frame_of((1, 0, 0), (0, 3, 0))
+    with pytest.raises(ShapeError):
+        verify_projection_equivalence(I3, fr, x)
+
+
+@pytest.mark.parametrize("a, x", [
+    pytest.param((0, 2), (3, 5, 0), id="x-longer"),
+    pytest.param((0, 2, 0), (3, 5), id="x-shorter"),
+    pytest.param((0, 2), (3, 5), id="a-and-x-shorter"),
+    pytest.param((0, 2, 0, 1), (3, 5, 0), id="a-longer"),
+    pytest.param((1, 2), (3, 5, 7), id="a-shorter"),
+])
+def test_coefficient_formula_rejects_missized_vectors(a, x):
+    with pytest.raises(ShapeError):
+        coefficient_formula(I3, a, x)
+
+
+def test_coefficient_formula_rejects_zero_vector_in_any_form():
+    G = sample_inner_product(3, 3, 4)
+    for a in [(0, 0, 0), (F(0), F(0, 5), 0)]:
+        with pytest.raises(ZeroVectorError):
+            coefficient_formula(G, a, (1, 2, 3))
+
+
 # --- Gram-Schmidt ---
 
 def test_gram_schmidt_keeps_first_vector_and_span():
@@ -272,10 +336,11 @@ def test_gram_schmidt_idempotent_on_orthogonal_input():
 
 
 @st.composite
-def rational_forms_and_frames(draw):
-    """A rational SPD form ``B^T B + c I`` and a rational frame under it."""
-    n = draw(st.integers(2, 6))
-    m = draw(st.integers(2, n))
+def rational_forms_and_frames(draw, n=None, m=None):
+    """A rational SPD form ``B^T B + c I`` and a rational frame under it;
+    the dimension n and frame size m are drawn unless given."""
+    n = draw(st.integers(2, 6)) if n is None else n
+    m = draw(st.integers(2, n)) if m is None else m
     b = [[draw(rationals) for _ in range(n)] for _ in range(n)]
     c = draw(st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4))
     gram = [
@@ -295,6 +360,67 @@ def test_gram_schmidt_matches_fraction_reference(case):
     expected = gram_schmidt_fractions(G.matrix, vectors)
     assert gram_schmidt(G, Frame(vectors)).vectors == expected
     assert gram_schmidt(G, vectors).vectors == expected
+
+
+
+# --- the integer inner-product path against the Fraction oracle ---
+
+@st.composite
+def frames_under_rational_forms(draw):
+    """A rational form and a frame as in ``rational_forms_and_frames``,
+    full-dimensional half of the time, plus a rational combination x of
+    the frame vectors and an arbitrary rational vector y."""
+    n = draw(st.integers(2, 6))
+    full = draw(st.booleans())
+    G, vectors = draw(rational_forms_and_frames(n, n if full else None))
+    coeffs = [draw(rationals) for _ in vectors]
+    x = tuple(
+        sum((c * F(v[r]) for c, v in zip(coeffs, vectors)), F(0))
+        for r in range(n)
+    )
+    y = tuple(draw(rationals) for _ in range(n))
+    return G, vectors, x, y
+
+
+def _frames_to_check(G, vectors):
+    """The raw frame; its Gram-Schmidt output, whose vectors carry
+    non-trivial scales; and that output with the raw last vector put back,
+    so that only pairs ending in the last slot can fail."""
+    raw = Frame(vectors)
+    orthogonal = gram_schmidt(G, raw)
+    mixed = Frame(orthogonal.vectors[:-1] + raw.vectors[-1:])
+    return raw, orthogonal, mixed
+
+
+@settings(max_examples=40, deadline=None)
+@given(frames_under_rational_forms())
+def test_integer_inner_products_match_naive_oracle(case):
+    G, vectors, x, y = case
+    for fr in _frames_to_check(G, vectors):
+        pairs = nonorthogonal_pairs(G, fr.vectors)
+        assert first_nonorthogonal_pair(G, fr) == (pairs[0] if pairs else None)
+        assert is_orthogonal_tuple(G, fr) == (not pairs)
+        for a in fr:
+            for z in (x, y):
+                expected = naive_bilinear(G, a, z) / naive_bilinear(G, a, a)
+                assert coefficient_formula(G, a, z) == expected
+        if pairs:
+            with pytest.raises(PreconditionError):
+                verify_projection_equivalence(G, fr, x)
+        else:
+            formula = tuple(
+                naive_bilinear(G, a, x) / naive_bilinear(G, a, a) for a in fr
+            )
+            assert solve_coordinates(fr, x) == formula
+            assert verify_projection_equivalence(G, fr, x) is True
+        if fr.size == fr.dim:
+            expected_points = []
+            for i, j in pairs:
+                witness, point = orthogonality_witness(fr, i, j, G)
+                expected_points.append(relation_point(fr, point))
+                expected_points.append(relation_point(witness, point))
+            pool = canonical_witness_pool(fr, G)
+            assert pool.points == Relation.from_points(expected_points).points
 
 
 def test_gram_schmidt_rejects_dependent_and_mismatched_input():
