@@ -11,8 +11,9 @@ byte-identical across runs and platforms; only ``duration_s`` varies.
 Exit codes: 0 verdict pass, 1 verdict fail, 2 usage or parse error, 3 an
 unexpected error inside the library (a bug; the traceback goes to stderr).
 A flag the chosen command path never reads is a usage error; ``--seed`` is
-accepted everywhere.  ``ORTHO_SEED`` in the environment overrides
-``--seed``.
+accepted everywhere.  So are flags that ask for more work than the
+command's cap (see ``_cap_work``).  ``ORTHO_SEED`` in the environment
+overrides ``--seed``.
 """
 
 from __future__ import annotations
@@ -66,6 +67,14 @@ from .serialize import (
 
 CHAIN_DEPTH = 4
 _CHAIN_STREAM = 0x434E
+
+# Work caps, checked from the flags before any work starts (_cap_work).
+# Each allows about a minute on a 2-core VM at the dearest shape its flags
+# reach at the default --bound: the dimension-2 grid up to --bound 11
+# (279,841 pairs at about 0.19 ms each), and sampled frames at dim 16
+# (about 10 ms per maximality frame, 6 ms per point elsewhere).
+GRID_CAP = 300_000
+SAMPLE_CAP = 5_000
 
 
 @dataclass(frozen=True)
@@ -140,6 +149,31 @@ def _report(command: str, config: RunConfig, payload: dict[str, Any],
     )
 
 
+def _cap_work(command: str, config: RunConfig) -> None:
+    """Raise UsageError if the work ``command`` would start, bounded from its
+    flags alone, is above its cap.
+
+    The dimension-2 sweep visits every ordered pair of grid vectors,
+    ``(2 * bound + 1) ** 4``; a sampled sweep one frame per ``--frames``;
+    the other commands ``frames * points`` span points, counting a frame
+    without points as one, since it is still drawn and orthogonalized.
+    """
+    if command == "maximality" and config.dim == 2:
+        flags, count = f"--bound {config.bound}", (2 * config.bound + 1) ** 4
+        unit, cap = "candidate pairs", GRID_CAP
+    elif command == "maximality":
+        flags, count = f"--frames {config.frames}", config.frames
+        unit, cap = "candidate frames", SAMPLE_CAP
+    else:
+        flags = f"--frames {config.frames} --points {config.points}"
+        count = config.frames * max(config.points, 1)
+        unit, cap = "span points", SAMPLE_CAP
+    if count > cap:
+        raise UsageError(
+            f"{command} {flags} asks for {count} {unit}, above the cap of {cap}"
+        )
+
+
 def _reject_unread(given: Collection[str], path: str, *unread: str) -> None:
     """Raise UsageError if ``given``, the count flags passed explicitly on
     the command line, holds one that this command path never reads."""
@@ -152,6 +186,7 @@ def cmd_equivalence(config: RunConfig) -> Report:
     """Solver coordinates vs the coefficient formula on orthogonal frames."""
     started = time.perf_counter()
     G = config.load_inner_product()
+    _cap_work("equivalence", config)
     trials = failures = 0
     for k in range(config.frames):
         raw = sample_frame(config.dim, config.m, config.bound,
@@ -189,6 +224,7 @@ def cmd_factor(config: RunConfig, input_path: str | None = None,
             )
     else:
         G = config.load_inner_product()
+        _cap_work("factor", config)
         rel = build_orthogonal_relation(
             G, config.frames, config.points, config.bound, config.seed,
             m=config.m,
@@ -224,9 +260,11 @@ def cmd_maximality(config: RunConfig, given: Collection[str] = ()) -> Report:
     G = config.load_inner_product()
     if config.dim == 2:
         _reject_unread(given, "maximality in dimension 2", "frames", "points")
+        _cap_work("maximality", config)
         candidates: tuple[Frame, ...] = exhaustive_candidates_2d(config.bound)
     else:
         _reject_unread(given, "maximality", "points")
+        _cap_work("maximality", config)
         candidates = tuple(
             sample_frame(config.dim, config.dim, config.bound,
                          derive_seed(config.seed, k, 0))
@@ -253,6 +291,7 @@ def cmd_chain(config: RunConfig) -> Report:
     """Nested chain inside a built orthogonal relation; union must factor."""
     started = time.perf_counter()
     G = config.load_inner_product()
+    _cap_work("chain", config)
     rel = build_orthogonal_relation(
         G, config.frames, config.points, config.bound, config.seed, m=config.m,
     )

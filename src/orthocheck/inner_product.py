@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     DefinitenessError,
@@ -46,8 +46,8 @@ class GramInnerProduct:
 
     Construction validates exactly, so holding an instance is proof the
     form is an inner product.  It also keeps G as an integer numerator
-    matrix over one common denominator, which :func:`evaluate` uses; that
-    cache takes no part in equality, hashing or repr.
+    matrix over one common denominator, which every inner product of this
+    module uses; that cache takes no part in equality, hashing or repr.
     """
 
     matrix: Matrix
@@ -110,35 +110,71 @@ def identity_inner_product(dim: int) -> GramInnerProduct:
     return GramInnerProduct(identity_matrix(dim))
 
 
+_Image = tuple[list[int], int, list[int]]
+
+
+def _row(G: GramInnerProduct, v: Vector) -> tuple[list[int], int]:
+    """``v`` cleared to an integer row over a scale, as :func:`_cleared`
+    does, after checking its dimension against the form's: the integer dot
+    products would silently truncate a vector of another length."""
+    U, s = _cleared(v)
+    if len(U) != len(G._numerators):
+        raise ShapeError(
+            f"vector of dimension {len(U)} against a {G.dim}x{G.dim} form"
+        )
+    return U, s
+
+
+def _images(G: GramInnerProduct, vectors: Sequence[Vector]) -> list[_Image]:
+    """Each vector cleared once to ``(U, s, Gn U)``: an integer row U over
+    a scale s (checked by :func:`_row`), and its image under G's numerator
+    matrix Gn.
+
+    With ``G = Gn / gd``, ``<v, w> = (Gn U_v) . U_w / (gd s_v s_w)``.  So
+    every inner product of a cleared vector is one integer dot product,
+    a zero test needs no Fraction at all, and in a ratio of two inner
+    products gd cancels.
+    """
+    rows = G._numerators
+    out = []
+    for v in vectors:
+        U, s = _row(G, v)
+        out.append((U, s, [sum(map(mul, row, U)) for row in rows]))
+    return out
+
+
+def _nonorthogonal_pairs(images: list[_Image]) -> Iterator[tuple[int, int]]:
+    """Every (i, j), 1-based with i < j, such that ``<a_i, a_j> != 0``, in
+    lexicographic order, read from the frame's :func:`_images`."""
+    for i, (_, _, GU) in enumerate(images):
+        for j in range(i + 1, len(images)):
+            if sum(map(mul, GU, images[j][0])):
+                yield (i + 1, j + 1)
+
+
+def _coefficient(image: _Image, xn: list[int], xd: int) -> Fraction:
+    """``<a, x> / <a, a>`` for the image of a nonzero ``a`` and ``x`` cleared
+    to ``xn / xd``: ``(Gn U . xn) s / ((Gn U . U) xd)``."""
+    U, s, GU = image
+    return Fraction(sum(map(mul, GU, xn)) * s, sum(map(mul, GU, U)) * xd)
+
+
 def evaluate(G: GramInnerProduct, x: Vector, y: Vector) -> Fraction:
     """Exact value of ``x^T G y``.
 
     Computed over integers: with ``x = xn / xd``, ``y = yn / yd`` and
-    ``G = Gn / gd``, the value is ``xn^T Gn yn / (gd xd yd)``.
+    ``G = Gn / gd``, the value is ``(Gn xn) . yn / (gd xd yd)``.
     """
-    xn, xd = _cleared(x)
-    yn, yd = _cleared(y)
-    n = G.dim
-    if len(xn) != n or len(yn) != n:
-        raise ShapeError(
-            f"vectors of dimension {len(xn)} and {len(yn)} against a {n}x{n} form"
-        )
-    total = sum(
-        xi * sum(map(mul, row, yn))
-        for xi, row in zip(xn, G._numerators) if xi
-    )
-    return Fraction(total, G._denominator * xd * yd)
+    ((_, xd, GX),) = _images(G, (x,))
+    yn, yd = _row(G, y)
+    return Fraction(sum(map(mul, GX, yn)), G._denominator * xd * yd)
 
 
 def first_nonorthogonal_pair(
     G: GramInnerProduct, frame: Frame
 ) -> tuple[int, int] | None:
     """Lexicographically smallest (i, j), 1-based, with ``<a_i, a_j> != 0``."""
-    for i in range(frame.size):
-        for j in range(i + 1, frame.size):
-            if evaluate(G, frame[i], frame[j]) != 0:
-                return (i + 1, j + 1)
-    return None
+    return next(_nonorthogonal_pairs(_images(G, frame.vectors)), None)
 
 
 def is_orthogonal_tuple(G: GramInnerProduct, frame: Frame) -> bool:
@@ -155,7 +191,8 @@ def coefficient_formula(G: GramInnerProduct, a: Vector, x: Vector) -> Fraction:
     a = as_vector(a)
     if is_zero(a):
         raise ZeroVectorError("projection coefficient onto the zero vector")
-    return evaluate(G, a, x) / evaluate(G, a, a)
+    (image,) = _images(G, (a,))
+    return _coefficient(image, *_row(G, x))
 
 
 def verify_projection_equivalence(
@@ -165,13 +202,17 @@ def verify_projection_equivalence(
 
     Requires the frame to be orthogonal under G (PreconditionError
     otherwise) and ``x`` to lie in its span.  For such inputs the two
-    routes always agree; this computes both and compares.
+    routes always agree; this computes both and compares.  The frame and
+    ``x`` are cleared once: every pair is checked for orthogonality and
+    every formula value is built from the frame's integer images, while
+    the solved side is the public :func:`solve_coordinates`.
     """
-    if not is_orthogonal_tuple(G, frame):
+    images = _images(G, frame.vectors)
+    if next(_nonorthogonal_pairs(images), None) is not None:
         raise PreconditionError("frame is not orthogonal under the given form")
     solved = solve_coordinates(frame, x)
-    formula = tuple(coefficient_formula(G, a, x) for a in frame)
-    return solved == formula
+    xn, xd = _row(G, x)
+    return solved == tuple(_coefficient(image, xn, xd) for image in images)
 
 
 def gram_schmidt(G: GramInnerProduct, vectors: Frame | Sequence[Vector]) -> Frame:

@@ -27,6 +27,8 @@ from .errors import (
 )
 from .inner_product import (
     GramInnerProduct,
+    _images,
+    _nonorthogonal_pairs,
     evaluate,
     first_nonorthogonal_pair,
     gram_schmidt,
@@ -247,13 +249,10 @@ def canonical_witness_pool(frame: Frame, G: GramInnerProduct) -> Relation:
     Empty for frames already orthogonal under G.
     """
     points = []
-    for i in range(1, frame.size + 1):
-        for j in range(i + 1, frame.size + 1):
-            if evaluate(G, frame[i - 1], frame[j - 1]) == 0:
-                continue
-            witness, x = orthogonality_witness(frame, i, j, G)
-            points.append(relation_point(frame, x))
-            points.append(relation_point(witness, x))
+    for i, j in _nonorthogonal_pairs(_images(G, frame.vectors)):
+        witness, x = orthogonality_witness(frame, i, j, G)
+        points.append(relation_point(frame, x))
+        points.append(relation_point(witness, x))
     return Relation.from_points(points)
 
 

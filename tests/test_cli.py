@@ -1,11 +1,20 @@
 import json
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from orthocheck.cli import main
+from orthocheck.cli import (
+    GRID_CAP,
+    SAMPLE_CAP,
+    RunConfig,
+    _build_parser,
+    _cap_work,
+    main,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -375,3 +384,90 @@ def test_read_flags_and_seed_stay_accepted(capsys, monkeypatch, argv):
     assert config["seed"] == 3
     assert (config["frames"], config["points"]) == (
         (2, 4) if "--frames" in argv else (8, 4))
+
+
+# --- the work cap ---
+
+def _config_of(argv):
+    """The RunConfig that ``main`` builds for ``argv``, and the command."""
+    args = _build_parser().parse_args(list(argv))
+    given = {name: getattr(args, name) for name in ("frames", "points", "bound")
+             if getattr(args, name) is not None}
+    config = RunConfig(dim=args.dim, m=args.m, seed=args.seed, gram=args.gram,
+                       **given)
+    return args, config
+
+
+def _benchmark_argvs():
+    """The CLI commands of BENCHMARK.json's workloads, read from each
+    workload's description (``ortho <command> <flags>: ...``); a ``<...>``
+    file placeholder becomes a dummy path."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    argvs = []
+    for workload in spec["workloads"]:
+        text = re.sub(r"<[^>]*>", "placeholder.json", workload["why"])
+        match = re.match(r"ortho (.*?):", text)
+        assert match, f"no command in the description of {workload['name']}"
+        argvs.append(match.group(1).split())
+    return argvs
+
+
+def _golden_argvs():
+    golden = json.loads((ROOT / "tests" / "golden_payloads.json").read_text(
+        encoding="utf-8"))
+    return [entry["argv"] for entry in golden]
+
+
+def test_golden_and_benchmark_configs_are_under_the_cap():
+    argvs = _golden_argvs() + _benchmark_argvs()
+    assert len(argvs) == 14
+    capped = 0
+    for argv in argvs:
+        args, config = _config_of(argv)
+        if args.command == "pair-ip" or getattr(args, "input", None):
+            continue  # no sampled or swept work to bound
+        _cap_work(args.command, config)
+        capped += 1
+    assert capped == 10
+
+
+def test_maximality_huge_bound_exits_two_at_once(capsys):
+    started = time.perf_counter()
+    code, report, err = run_cli(capsys, "maximality", "--bound", "1000000")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert report is None
+    count = (2 * 1000000 + 1) ** 4
+    assert f"--bound 1000000 asks for {count} candidate pairs" in err
+    assert f"above the cap of {GRID_CAP}" in err
+
+
+@pytest.mark.parametrize("argv, flags, count", [
+    (("maximality", "--bound", "12"), "--bound 12", 25 ** 4),
+    (("maximality", "--dim", "3", "--m", "3", "--frames", str(SAMPLE_CAP + 1)),
+     f"--frames {SAMPLE_CAP + 1}", SAMPLE_CAP + 1),
+    (("equivalence", "--frames", "100", "--points", "51"),
+     "--frames 100 --points 51", 5100),
+    (("factor", "--frames", str(SAMPLE_CAP + 1), "--points", "0"),
+     f"--frames {SAMPLE_CAP + 1} --points 0", SAMPLE_CAP + 1),
+    (("chain", "--frames", "2", "--points", str(SAMPLE_CAP)),
+     f"--frames 2 --points {SAMPLE_CAP}", 2 * SAMPLE_CAP),
+], ids=["grid", "sampled-frames", "equivalence", "factor-no-points", "chain"])
+def test_work_above_the_cap_is_usage_error(capsys, argv, flags, count):
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert report is None
+    assert f"{argv[0]} {flags} asks for {count} " in err
+    assert "above the cap of" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("maximality", "--bound", "11"),
+    ("maximality", "--dim", "16", "--m", "16", "--frames", str(SAMPLE_CAP)),
+    ("equivalence", "--frames", "50", "--points", "100"),
+    ("factor", "--frames", str(SAMPLE_CAP), "--points", "0"),
+    ("chain", "--frames", str(SAMPLE_CAP), "--points", "1"),
+], ids=["grid", "sampled-frames", "equivalence", "factor-no-points", "chain"])
+def test_work_at_the_cap_is_allowed(argv):
+    args, config = _config_of(argv)
+    _cap_work(args.command, config)
