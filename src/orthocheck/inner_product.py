@@ -29,10 +29,8 @@ from .linalg import (
     Vector,
     _bareiss,
     _cleared,
-    as_vector,
     identity_matrix,
     invert_matrix,
-    is_zero,
     mat_mul,
     sample_frame,
     solve_coordinates,
@@ -118,7 +116,7 @@ def _row(G: GramInnerProduct, v: Vector) -> tuple[list[int], int]:
     does, after checking its dimension against the form's: the integer dot
     products would silently truncate a vector of another length."""
     U, s = _cleared(v)
-    if len(U) != len(G._numerators):
+    if len(U) != G.dim:
         raise ShapeError(
             f"vector of dimension {len(U)} against a {G.dim}x{G.dim} form"
         )
@@ -188,10 +186,9 @@ def coefficient_formula(G: GramInnerProduct, a: Vector, x: Vector) -> Fraction:
     This is the closed form for a coordinate over an orthogonal frame:
     the value depends only on ``a`` and ``x``.
     """
-    a = as_vector(a)
-    if is_zero(a):
-        raise ZeroVectorError("projection coefficient onto the zero vector")
     (image,) = _images(G, (a,))
+    if not any(image[0]):
+        raise ZeroVectorError("projection coefficient onto the zero vector")
     return _coefficient(image, *_row(G, x))
 
 

@@ -59,10 +59,6 @@ def vec(*entries: RationalLike) -> Vector:
     return as_vector(entries)
 
 
-def is_zero(v: Vector) -> bool:
-    return all(e == 0 for e in v)
-
-
 def _check_same_dim(x: Sequence, y: Sequence) -> None:
     if len(x) != len(y):
         raise ShapeError(f"dimension mismatch: {len(x)} vs {len(y)}")
