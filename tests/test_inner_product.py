@@ -249,7 +249,9 @@ def test_projection_equivalence_random_sweep():
 # Inner products run as integer dot products, which would silently
 # truncate a vector of the wrong length; every entry point must raise
 # ShapeError instead.  Frames of both a smaller and a larger dimension
-# than the form are tried, each one orthogonal under the truncated form.
+# than the form are tried.  Each is orthogonal under the truncated form
+# (the last one is not under the full dot product), so a missing check
+# would return a verdict silently.
 
 MISSIZED_FRAMES = [
     pytest.param(I3, frame_of((1, 0), (0, 1)), id="dim2-frame-under-I3"),
@@ -356,7 +358,6 @@ def test_gram_schmidt_matches_fraction_reference(case):
     expected = gram_schmidt_fractions(G.matrix, vectors)
     assert gram_schmidt(G, Frame(vectors)).vectors == expected
     assert gram_schmidt(G, vectors).vectors == expected
-
 
 
 # --- the integer inner-product path against the Fraction oracle ---
