@@ -10,6 +10,8 @@ Slow is fine; these only run on small inputs.
 from fractions import Fraction
 from itertools import combinations
 
+from orthocheck.linalg import Frame, solve_coordinates
+
 
 def det_cofactor(rows):
     """Determinant by first-row cofactor expansion."""
@@ -129,3 +131,26 @@ def linear_combination_fractions(vectors, coeffs):
         c = Fraction(c)
         out = [a + c * b for a, b in zip(out, v)]
     return tuple(out)
+
+
+def witness_by_solving(G, candidate, i, j):
+    """A rejected candidate's witness, collision point and slot values by
+    the route that spells the construction out: Gram-Schmidt (the Fraction
+    reference above) on the frame reordered with slot i first, put back in
+    slot order; ``x = b_i + b_j``; and slot i's coordinate of x over each
+    frame from the public ``solve_coordinates``."""
+    m = len(candidate)
+    order = [i - 1] + [k for k in range(m) if k != i - 1]
+    orthogonalized = gram_schmidt_fractions(
+        G.matrix, [candidate[k] for k in order]
+    )
+    slots = [None] * m
+    for position, k in enumerate(order):
+        slots[k] = orthogonalized[position]
+    witness = Frame(tuple(slots))
+    x = tuple(a + b for a, b in zip(candidate[i - 1], candidate[j - 1]))
+    values = (
+        solve_coordinates(candidate, x)[i - 1],
+        solve_coordinates(witness, x)[i - 1],
+    )
+    return witness, x, values

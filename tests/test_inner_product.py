@@ -21,7 +21,6 @@ from orthocheck import (
     frame_of,
     gram_schmidt,
     identity_inner_product,
-    is_independent,
     is_orthogonal_tuple,
     sample_frame,
     sample_inner_product,
@@ -39,8 +38,7 @@ from oracles import (
     naive_bilinear,
     nonorthogonal_pairs,
 )
-
-rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+from strategies import rational_forms_and_frames, rationals
 
 I2 = identity_inner_product(2)
 I3 = identity_inner_product(3)
@@ -331,24 +329,6 @@ def test_gram_schmidt_under_sampled_forms():
 def test_gram_schmidt_idempotent_on_orthogonal_input():
     fr = frame_of((2, 0), (0, 3))
     assert gram_schmidt(I2, fr).vectors == fr.vectors
-
-
-@st.composite
-def rational_forms_and_frames(draw, n=None, m=None):
-    """A rational SPD form ``B^T B + c I`` and a rational frame under it;
-    the dimension n and frame size m are drawn unless given."""
-    n = draw(st.integers(2, 6)) if n is None else n
-    m = draw(st.integers(2, n)) if m is None else m
-    b = [[draw(rationals) for _ in range(n)] for _ in range(n)]
-    c = draw(st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4))
-    gram = [
-        [sum(b[k][i] * b[k][j] for k in range(n)) + (c if i == j else 0)
-         for j in range(n)]
-        for i in range(n)
-    ]
-    vectors = [[draw(rationals) for _ in range(n)] for _ in range(m)]
-    assume(is_independent(vectors))
-    return validate_inner_product(gram), vectors
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,7 +2,12 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import orthocheck.inner_product
+import orthocheck.linalg
+import orthocheck.maximality
 from orthocheck import (
     Chain,
     ChainOrderError,
@@ -38,6 +43,9 @@ from orthocheck import (
 )
 from orthocheck.dependence import factor_check_points
 from orthocheck.serialize import frame_from_json
+
+from oracles import nonorthogonal_pairs, witness_by_solving
+from strategies import rational_forms_and_frames
 
 I2 = identity_inner_product(2)
 E2 = frame_of((1, 0), (0, 1))
@@ -306,6 +314,46 @@ def test_sweep_shape_guards():
     tall = frame_of((1, 0, 0), (0, 1, 0))
     with pytest.raises(ShapeError):
         verify_orthogonal_maximality(identity_inner_product(3), [tall])
+
+
+@st.composite
+def candidates_under_rational_forms(draw):
+    """A rational form in dims 2-5 and candidates with non-integer entries:
+    a raw frame, its Gram-Schmidt output and that output with the raw last
+    vector put back, so both verdicts occur and a rejection's slot i need
+    not be the first."""
+    n = draw(st.integers(2, 5))
+    G, vectors = draw(rational_forms_and_frames(n, n))
+    raw = Frame(vectors)
+    orthogonal = gram_schmidt(G, raw)
+    mixed = Frame(orthogonal.vectors[:-1] + raw.vectors[-1:])
+    return G, (raw, orthogonal, mixed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(candidates_under_rational_forms())
+def test_sweep_matches_the_solving_route(case):
+    G, candidates = case
+    reports = verify_orthogonal_maximality(G, candidates)
+    for candidate, report in zip(candidates, reports):
+        pairs = nonorthogonal_pairs(G, candidate.vectors)
+        assert report.candidate == candidate
+        assert report.accepted == (not pairs)
+        if not pairs:
+            continue
+        i, j = pairs[0]
+        witness, x, values = witness_by_solving(G, candidate, i, j)
+        assert (report.index, report.other_index) == (i, j)
+        assert report.orthogonal_witness == witness
+        assert report.collision_point == x
+        assert report.values == values
+        expected_points = []
+        for i, j in pairs:
+            witness, x, _ = witness_by_solving(G, candidate, i, j)
+            expected_points.append(relation_point(candidate, x))
+            expected_points.append(relation_point(witness, x))
+        pool = canonical_witness_pool(candidate, G)
+        assert pool.points == Relation.from_points(expected_points).points
 
 
 # --- candidate grids and witness pools ---
