@@ -212,33 +212,24 @@ def verify_projection_equivalence(
     return solved == tuple(_coefficient(image, xn, xd) for image in images)
 
 
-def gram_schmidt(G: GramInnerProduct, vectors: Frame | Sequence[Vector]) -> Frame:
-    """Orthogonalize a frame under G, exactly.
+def _orthogonalize(
+    G: GramInnerProduct, images: Sequence[_Image]
+) -> list[tuple[list[int], int] | None]:
+    """Integer Gram-Schmidt over :func:`_images`, in the given order.
 
-    Classical Gram-Schmidt without normalization: the first vector is kept
-    as is, each later one has its projections onto the previous outputs
-    subtracted.  Prefix spans are preserved.  A Frame is trusted; a raw
-    sequence is validated as one first, so dependent input raises
-    DependentFrameError.
-
-    Runs over integers.  Each output is an integer vector U over a positive
-    scale s.  The common denominator of G cancels in every projection
-    coefficient ``<W, U> / <W, W>``, so projecting a previous output W out
+    Output k is ``(U, s)``, an integer vector over a positive scale, or None
+    when input k is orthogonal to every earlier output and so is its own
+    output.  The common denominator of G cancels in every projection
+    coefficient ``<W, U> / <W, W>``, so projecting an earlier output W out
     of U is ``U <- <W,W> U - <W,U> W`` and ``s <- <W,W> s`` under G's
     numerator matrix, after which ``gcd(s, *U)`` is divided out.  Each
     output keeps ``Gn W`` and ``<W,W>``, so every later inner product is
-    one dot product, and Fractions are built once per output entry.
+    one dot product; an input that is its own output reuses its image.
     """
-    frame = vectors if isinstance(vectors, Frame) else Frame(tuple(vectors))
-    if frame.dim != G.dim:
-        raise ShapeError(
-            f"frame of dimension {frame.dim} against a {G.dim}x{G.dim} form"
-        )
     rows = G._numerators
     done: list[tuple[list[int], list[int], int]] = []  # W, Gn W, <W,W>
-    out: list[Vector] = []
-    for v in frame.vectors:
-        U, s = _cleared(v)
+    out: list[tuple[list[int], int] | None] = []
+    for U, s, GU in images:
         projected = False
         for W, GW, WW in done:
             WU = sum(map(mul, GW, U))
@@ -250,12 +241,36 @@ def gram_schmidt(G: GramInnerProduct, vectors: Frame | Sequence[Vector]) -> Fram
                     U = [a // g for a in U]
                     s //= g
                 projected = True
-        # An input orthogonal to every earlier output is its own output.
-        out.append(tuple(Fraction(a, s) for a in U) if projected else v)
-        if len(out) < frame.size:
-            GW = [sum(map(mul, row, U)) for row in rows]
-            done.append((U, GW, sum(map(mul, GW, U))))
-    return Frame._trusted(tuple(out))
+        out.append((U, s) if projected else None)
+        if len(out) < len(images):
+            if projected:
+                GU = [sum(map(mul, row, U)) for row in rows]
+            done.append((U, GU, sum(map(mul, GU, U))))
+    return out
+
+
+def gram_schmidt(G: GramInnerProduct, vectors: Frame | Sequence[Vector]) -> Frame:
+    """Orthogonalize a frame under G, exactly.
+
+    Classical Gram-Schmidt without normalization: the first vector is kept
+    as is, each later one has its projections onto the previous outputs
+    subtracted.  Prefix spans are preserved.  A Frame is trusted; a raw
+    sequence is validated as one first, so dependent input raises
+    DependentFrameError.
+
+    Runs over integers (:func:`_orthogonalize`), and Fractions are built
+    once per output entry.
+    """
+    frame = vectors if isinstance(vectors, Frame) else Frame(tuple(vectors))
+    if frame.dim != G.dim:
+        raise ShapeError(
+            f"frame of dimension {frame.dim} against a {G.dim}x{G.dim} form"
+        )
+    outputs = _orthogonalize(G, _images(G, frame.vectors))
+    return Frame._trusted(tuple(
+        v if out is None else tuple(Fraction(a, out[1]) for a in out[0])
+        for v, out in zip(frame.vectors, outputs)
+    ))
 
 
 def frame_adapted_inner_product(frame: Frame) -> GramInnerProduct:

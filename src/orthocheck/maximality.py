@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -27,11 +28,11 @@ from .errors import (
 )
 from .inner_product import (
     GramInnerProduct,
+    _Image,
     _images,
     _nonorthogonal_pairs,
-    evaluate,
-    first_nonorthogonal_pair,
-    gram_schmidt,
+    _orthogonalize,
+    first_nonorthogonal_pair,  # noqa: F401  perfbench's traced run wraps it here
 )
 from .dependence import (
     Relation,
@@ -40,7 +41,7 @@ from .dependence import (
     project,
     relation_point,
 )
-from .linalg import Frame, Vector, solve_coordinates, vec, vector_add
+from .linalg import Frame, Vector, vec, vector_add
 
 import random
 
@@ -124,6 +125,33 @@ def greedy_maximal_extension(base: Relation, pool: Relation) -> Relation:
     return Relation._trusted(accepted)
 
 
+def _full_dimensional(frame: Frame, what: str) -> None:
+    if frame.size != frame.dim:
+        raise ShapeError(
+            f"{what} needs m == dim, got m={frame.size}, dim={frame.dim}"
+        )
+
+
+def _witness(
+    G: GramInnerProduct, candidate: Frame, images: list[_Image], i: int, j: int
+) -> tuple[Frame, Vector]:
+    """:func:`orthogonality_witness` for a full-dimensional candidate, its
+    :func:`_images` under G and a pair (i, j) that is not orthogonal.
+
+    Gram-Schmidt runs on the images with slot i first, so its first output
+    is ``b_i`` itself and reuses that image.
+    """
+    order = [i - 1] + [k for k in range(candidate.size) if k != i - 1]
+    outputs = _orthogonalize(G, [images[k] for k in order])
+    slots: list[Vector | None] = [None] * candidate.size
+    for k, out in zip(order, outputs):
+        slots[k] = (candidate[k] if out is None
+                    else tuple(Fraction(a, out[1]) for a in out[0]))
+    # Gram-Schmidt keeps prefix spans: the witness is independent too.
+    witness = Frame._trusted(tuple(slots))  # type: ignore[arg-type]
+    return witness, vector_add(candidate[i - 1], candidate[j - 1])
+
+
 def orthogonality_witness(
     candidate: Frame, i: int, j: int, G: GramInnerProduct
 ) -> tuple[Frame, Vector]:
@@ -139,26 +167,16 @@ def orthogonality_witness(
 
     Only full-dimensional candidates (m == dim) are supported.
     """
-    m, n = candidate.size, candidate.dim
-    if m != n:
-        raise ShapeError(f"witness construction needs m == dim, got m={m}, dim={n}")
+    _full_dimensional(candidate, "witness construction")
+    m = candidate.size
     if not 1 <= i <= m or not 1 <= j <= m or i == j:
         raise IndexError(f"need distinct slots in 1..{m}, got i={i}, j={j}")
-    b_i, b_j = candidate[i - 1], candidate[j - 1]
-    if evaluate(G, b_i, b_j) == 0:
+    images = _images(G, candidate.vectors)
+    if not sum(map(mul, images[i - 1][2], images[j - 1][0])):
         raise NoViolationError(
             f"slots {i} and {j} are already orthogonal; no witness exists"
         )
-    # Both reorderings permute an independent frame, so neither is re-proved.
-    order = [i - 1] + [k for k in range(m) if k != i - 1]
-    orthogonalized = gram_schmidt(
-        G, Frame._trusted(tuple(candidate[k] for k in order))
-    )
-    slots: list[Vector | None] = [None] * m
-    for position, k in enumerate(order):
-        slots[k] = orthogonalized[position]
-    witness = Frame._trusted(tuple(slots))  # type: ignore[arg-type]
-    return witness, vector_add(b_i, b_j)
+    return _witness(G, candidate, images, i, j)
 
 
 @dataclass(frozen=True)
@@ -209,21 +227,23 @@ def verify_orthogonal_maximality(
             raise ShapeError(
                 f"candidate dimension {candidate.dim} against a {G.dim}x{G.dim} form"
             )
-        if candidate.size != candidate.dim:
-            raise ShapeError(
-                f"maximality sweep needs m == dim, got m={candidate.size}, "
-                f"dim={candidate.dim}"
-            )
-        pair = first_nonorthogonal_pair(G, candidate)
+        _full_dimensional(candidate, "maximality sweep")
+        images = _images(G, candidate.vectors)
+        pair = next(_nonorthogonal_pairs(images), None)
         if pair is None:
             reports.append(MaximalityReport(candidate, "accepted"))
             continue
         i, j = pair
-        witness, x = orthogonality_witness(candidate, i, j, G)
-        values = (
-            solve_coordinates(candidate, x)[i - 1],
-            solve_coordinates(witness, x)[i - 1],
-        )
+        witness, x = _witness(G, candidate, images, i, j)
+        # Over the candidate, x = b_i + b_j has coordinates e_i + e_j.  The
+        # witness is orthogonal with b_i in slot i, so slot i's coordinate
+        # is <b_i, x> / <b_i, b_i> = 1 + ij s_i / (ii s_j), with
+        # ii = Gn U_i . U_i and ij = Gn U_i . U_j.
+        U_i, s_i, GU_i = images[i - 1]
+        U_j, s_j, _ = images[j - 1]
+        ii = sum(map(mul, GU_i, U_i))
+        ij = sum(map(mul, GU_i, U_j))
+        values = (Fraction(1), Fraction(ii * s_j + ij * s_i, ii * s_j))
         reports.append(
             MaximalityReport(
                 candidate,
@@ -248,9 +268,11 @@ def canonical_witness_pool(frame: Frame, G: GramInnerProduct) -> Relation:
     orthogonal frames still pass, non-orthogonal ones are rejected.
     Empty for frames already orthogonal under G.
     """
+    images = _images(G, frame.vectors)
     points = []
-    for i, j in _nonorthogonal_pairs(_images(G, frame.vectors)):
-        witness, x = orthogonality_witness(frame, i, j, G)
+    for i, j in _nonorthogonal_pairs(images):
+        _full_dimensional(frame, "witness construction")
+        witness, x = _witness(G, frame, images, i, j)
         points.append(relation_point(frame, x))
         points.append(relation_point(witness, x))
     return Relation.from_points(points)

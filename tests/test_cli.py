@@ -420,7 +420,7 @@ def _golden_argvs():
 
 def test_golden_and_benchmark_configs_are_under_the_cap():
     argvs = _golden_argvs() + _benchmark_argvs()
-    assert len(argvs) == 14
+    assert len(argvs) == 15
     capped = 0
     for argv in argvs:
         args, config = _config_of(argv)
@@ -428,7 +428,7 @@ def test_golden_and_benchmark_configs_are_under_the_cap():
             continue  # no sampled or swept work to bound
         _cap_work(args.command, config)
         capped += 1
-    assert capped == 10
+    assert capped == 11
 
 
 def test_maximality_huge_bound_exits_two_at_once(capsys):

@@ -356,6 +356,27 @@ def test_sweep_matches_the_solving_route(case):
         assert pool.points == Relation.from_points(expected_points).points
 
 
+def test_sweep_solves_and_evaluates_nothing(monkeypatch):
+    """The sweep reads every value from the candidates' integer images: no
+    solve, no Fraction inner product, no second Gram-Schmidt clearing."""
+    G = sample_inner_product(3, 3, 12)
+    candidates = [sample_frame(3, 3, 3, seed=s) for s in range(6)]
+    grid = exhaustive_candidates_2d(1)
+    calls = []
+    for module in (orthocheck.linalg, orthocheck.inner_product,
+                   orthocheck.maximality):
+        for name in ("solve_coordinates", "evaluate", "gram_schmidt"):
+            if hasattr(module, name):
+                def counted(*args, _name=name, _fn=getattr(module, name)):
+                    calls.append(_name)
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counted)
+    reports = verify_orthogonal_maximality(G, candidates)
+    reports += verify_orthogonal_maximality(I2, grid)
+    assert sum(1 for r in reports if not r.accepted) > 6
+    assert calls == []
+
+
 # --- candidate grids and witness pools ---
 
 def test_exhaustive_candidates_bound_one():
