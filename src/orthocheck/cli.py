@@ -70,11 +70,13 @@ _CHAIN_STREAM = 0x434E
 
 # Work caps, checked from the flags before any work starts (_cap_work).
 # Each allows about a minute on a 2-core VM at the dearest shape its flags
-# reach at the default --bound: the dimension-2 grid up to --bound 11
-# (279,841 pairs at about 0.19 ms each), and sampled frames at dim 16
-# (about 10 ms per maximality frame, 6 ms per point elsewhere).
+# reach: the dimension-2 grid up to --bound 11 (279,841 pairs at about
+# 0.19 ms each), and SAMPLE_CAP sampled frames or points at dim 16 with
+# entries up to BOUND_CAP, which sets their bit length (about 12 ms per
+# unit; equivalence at 5,000 points ran 56 s).
 GRID_CAP = 300_000
 SAMPLE_CAP = 5_000
+BOUND_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -157,10 +159,16 @@ def _cap_work(command: str, config: RunConfig) -> None:
     ``(2 * bound + 1) ** 4``; a sampled sweep one frame per ``--frames``;
     the other commands ``frames * points`` span points, counting a frame
     without points as one, since it is still drawn and orthogonalized.
+    Sampled entries are drawn up to ``--bound``, so there it is capped too.
     """
     if command == "maximality" and config.dim == 2:
         flags, count = f"--bound {config.bound}", (2 * config.bound + 1) ** 4
         unit, cap = "candidate pairs", GRID_CAP
+    elif config.bound > BOUND_CAP:
+        raise UsageError(
+            f"{command} --bound {config.bound} is above the cap of "
+            f"{BOUND_CAP} for sampled entries"
+        )
     elif command == "maximality":
         flags, count = f"--frames {config.frames}", config.frames
         unit, cap = "candidate frames", SAMPLE_CAP

@@ -395,7 +395,9 @@ def solve_coordinates(frame: Frame, x: Vector) -> Coordinates:
     xn, xd = _cleared(x)
     rows = [[col[r] for col in columns] + [xn[r]] for r in range(n)]
     pivots, _ = _bareiss(rows, pivot_limit=m)
-    assert len(pivots) == m, "frame invariant guarantees full column rank"
+    if len(pivots) < m:
+        # Only a frame built with Frame._trusted can get here.
+        raise DependentFrameError("frame vectors are linearly dependent")
     for i in range(m, n):
         if rows[i][m] != 0:
             raise SpanMembershipError(f"{x} is not in the span of the frame")

@@ -9,6 +9,7 @@ import pytest
 
 from orthocheck.cli import (
     GRID_CAP,
+    BOUND_CAP,
     SAMPLE_CAP,
     RunConfig,
     _build_parser,
@@ -471,3 +472,30 @@ def test_work_above_the_cap_is_usage_error(capsys, argv, flags, count):
 def test_work_at_the_cap_is_allowed(argv):
     args, config = _config_of(argv)
     _cap_work(args.command, config)
+
+
+SAMPLED_COMMANDS = {
+    "maximality": ("maximality", "--dim", "3", "--m", "3", "--frames", "1"),
+    "equivalence": ("equivalence", "--frames", "1", "--points", "1"),
+    "factor": ("factor", "--frames", "1", "--points", "1"),
+    "chain": ("chain", "--frames", "1", "--points", "1"),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLED_COMMANDS)
+@pytest.mark.parametrize("bound", [BOUND_CAP + 1, 10 ** 60])
+def test_sampled_bound_above_the_cap_is_usage_error(capsys, name, bound):
+    argv = SAMPLED_COMMANDS[name] + ("--bound", str(bound))
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert report is None
+    assert (f"{name} --bound {bound} is above the cap of {BOUND_CAP} "
+            "for sampled entries") in err
+
+
+@pytest.mark.parametrize("name", SAMPLED_COMMANDS)
+def test_sampled_bound_at_the_cap_runs(capsys, name):
+    argv = SAMPLED_COMMANDS[name] + ("--bound", str(BOUND_CAP))
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert report["config"]["bound"] == BOUND_CAP

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction as F
 from random import Random
 
@@ -356,6 +358,28 @@ def test_solve_rejects_wrong_dimension():
     fr = frame_of((1, 0), (0, 1))
     with pytest.raises(ShapeError):
         solve_coordinates(fr, (1, 0, 0))
+
+
+def test_solve_rejects_a_dependent_trusted_frame():
+    fr = Frame._trusted(((F(1), F(2)), (F(2), F(4))))
+    with pytest.raises(DependentFrameError):
+        solve_coordinates(fr, (1, 2))
+
+
+def test_solve_rejects_a_dependent_trusted_frame_with_asserts_off():
+    code = (
+        "from fractions import Fraction as F\n"
+        "from orthocheck import DependentFrameError, Frame, solve_coordinates\n"
+        "fr = Frame._trusted(((F(1), F(2)), (F(2), F(4))))\n"
+        "try:\n"
+        "    solve_coordinates(fr, (1, 2))\n"
+        "except DependentFrameError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
 
 
 # --- seeding and sampling ---
