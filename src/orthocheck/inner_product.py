@@ -213,9 +213,12 @@ def verify_projection_equivalence(
 
 
 def _orthogonalize(
-    G: GramInnerProduct, images: Sequence[_Image]
+    G: GramInnerProduct,
+    images: Sequence[tuple[list[int], int, list[int] | None]],
 ) -> list[tuple[list[int], int] | None]:
-    """Integer Gram-Schmidt over :func:`_images`, in the given order.
+    """Integer Gram-Schmidt over cleared inputs ``(U, s, Gn U)``, as
+    :func:`_images` gives them, in the given order; ``Gn U`` may be None
+    where the caller has not computed it.
 
     Output k is ``(U, s)``, an integer vector over a positive scale, or None
     when input k is orthogonal to every earlier output and so is its own
@@ -223,8 +226,9 @@ def _orthogonalize(
     coefficient ``<W, U> / <W, W>``, so projecting an earlier output W out
     of U is ``U <- <W,W> U - <W,U> W`` and ``s <- <W,W> s`` under G's
     numerator matrix, after which ``gcd(s, *U)`` is divided out.  Each
-    output keeps ``Gn W`` and ``<W,W>``, so every later inner product is
-    one dot product; an input that is its own output reuses its image.
+    output but the last keeps ``Gn W`` and ``<W,W>``, so every later inner
+    product is one dot product; an input that is its own output reuses its
+    given image.
     """
     rows = G._numerators
     done: list[tuple[list[int], list[int], int]] = []  # W, Gn W, <W,W>
@@ -243,7 +247,7 @@ def _orthogonalize(
                 projected = True
         out.append((U, s) if projected else None)
         if len(out) < len(images):
-            if projected:
+            if projected or GU is None:
                 GU = [sum(map(mul, row, U)) for row in rows]
             done.append((U, GU, sum(map(mul, GU, U))))
     return out
@@ -266,7 +270,7 @@ def gram_schmidt(G: GramInnerProduct, vectors: Frame | Sequence[Vector]) -> Fram
         raise ShapeError(
             f"frame of dimension {frame.dim} against a {G.dim}x{G.dim} form"
         )
-    outputs = _orthogonalize(G, _images(G, frame.vectors))
+    outputs = _orthogonalize(G, [(*_cleared(v), None) for v in frame.vectors])
     return Frame._trusted(tuple(
         v if out is None else tuple(Fraction(a, out[1]) for a in out[0])
         for v, out in zip(frame.vectors, outputs)
