@@ -421,7 +421,7 @@ def _golden_argvs():
 
 def test_golden_and_benchmark_configs_are_under_the_cap():
     argvs = _golden_argvs() + _benchmark_argvs()
-    assert len(argvs) == 15
+    assert len(argvs) == 16
     capped = 0
     for argv in argvs:
         args, config = _config_of(argv)
