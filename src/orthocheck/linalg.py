@@ -371,10 +371,17 @@ def is_independent(vectors: Sequence[Sequence[RationalLike]]) -> bool:
 
 
 def span_contains(frame: Frame, x: Vector) -> bool:
-    """True iff ``x`` lies in the span of the frame (exact rank test)."""
+    """True iff ``x`` lies in the span of the frame (exact rank test).
+
+    A full frame (as many vectors as the dimension) is independent, so it
+    spans all of Q^n and any point of the right length lies in it: no
+    elimination runs.
+    """
     x = as_vector(x)
     if len(x) != frame.dim:
         raise ShapeError(f"point has dimension {len(x)}, frame has {frame.dim}")
+    if frame.size == frame.dim:
+        return True
     return matrix_rank(list(frame.vectors) + [x]) == frame.size
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Any
 
@@ -31,7 +32,7 @@ from .inner_product import GramInnerProduct
 from .linalg import Frame, Vector
 from .maximality import MaximalityReport
 
-RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?\Z", re.ASCII)
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -50,10 +51,18 @@ def rational_from_json(obj: Any, location: str = "rational") -> Fraction:
         )
     if not RATIONAL_PATTERN.match(obj):
         raise RelationParseError(f"not a rational literal: {obj!r}", location)
+    num, slash, den = obj.partition("/")
     try:
-        return Fraction(obj)
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     except ZeroDivisionError:
         raise RelationParseError(f"zero denominator: {obj!r}", location) from None
+    except ValueError:
+        # int() refuses more digits than the interpreter's int/str limit.
+        digits = max(len(num.lstrip("+-")), len(den))
+        raise RelationParseError(
+            f"literal of {digits} digits exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit integer limit", location
+        ) from None
 
 
 def vector_to_json(v: Vector) -> list[str]:
@@ -237,6 +246,12 @@ def _load_json(path: str) -> Any:
         raise RelationParseError(
             str(exc), f"{path} line {exc.lineno} column {exc.colno}"
         ) from exc
+    except ValueError:
+        # The decoder's int() refuses a JSON number above the int/str limit.
+        raise RelationParseError(
+            f"a JSON number exceeds the {sys.get_int_max_str_digits()}-digit "
+            "integer limit", path
+        ) from None
 
 
 def load_relation(path: str) -> Relation:

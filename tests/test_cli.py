@@ -124,6 +124,38 @@ def test_factor_parse_error_carries_location(capsys, tmp_path):
     assert "points[0].frame" in err
 
 
+LONG = "1" * (sys.get_int_max_str_digits() + 1)
+LIMIT = f"exceeds the {sys.get_int_max_str_digits()}-digit integer limit"
+
+
+def test_factor_input_over_long_literal_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps([{"frame": [["1", "0"], ["0", "1"]],
+                                 "point": ["1", LONG], "values": ["1", "1"]}]),
+                    encoding="utf-8")
+    code, report, err = run_cli(capsys, "factor", "--input", str(path))
+    assert (code, report) == (2, None)
+    assert err.startswith("ortho: points[0].point[1]: ")
+    assert LIMIT in err
+
+
+def test_gram_over_long_literal_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps([["1", "0"], ["0", f"1/{LONG}"]]),
+                    encoding="utf-8")
+    code, report, err = run_cli(capsys, "factor", "--gram", str(path))
+    assert (code, report) == (2, None)
+    assert err.startswith("ortho: gram[1][1]: ")
+    assert LIMIT in err
+
+
+def test_pair_ip_over_long_literal_is_usage_error(capsys):
+    code, report, err = run_cli(capsys, "pair-ip", f"--a=1,{LONG}", "--b=1,0")
+    assert (code, report) == (2, None)
+    assert err.startswith("ortho: component 2: ")
+    assert LIMIT in err
+
+
 def test_maximality_bound_one_summary(capsys):
     code, report, _ = run_cli(capsys, "maximality", "--bound", "1")
     assert code == 0

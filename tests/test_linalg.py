@@ -143,10 +143,14 @@ def rational_rows(draw, max_rows=4, max_cols=3):
 
 
 @st.composite
-def rational_frames(draw, max_dim=4):
-    """An independent rational frame, its dimension and size drawn too."""
-    dim = draw(st.integers(2, max_dim))
-    m = draw(st.integers(2, dim))
+def rational_frames(draw, max_dim=4, full=None):
+    """An independent rational frame, its dimension and size drawn too.
+    ``full=True`` draws m == dim, ``full=False`` draws m < dim."""
+    dim = draw(st.integers(3 if full is False else 2, max_dim))
+    if full:
+        m = dim
+    else:
+        m = draw(st.integers(2, dim - 1 if full is False else dim))
     vector = st.lists(rationals, min_size=dim, max_size=dim)
     vectors = draw(st.lists(vector, min_size=m, max_size=m))
     assume(rank_by_minors(vectors) == m)
@@ -160,17 +164,21 @@ def test_rank_matches_minor_enumeration_on_rationals(rows):
 
 
 @settings(max_examples=100, deadline=None)
-@given(rational_frames(), st.data())
-def test_span_contains_matches_minor_enumeration(frame, data):
-    if data.draw(st.booleans()):
-        coeffs = data.draw(st.lists(rationals, min_size=frame.size,
-                                    max_size=frame.size))
-        x = linear_combination(frame.vectors, coeffs)
-    else:
-        x = tuple(data.draw(st.lists(rationals, min_size=frame.dim,
-                                     max_size=frame.dim)))
-    rows = [list(v) for v in frame.vectors] + [list(x)]
-    assert span_contains(frame, x) == (rank_by_minors(rows) == frame.size)
+@given(st.data())
+def test_span_contains_matches_minor_enumeration(data):
+    # Every example checks a full frame (m == dim, no elimination) and a
+    # thin one (m < dim, the rank test).
+    for full in (True, False):
+        frame = data.draw(rational_frames(full=full))
+        if data.draw(st.booleans()):
+            coeffs = data.draw(st.lists(rationals, min_size=frame.size,
+                                        max_size=frame.size))
+            x = linear_combination(frame.vectors, coeffs)
+        else:
+            x = tuple(data.draw(st.lists(rationals, min_size=frame.dim,
+                                         max_size=frame.dim)))
+        rows = [list(v) for v in frame.vectors] + [list(x)]
+        assert span_contains(frame, x) == (rank_by_minors(rows) == frame.size)
 
 
 @settings(max_examples=100, deadline=None)
@@ -352,6 +360,33 @@ def test_solve_outside_span_raises():
         solve_coordinates(fr, (0, 0, 1))
     assert not span_contains(fr, (0, 0, 1))
     assert span_contains(fr, (3, -2, 0))
+
+
+def test_span_contains_runs_no_elimination_for_a_full_frame(monkeypatch):
+    import orthocheck.linalg as linalg
+
+    bareiss = linalg._bareiss
+    calls = []
+
+    def counted(rows, *args, **kwargs):
+        calls.append(len(rows))
+        return bareiss(rows, *args, **kwargs)
+
+    fr = frame_of((1, 2, 0), (0, 1, 3), (5, 0, 1))
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    assert span_contains(fr, (F(7, 3), -1, 0))
+    assert calls == []
+    # a thin frame keeps its rank test
+    assert not span_contains(Frame(fr.vectors[:2]), (0, 0, 1))
+    assert len(calls) == 2  # the frame's independence check, then the test
+
+
+def test_span_contains_rejects_wrong_dimension_for_full_frames():
+    fr = frame_of((1, 0), (0, 1))
+    with pytest.raises(ShapeError):
+        span_contains(fr, (1, 0, 0))
+    with pytest.raises(ShapeError):
+        span_contains(fr, (1,))
 
 
 def test_solve_rejects_wrong_dimension():

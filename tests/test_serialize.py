@@ -1,8 +1,12 @@
 import json
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orthocheck import (
     DefinitenessError,
@@ -20,6 +24,7 @@ from orthocheck import (
     verify_orthogonal_maximality,
 )
 from orthocheck.serialize import (
+    RATIONAL_PATTERN,
     canonical_dumps,
     frame_from_json,
     frame_to_json,
@@ -33,6 +38,7 @@ from orthocheck.serialize import (
     vector_to_json,
 )
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 E2 = frame_of((1, 0), (0, 1))
 SHEAR = frame_of((1, 0), (1, 1))
 
@@ -60,6 +66,49 @@ def test_rational_rejects_non_string_and_zero_denominator():
     with pytest.raises(RelationParseError) as err:
         rational_from_json("3/0", "values[1]")
     assert "values[1]" in str(err.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.from_regex(RATIONAL_PATTERN, fullmatch=True))
+@example("007")
+@example("+3")
+@example("-0")
+@example("2/4")
+@example("-0012/0018")
+@example("+6/3")
+@example("3/0")
+@example("-0/000")
+def test_rational_parse_matches_fraction_on_every_literal(text):
+    _, slash, den = text.partition("/")
+    if slash and int(den) == 0:
+        with pytest.raises(RelationParseError, match="zero denominator"):
+            rational_from_json(text)
+        return
+    value = rational_from_json(text)
+    assert type(value) is F
+    assert value == F(text)
+
+
+@pytest.mark.parametrize("text", [
+    "\u0661\u0662/\u0663",  # Arabic-Indic 12/3
+    "\uff11/\uff12",  # fullwidth 1/2
+    "\u096b",  # Devanagari 5
+    "1/\u09e9",  # ASCII numerator, Bengali denominator
+    "-\U0001d7d9",  # mathematical double-struck 1
+])
+def test_rational_rejects_non_ascii_digits(text):
+    with pytest.raises(RelationParseError, match="not a rational literal"):
+        rational_from_json(text, "point[0]")
+
+
+def test_rational_over_the_int_digit_limit_is_a_parse_error():
+    limit = sys.get_int_max_str_digits()
+    assert rational_from_json("9" * limit) == F(10 ** limit - 1)
+    with pytest.raises(RelationParseError) as err:
+        rational_from_json("1/" + "7" * (limit + 1), "values[2]")
+    assert err.value.location == "values[2]"
+    assert f"{limit + 1} digits" in str(err.value)
+    assert f"{limit}-digit integer limit" in str(err.value)
 
 
 # --- vectors and frames ---
@@ -178,6 +227,26 @@ def test_relation_parse_validates_each_distinct_frame_once():
     assert err.value.location == "points[1]"
 
 
+def test_relation_parse_runs_no_span_elimination_for_full_frames(monkeypatch):
+    import orthocheck.linalg as linalg
+
+    bareiss = linalg._bareiss
+    calls = []
+
+    def counted(rows, *args, **kwargs):
+        calls.append(len(rows))
+        return bareiss(rows, *args, **kwargs)
+
+    obj = json.loads((FIXTURES / "relation4.json").read_text(encoding="utf-8"))
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    rel = relation_from_json(obj)
+    assert len(rel.points) == 9
+    # one elimination per distinct frame (its independence check), none per
+    # point: a 4-vector frame spans all of Q^4
+    assert len({id(p.frame) for p in rel.points}) == 3
+    assert calls == [4, 4, 4]
+
+
 def test_relation_parse_rejects_out_of_span_point():
     obj = [
         {
@@ -254,6 +323,15 @@ def test_load_relation_and_gram(tmp_path):
     gram_path = tmp_path / "gram.json"
     gram_path.write_text('[["1","0"],["0","1"]]', encoding="utf-8")
     assert load_gram(str(gram_path)).matrix == identity_inner_product(2).matrix
+
+
+def test_load_relation_rejects_an_over_long_json_number(tmp_path):
+    path = tmp_path / "number.json"
+    path.write_text('[{"frame": [[' + "1" * 5000 + ', 0]]}]', encoding="utf-8")
+    with pytest.raises(RelationParseError) as err:
+        load_relation(str(path))
+    assert err.value.location == str(path)
+    assert "digit integer limit" in str(err.value)
 
 
 def test_load_relation_reports_syntax_position(tmp_path):
