@@ -327,7 +327,8 @@ def test_load_relation_and_gram(tmp_path):
 
 def test_load_relation_rejects_an_over_long_json_number(tmp_path):
     path = tmp_path / "number.json"
-    path.write_text('[{"frame": [[' + "1" * 5000 + ', 0]]}]', encoding="utf-8")
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    path.write_text('[{"frame": [[' + digits + ', 0]]}]', encoding="utf-8")
     with pytest.raises(RelationParseError) as err:
         load_relation(str(path))
     assert err.value.location == str(path)
