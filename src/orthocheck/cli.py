@@ -22,7 +22,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from typing import Any, Collection, Sequence
 
 from .dependence import Relation, build_orthogonal_relation, factor_check
@@ -40,6 +39,7 @@ from .inner_product import (
 from .linalg import (
     Frame,
     Vector,
+    _Value,
     derive_seed,
     is_independent,
     sample_frame,
@@ -79,10 +79,13 @@ SAMPLE_CAP = 5_000
 BOUND_CAP = 100
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared experiment parameters; every command echoes them back."""
+class RunConfig(_Value):
+    """Shared experiment parameters; every command echoes them back.
 
+    The defaults are class attributes too (``RunConfig.bound``).
+    """
+
+    _fields = ("dim", "m", "frames", "points", "bound", "seed", "gram")
     dim: int = 2
     m: int = 2
     frames: int = 8
@@ -90,6 +93,13 @@ class RunConfig:
     bound: int = 5
     seed: int = 0
     gram: str | None = None
+
+    def __init__(self, dim: int = dim, m: int = m, frames: int = frames,
+                 points: int = points, bound: int = bound, seed: int = seed,
+                 gram: str | None = gram) -> None:
+        self.__dict__.update(dim=dim, m=m, frames=frames, points=points,
+                             bound=bound, seed=seed, gram=gram)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 2 <= self.m <= self.dim <= 16:
@@ -102,7 +112,7 @@ class RunConfig:
             raise UsageError(f"bound must be positive, got {self.bound}")
 
     def to_json(self) -> dict[str, Any]:
-        return asdict(self)
+        return dict(zip(self._fields, self._values()))
 
     def load_inner_product(self) -> GramInnerProduct:
         """The identity form, or the ``--gram`` file's, sized to ``dim``."""
@@ -116,15 +126,16 @@ class RunConfig:
         return G
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Value):
     """One command run: config echo, payload, verdict, wall-clock time."""
 
-    command: str
-    config: RunConfig
-    payload: dict[str, Any]
-    verdict: str
-    duration_s: float
+    _fields = ("command", "config", "payload", "verdict", "duration_s")
+
+    def __init__(self, command: str, config: RunConfig,
+                 payload: dict[str, Any], verdict: str,
+                 duration_s: float) -> None:
+        self.__dict__.update(command=command, config=config, payload=payload,
+                             verdict=verdict, duration_s=duration_s)
 
     @property
     def passed(self) -> bool:

@@ -11,7 +11,6 @@ pair in a deterministic scan order, so reports and fixtures are stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -27,6 +26,7 @@ from .linalg import (
     Coordinates,
     Frame,
     Vector,
+    _Value,
     as_vector,
     derive_seed,
     linear_combination,
@@ -37,8 +37,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class RelationPoint:
+class RelationPoint(_Value):
     """One relation entry: a frame, a point of its span, and slot values.
 
     The canonical constructor :func:`relation_point` fills ``values`` with
@@ -53,13 +52,16 @@ class RelationPoint:
     fields, values included.
     """
 
-    frame: Frame
-    point: Vector
-    values: Coordinates
+    _fields = ("frame", "point", "values")
+
+    def __init__(self, frame: Frame, point: Vector, values: Coordinates) -> None:
+        self.__dict__.update(frame=frame, point=point, values=values)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "point", as_vector(self.point))
-        object.__setattr__(self, "values", as_vector(self.values))
+        self.__dict__.update(
+            point=as_vector(self.point), values=as_vector(self.values)
+        )
         if len(self.values) != self.frame.size:
             raise ShapeError(
                 f"{len(self.values)} values for a frame of {self.frame.size} vectors"
@@ -108,8 +110,7 @@ def _sampled_entry(frame: Frame, bound: int, seed: int) -> RelationPoint:
     return RelationPoint._trusted(frame, point, coeffs)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(_Value):
     """A finite sequence of relation points, deterministic insertion order.
 
     All points share one ambient dimension and frame size; duplicate
@@ -117,10 +118,14 @@ class Relation:
     from a stream that may repeat entries.
     """
 
-    points: tuple[RelationPoint, ...] = ()
+    _fields = ("points",)
+
+    def __init__(self, points: Iterable[RelationPoint] = ()) -> None:
+        self.__dict__["points"] = points
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
+        self.__dict__["points"] = tuple(self.points)
         _check_one_shape(self.points)
         _, repeat = _first_of_each_pair(self.points)
         if repeat is not None:
@@ -139,7 +144,7 @@ class Relation:
     def _trusted(cls, points: Iterable[RelationPoint]) -> "Relation":
         """A relation over points already known distinct and of one shape."""
         rel = object.__new__(cls)
-        object.__setattr__(rel, "points", tuple(points))
+        rel.__dict__["points"] = tuple(points)
         return rel
 
     def __len__(self) -> int:
@@ -191,8 +196,7 @@ def _first_of_each_pair(
     return kept, repeat
 
 
-@dataclass(frozen=True)
-class ProjectionKey:
+class ProjectionKey(_Value):
     """What a slot value is allowed to depend on: (slot index, a_i, x).
 
     Equality is exact and entrywise.  The hash combines the index with
@@ -201,9 +205,10 @@ class ProjectionKey:
     directly computes it on first use, so equal keys always hash equal.
     """
 
-    index: int
-    vector: Vector
-    point: Vector
+    _fields = ("index", "vector", "point")
+
+    def __init__(self, index: int, vector: Vector, point: Vector) -> None:
+        self.__dict__.update(index=index, vector=vector, point=point)
 
     def __hash__(self) -> int:
         return self._hash
@@ -225,25 +230,37 @@ def project(p: RelationPoint, index: int) -> ProjectionKey:
     return key
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(_Value):
     """Two relation points sharing a projection key but not its value."""
 
-    index: int
-    first: RelationPoint
-    second: RelationPoint
+    _fields = ("index", "first", "second")
+
+    def __init__(
+        self, index: int, first: RelationPoint, second: RelationPoint
+    ) -> None:
+        self.__dict__.update(index=index, first=first, second=second)
 
     @property
     def values(self) -> tuple[Fraction, Fraction]:
         return (self.first.values[self.index - 1], self.second.values[self.index - 1])
 
 
-@dataclass(frozen=True, eq=False)
-class FactorizationOutcome:
-    """Either per-slot factor tables or the first counterexample found."""
+class FactorizationOutcome(_Value):
+    """Either per-slot factor tables or the first counterexample found.
 
-    tables: tuple[dict[ProjectionKey, Fraction], ...] | None
-    counterexample: Counterexample | None
+    Outcomes compare and hash by identity: their tables are dicts.
+    """
+
+    _fields = ("tables", "counterexample")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        tables: tuple[dict[ProjectionKey, Fraction], ...] | None,
+        counterexample: Counterexample | None,
+    ) -> None:
+        self.__dict__.update(tables=tables, counterexample=counterexample)
 
     @property
     def passed(self) -> bool:

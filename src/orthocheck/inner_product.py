@@ -9,7 +9,6 @@ machinery and no tolerances anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -27,6 +26,7 @@ from .linalg import (
     Matrix,
     RationalLike,
     Vector,
+    _Value,
     _bareiss,
     _cleared,
     identity_matrix,
@@ -38,8 +38,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class GramInnerProduct:
+class GramInnerProduct(_Value):
     """A symmetric positive definite matrix defining ``<x, y> = x^T G y``.
 
     Construction validates exactly, so holding an instance is proof the
@@ -48,15 +47,17 @@ class GramInnerProduct:
     module uses; that cache takes no part in equality, hashing or repr.
     """
 
-    matrix: Matrix
-    _numerators: tuple[tuple[int, ...], ...] = field(
-        init=False, compare=False, repr=False
-    )
-    _denominator: int = field(init=False, compare=False, repr=False)
+    _fields = ("matrix",)
+    _numerators: tuple[tuple[int, ...], ...]
+    _denominator: int
+
+    def __init__(self, matrix: Matrix) -> None:
+        self.__dict__["matrix"] = matrix
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(Fraction(e) for e in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", rows)
+        self.__dict__["matrix"] = rows
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ShapeError("Gram matrix must be square and nonempty")
@@ -69,8 +70,7 @@ class GramInnerProduct:
                     )
         flat, d = _cleared(e for row in rows for e in row)
         numerators = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
-        object.__setattr__(self, "_numerators", numerators)
-        object.__setattr__(self, "_denominator", d)
+        self.__dict__.update(_numerators=numerators, _denominator=d)
         # Sylvester's criterion in one swap-free elimination: every row was
         # scaled by d, so the k-th pivot is d**k times the k-th leading
         # principal minor and has its sign.  A zero pivot ends the pass.

@@ -9,12 +9,17 @@ Python ints, dividing only where the division is exact.  There are no
 floats and no tolerances, so results are exact and runs are
 bit-reproducible.  The kernel always picks the first row with a nonzero
 entry as the pivot, so identical inputs give identical eliminations.
+
+The value classes of the library (:class:`Frame` and its kin in the other
+modules) are plain classes on the :class:`_Value` base, not dataclasses:
+importing ``dataclasses`` pulls in ``inspect`` and ``ast`` and building
+the classes compiles their methods, a cost every CLI run paid at start-up.
+``tests/test_import_graph.py`` checks that the CLI imports neither.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
@@ -272,11 +277,54 @@ def invert_matrix(rows: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
+# value classes
+
+
+class _Value:
+    """Base of the immutable value classes, with a frozen dataclass's
+    behaviour.
+
+    A subclass names its fields in ``_fields`` and its ``__init__`` writes
+    them through ``__dict__``; assigning or deleting an attribute then
+    raises AttributeError.  Equality is field-wise and only between
+    instances of one class, the hash is that of the field tuple, and the
+    repr names every field.  Anything else kept in ``__dict__`` (a cached
+    property, a derived table) is not a field and takes no part in these.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        fields = self.__dict__
+        return tuple([fields[name] for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values())
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # frames
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(_Value):
     """An ordered tuple of linearly independent vectors of one dimension.
 
     Independence is checked exactly at construction, so holding a Frame is
@@ -290,11 +338,15 @@ class Frame:
     cached hash only picks a bucket: ``==`` still compares every entry.
     """
 
-    vectors: tuple[Vector, ...]
+    _fields = ("vectors",)
+
+    def __init__(self, vectors: tuple[Vector, ...]) -> None:
+        self.__dict__["vectors"] = vectors
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         vectors = tuple(as_vector(v) for v in self.vectors)
-        object.__setattr__(self, "vectors", vectors)
+        self.__dict__["vectors"] = vectors
         if len(vectors) < 2:
             raise ShapeError("a frame needs at least two vectors")
         dims = {len(v) for v in vectors}

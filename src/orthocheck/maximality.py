@@ -15,7 +15,6 @@ sweeps it over candidate frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -41,19 +40,22 @@ from .dependence import (
     project,
     relation_point,
 )
-from .linalg import Frame, Vector, vec, vector_add
+from .linalg import Frame, Vector, _Value, vec, vector_add
 
 import random
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(_Value):
     """Relations ascending by inclusion: each one a subset of the next."""
 
-    relations: tuple[Relation, ...]
+    _fields = ("relations",)
+
+    def __init__(self, relations: Sequence[Relation]) -> None:
+        self.__dict__["relations"] = relations
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "relations", tuple(self.relations))
+        self.__dict__["relations"] = tuple(self.relations)
         for earlier, later in zip(self.relations, self.relations[1:]):
             missing = set(earlier.points) - set(later.points)
             if missing:
@@ -179,8 +181,7 @@ def orthogonality_witness(
     return _witness(G, candidate, images, i, j)
 
 
-@dataclass(frozen=True)
-class MaximalityReport:
+class MaximalityReport(_Value):
     """Verdict for one candidate frame against the orthogonal relation.
 
     Orthogonal candidates are accepted.  A rejected candidate carries the
@@ -189,13 +190,25 @@ class MaximalityReport:
     reproduces the collision.
     """
 
-    candidate: Frame
-    verdict: str
-    orthogonal_witness: Frame | None = None
-    collision_point: Vector | None = None
-    values: tuple[Fraction, Fraction] | None = None
-    index: int | None = None
-    other_index: int | None = None
+    _fields = ("candidate", "verdict", "orthogonal_witness", "collision_point",
+               "values", "index", "other_index")
+
+    def __init__(
+        self,
+        candidate: Frame,
+        verdict: str,
+        orthogonal_witness: Frame | None = None,
+        collision_point: Vector | None = None,
+        values: tuple[Fraction, Fraction] | None = None,
+        index: int | None = None,
+        other_index: int | None = None,
+    ) -> None:
+        self.__dict__.update(
+            candidate=candidate, verdict=verdict,
+            orthogonal_witness=orthogonal_witness,
+            collision_point=collision_point, values=values, index=index,
+            other_index=other_index,
+        )
 
     @property
     def accepted(self) -> bool:
