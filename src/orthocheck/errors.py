@@ -57,6 +57,11 @@ class UsageError(OrthoError, ValueError):
     """A command-line flag is invalid, or conflicts with another flag."""
 
 
+class OutputLimitError(OrthoError, ValueError):
+    """A value has more digits than the interpreter's int/str limit allows
+    to write as text."""
+
+
 class PreconditionError(OrthoError, ValueError):
     """An operation's documented precondition does not hold."""
 

@@ -27,7 +27,7 @@ from .dependence import (
     Relation,
     RelationPoint,
 )
-from .errors import OrthoError, RelationParseError
+from .errors import OrthoError, OutputLimitError, RelationParseError
 from .inner_product import GramInnerProduct
 from .linalg import Frame, Vector
 from .maximality import MaximalityReport
@@ -41,7 +41,14 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def rational_to_json(value: Fraction) -> str:
-    return str(value if type(value) is Fraction else Fraction(value))
+    try:
+        return str(value if type(value) is Fraction else Fraction(value))
+    except ValueError:
+        # str() refuses more digits than the interpreter's int/str limit.
+        raise OutputLimitError(
+            f"a result value exceeds the {sys.get_int_max_str_digits()}-digit "
+            "integer limit and cannot be written"
+        ) from None
 
 
 def rational_from_json(obj: Any, location: str = "rational") -> Fraction:

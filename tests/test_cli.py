@@ -156,6 +156,15 @@ def test_pair_ip_over_long_literal_is_usage_error(capsys):
     assert LIMIT in err
 
 
+def test_pair_ip_over_long_result_is_usage_error(capsys):
+    # Inputs inside the limit whose adapted Gram matrix is not.
+    code, report, err = run_cli(capsys, "pair-ip", "--a=1,0",
+                                f"--b={'7' * 2500},1")
+    assert (code, report) == (2, None)
+    assert err.startswith("ortho: a result value exceeds the ")
+    assert LIMIT in err
+
+
 def test_maximality_bound_one_summary(capsys):
     code, report, _ = run_cli(capsys, "maximality", "--bound", "1")
     assert code == 0
