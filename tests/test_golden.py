@@ -15,14 +15,19 @@ pinned digests can be checked under any interpreter without pytest::
     PYTHONPATH=src python tests/test_golden.py --check
 
 which prints one line per entry and exits 1 on any digest or exit-code
-mismatch.  Without ``--check`` it prints the digests of the current code
-(only for when a payload change is intended)::
+mismatch.  With ``--fresh`` each entry runs in a new interpreter through
+``python -m orthocheck``, the entry path a user (and the benchmark) runs,
+instead of calling ``main`` in this process.  Without ``--check`` it
+prints the digests of the current code (only for when a payload change is
+intended)::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 from orthocheck.cli import main as cli_main
@@ -33,12 +38,19 @@ FIXTURE = Path(__file__).resolve().parent / "golden_payloads.json"
 GOLDEN = json.loads(FIXTURE.read_text(encoding="utf-8"))
 
 
-def run_digest(argv, out_path):
-    """Run one command; return its exit code and the sha256 of its report
-    without ``duration_s`` (None when no report was written)."""
+def run_digest(argv, out_path, fresh=False):
+    """Run one command, in this process or (``fresh``) in a new
+    ``python -m orthocheck``; return its exit code and the sha256 of its
+    report without ``duration_s`` (None when no report was written)."""
     out_path = Path(out_path)
     out_path.unlink(missing_ok=True)
-    code = cli_main(list(argv) + ["--output", str(out_path)])
+    argv = list(argv) + ["--output", str(out_path)]
+    if fresh:
+        code = subprocess.run(
+            [sys.executable, "-m", "orthocheck", *argv], timeout=600
+        ).returncode
+    else:
+        code = cli_main(argv)
     if not out_path.exists():
         return code, None
     report = json.loads(out_path.read_text(encoding="utf-8"))
@@ -65,21 +77,33 @@ def test_golden_payload_hash(entry, tmp_path, monkeypatch):
     )
 
 
+def test_golden_payload_hash_in_a_fresh_interpreter(tmp_path, monkeypatch):
+    """The first entry through ``python -m orthocheck``, as ``--fresh``
+    runs every entry."""
+    monkeypatch.chdir(ROOT)
+    entry = GOLDEN[0]
+    assert run_digest(entry["argv"], tmp_path / "report.json", fresh=True) == (
+        entry.get("exit", 0), entry["sha256"])
+
+
 def main(argv):
-    """Print each entry's digest; with ``--check``, compare to the pins."""
+    """Print each entry's digest; with ``--check``, compare to the pins;
+    with ``--fresh``, run each entry in a new interpreter."""
     import os
     import platform
     import tempfile
 
-    check = argv == ["--check"]
-    if argv and not check:
-        print("usage: test_golden.py [--check]")
+    check, fresh = "--check" in argv, "--fresh" in argv
+    if set(argv) - {"--check", "--fresh"}:
+        print("usage: test_golden.py [--check] [--fresh]")
         return 2
     os.chdir(ROOT)
     mismatches = 0
     with tempfile.TemporaryDirectory() as scratch:
         for entry in GOLDEN:
-            code, digest = run_digest(entry["argv"], Path(scratch) / "report.json")
+            code, digest = run_digest(
+                entry["argv"], Path(scratch) / "report.json", fresh
+            )
             command = " ".join(entry["argv"])
             if not check:
                 print(digest, command)
@@ -94,6 +118,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    import sys
-
     sys.exit(main(sys.argv[1:]))
