@@ -41,8 +41,9 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def rational_to_json(value: Fraction) -> str:
+    value = value if type(value) is Fraction else Fraction(value)
     try:
-        return str(value if type(value) is Fraction else Fraction(value))
+        return str(value)
     except ValueError:
         # str() refuses more digits than the interpreter's int/str limit.
         raise OutputLimitError(
