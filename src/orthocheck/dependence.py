@@ -121,11 +121,11 @@ class Relation(_Value):
     _fields = ("points",)
 
     def __init__(self, points: Iterable[RelationPoint] = ()) -> None:
-        self.__dict__["points"] = points
+        self.__dict__.update(points=points)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        self.__dict__["points"] = tuple(self.points)
+        self.__dict__.update(points=tuple(self.points))
         _check_one_shape(self.points)
         _, repeat = _first_of_each_pair(self.points)
         if repeat is not None:
@@ -144,7 +144,7 @@ class Relation(_Value):
     def _trusted(cls, points: Iterable[RelationPoint]) -> "Relation":
         """A relation over points already known distinct and of one shape."""
         rel = object.__new__(cls)
-        rel.__dict__["points"] = tuple(points)
+        rel.__dict__.update(points=tuple(points))
         return rel
 
     def __len__(self) -> int:

@@ -52,12 +52,12 @@ class GramInnerProduct(_Value):
     _denominator: int
 
     def __init__(self, matrix: Matrix) -> None:
-        self.__dict__["matrix"] = matrix
+        self.__dict__.update(matrix=matrix)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(Fraction(e) for e in row) for row in self.matrix)
-        self.__dict__["matrix"] = rows
+        self.__dict__.update(matrix=rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ShapeError("Gram matrix must be square and nonempty")

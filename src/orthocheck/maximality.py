@@ -51,11 +51,11 @@ class Chain(_Value):
     _fields = ("relations",)
 
     def __init__(self, relations: Sequence[Relation]) -> None:
-        self.__dict__["relations"] = relations
+        self.__dict__.update(relations=relations)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        self.__dict__["relations"] = tuple(self.relations)
+        self.__dict__.update(relations=tuple(self.relations))
         for earlier, later in zip(self.relations, self.relations[1:]):
             missing = set(earlier.points) - set(later.points)
             if missing:
