@@ -18,6 +18,14 @@ from orthocheck.dependence import (
     Relation,
     RelationPoint,
 )
+from orthocheck.errors import (
+    ChainOrderError,
+    DependentFrameError,
+    DuplicatePointError,
+    SpanMembershipError,
+    SymmetryError,
+    UsageError,
+)
 from orthocheck.inner_product import GramInnerProduct
 from orthocheck.linalg import Frame
 from orthocheck.maximality import Chain, MaximalityReport
@@ -167,10 +175,6 @@ def test_run_config_to_json():
 
 
 def test_validation_runs_on_construction():
-    from orthocheck.errors import (
-        ChainOrderError, DependentFrameError, DuplicatePointError,
-        SpanMembershipError, SymmetryError, UsageError,
-    )
     with pytest.raises(DependentFrameError):
         Frame(((1, 2), (2, 4)))
     with pytest.raises(SymmetryError):
