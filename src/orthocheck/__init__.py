@@ -5,6 +5,11 @@ precisely when each coordinate functional factors through the projection
 onto its own slot vector and the point.  Everything runs over rationals,
 so every verdict is exact and every rejection ships a re-checkable
 counterexample.
+
+The package root exports the README tour, the error classes and the
+acceptance suite's names; every other helper is imported from its own
+module (``orthocheck.linalg``, ``.inner_product``, ``.dependence``,
+``.maximality``, ``.serialize``).
 """
 
 from .errors import (
@@ -25,129 +30,73 @@ from .errors import (
 )
 from .linalg import (
     Frame,
-    Matrix,
-    Rational,
-    Vector,
     derive_seed,
-    determinant,
     frame_of,
-    invert_matrix,
-    is_independent,
     linear_combination,
-    matrix_rank,
     sample_coefficients,
     sample_frame,
     sample_span_point,
     solve_coordinates,
-    span_contains,
-    vec,
 )
 from .inner_product import (
     GramInnerProduct,
-    coefficient_formula,
     evaluate,
-    first_nonorthogonal_pair,
     frame_adapted_inner_product,
     gram_schmidt,
     identity_inner_product,
     is_orthogonal_tuple,
     sample_inner_product,
-    validate_inner_product,
     verify_projection_equivalence,
 )
 from .dependence import (
-    Counterexample,
-    FactorizationOutcome,
-    ProjectionKey,
     Relation,
     RelationPoint,
-    build_arbitrary_relation,
     build_orthogonal_relation,
     factor_check,
-    is_orthogonal_via_factorization,
-    project,
-    recover_orthogonal_tuples,
     relation_point,
 )
 from .maximality import (
-    Chain,
-    MaximalityReport,
-    canonical_witness_pool,
-    chain_union,
     chain_union_check,
     exhaustive_candidates_2d,
-    greedy_maximal_extension,
-    orthogonality_witness,
     sample_chain,
     verify_orthogonal_maximality,
 )
-from .serialize import (
-    canonical_dumps,
-    load_gram,
-    load_relation,
-    relation_from_json,
-    relation_to_json,
-)
+from .serialize import canonical_dumps, relation_to_json
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chain",
     "ChainOrderError",
-    "Counterexample",
     "DefinitenessError",
     "DependentFrameError",
     "DuplicatePointError",
-    "FactorizationOutcome",
     "Frame",
     "GenerationError",
     "GramInnerProduct",
-    "Matrix",
-    "MaximalityReport",
     "NoViolationError",
     "OrthoError",
     "OutputLimitError",
     "PreconditionError",
-    "ProjectionKey",
-    "Rational",
     "Relation",
     "RelationParseError",
     "RelationPoint",
     "ShapeError",
     "SpanMembershipError",
     "SymmetryError",
-    "Vector",
     "ZeroVectorError",
-    "build_arbitrary_relation",
     "build_orthogonal_relation",
     "canonical_dumps",
-    "canonical_witness_pool",
-    "chain_union",
     "chain_union_check",
-    "coefficient_formula",
     "derive_seed",
-    "determinant",
     "evaluate",
     "exhaustive_candidates_2d",
     "factor_check",
-    "first_nonorthogonal_pair",
     "frame_adapted_inner_product",
     "frame_of",
     "gram_schmidt",
-    "greedy_maximal_extension",
     "identity_inner_product",
-    "invert_matrix",
-    "is_independent",
     "is_orthogonal_tuple",
-    "is_orthogonal_via_factorization",
     "linear_combination",
-    "load_gram",
-    "load_relation",
-    "matrix_rank",
-    "orthogonality_witness",
-    "project",
-    "recover_orthogonal_tuples",
-    "relation_from_json",
     "relation_point",
     "relation_to_json",
     "sample_chain",
@@ -156,9 +105,6 @@ __all__ = [
     "sample_inner_product",
     "sample_span_point",
     "solve_coordinates",
-    "span_contains",
-    "validate_inner_product",
-    "vec",
     "verify_orthogonal_maximality",
     "verify_projection_equivalence",
 ]

@@ -13,7 +13,7 @@ unexpected error inside the library (a bug; the traceback goes to stderr).
 A flag the chosen command path never reads is a usage error; ``--seed`` is
 accepted everywhere.  So are flags that ask for more work than the
 command's cap (see ``_cap_work``).  ``ORTHO_SEED`` in the environment
-overrides ``--seed``.
+overrides ``--seed``; a seed outside [0, 2^64) is a usage error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 import time
 from typing import Any, Collection, Sequence
 
-from .dependence import Relation, build_orthogonal_relation, factor_check
+from .dependence import build_orthogonal_relation, factor_check
 from .errors import OrthoError, ShapeError, UsageError
 from .inner_product import (
     GramInnerProduct,
@@ -110,6 +110,10 @@ class RunConfig(_Value):
             raise UsageError("frame and point counts must be >= 0")
         if self.bound < 1:
             raise UsageError(f"bound must be positive, got {self.bound}")
+        # derive_seed reads a seed modulo 2^64: one outside would alias
+        # another seed's payload while echoing its own.
+        if not 0 <= self.seed < 1 << 64:
+            raise UsageError(f"seed {self.seed} is outside [0, 2^64)")
 
     def to_json(self) -> dict[str, Any]:
         return dict(zip(self._fields, self._values()))
@@ -383,7 +387,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--points", type=int, help="span points per frame")
         p.add_argument("--bound", type=int,
                        help="integer entry bound for sampling")
-        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--seed", type=int, default=0,
+                       help="master seed, in [0, 2^64)")
         p.add_argument("--gram", default=None,
                        help="path to a Gram matrix JSON file "
                             "(default: identity)")

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DuplicatePointError,
-    PreconditionError,
     ShapeError,
     SpanMembershipError,
 )
@@ -337,16 +336,6 @@ def is_orthogonal_via_factorization(
     return factor_check(rel).passed
 
 
-def _build_relation(
-    frames: Sequence[Frame], points_per_frame: int, bound: int, seed: int
-) -> Relation:
-    return Relation.from_points(
-        _sampled_entry(frame, bound, derive_seed(seed, k, t + 1))
-        for k, frame in enumerate(frames)
-        for t in range(points_per_frame)
-    )
-
-
 def build_orthogonal_relation(
     G: GramInnerProduct,
     frame_count: int,
@@ -368,40 +357,8 @@ def build_orthogonal_relation(
         gram_schmidt(G, sample_frame(G.dim, m, bound, derive_seed(seed, k, 0)))
         for k in range(frame_count)
     ]
-    return _build_relation(frames, points_per_frame, bound, seed)
-
-
-def build_arbitrary_relation(
-    dim: int,
-    frame_count: int,
-    points_per_frame: int,
-    bound: int,
-    seed: int,
-    m: int | None = None,
-) -> Relation:
-    """Sample a relation over arbitrary independent frames (no orthogonalizing).
-
-    Unlike :func:`build_orthogonal_relation` the output generally fails
-    :func:`factor_check` once two frames share a slot vector and point but
-    disagree on the coordinate value.
-    """
-    m = dim if m is None else m
-    frames = [
-        sample_frame(dim, m, bound, derive_seed(seed, k, 0))
-        for k in range(frame_count)
-    ]
-    return _build_relation(frames, points_per_frame, bound, seed)
-
-
-def recover_orthogonal_tuples(rel: Relation) -> tuple[Frame, ...]:
-    """The distinct frames of a factorizable relation, insertion order.
-
-    This is the frame-component image of the relation; it requires the
-    relation to pass :func:`factor_check` (PreconditionError otherwise).
-    """
-    if not factor_check(rel).passed:
-        raise PreconditionError("relation does not factor; no tuple set to recover")
-    seen: dict[Frame, None] = {}
-    for p in rel.points:
-        seen.setdefault(p.frame, None)
-    return tuple(seen)
+    return Relation.from_points(
+        _sampled_entry(frame, bound, derive_seed(seed, k, t + 1))
+        for k, frame in enumerate(frames)
+        for t in range(points_per_frame)
+    )

@@ -24,7 +24,6 @@ from .errors import (
 from .linalg import (
     Frame,
     Matrix,
-    RationalLike,
     Vector,
     _Value,
     _bareiss,
@@ -41,10 +40,13 @@ from .linalg import (
 class GramInnerProduct(_Value):
     """A symmetric positive definite matrix defining ``<x, y> = x^T G y``.
 
-    Construction validates exactly, so holding an instance is proof the
-    form is an inner product.  It also keeps G as an integer numerator
-    matrix over one common denominator, which every inner product of this
-    module uses; that cache takes no part in equality, hashing or repr.
+    Entries may be ints, fraction strings or Fractions; they are coerced
+    to Fractions.  Construction validates exactly (SymmetryError, or
+    DefinitenessError carrying the index of the first failing minor), so
+    holding an instance is proof the form is an inner product.  It also
+    keeps G as an integer numerator matrix over one common denominator,
+    which every inner product of this module uses; that cache takes no
+    part in equality, hashing or repr.
     """
 
     _fields = ("matrix",)
@@ -88,17 +90,6 @@ class GramInnerProduct(_Value):
     @property
     def dim(self) -> int:
         return len(self.matrix)
-
-
-def validate_inner_product(
-    rows: Sequence[Sequence[RationalLike]],
-) -> GramInnerProduct:
-    """Validate a candidate Gram matrix and return the inner product.
-
-    Raises SymmetryError on an asymmetric matrix and DefinitenessError
-    (carrying the index of the first failing minor) on a non-PD one.
-    """
-    return GramInnerProduct(tuple(tuple(Fraction(e) for e in row) for row in rows))
 
 
 def identity_inner_product(dim: int) -> GramInnerProduct:
@@ -277,6 +268,13 @@ def gram_schmidt(G: GramInnerProduct, vectors: Frame | Sequence[Vector]) -> Fram
     ))
 
 
+def _full_dimensional(frame: Frame, what: str) -> None:
+    if frame.size != frame.dim:
+        raise ShapeError(
+            f"{what} needs m == dim, got m={frame.size}, dim={frame.dim}"
+        )
+
+
 def frame_adapted_inner_product(frame: Frame) -> GramInnerProduct:
     """An inner product making a full-dimensional frame orthonormal.
 
@@ -285,11 +283,7 @@ def frame_adapted_inner_product(frame: Frame) -> GramInnerProduct:
     otherwise.  Only full-dimensional frames (m == n) are supported;
     anything smaller raises ShapeError.
     """
-    if frame.size != frame.dim:
-        raise ShapeError(
-            f"adapted inner product needs m == dim, got m={frame.size}, "
-            f"dim={frame.dim}"
-        )
+    _full_dimensional(frame, "adapted inner product")
     columns = tuple(
         tuple(frame[j][r] for j in range(frame.size)) for r in range(frame.dim)
     )

@@ -31,7 +31,6 @@ from .errors import (
     SpanMembershipError,
 )
 
-Rational = Fraction
 RationalLike = Fraction | int | str
 Vector = tuple[Fraction, ...]
 Coordinates = tuple[Fraction, ...]
@@ -60,16 +59,6 @@ def as_vector(entries: Iterable[RationalLike]) -> Vector:
 def vec(*entries: RationalLike) -> Vector:
     """Shorthand: ``vec(3, "1/2")`` builds an exact vector."""
     return as_vector(entries)
-
-
-def _check_same_dim(x: Sequence, y: Sequence) -> None:
-    if len(x) != len(y):
-        raise ShapeError(f"dimension mismatch: {len(x)} vs {len(y)}")
-
-
-def vector_add(x: Vector, y: Vector) -> Vector:
-    _check_same_dim(x, y)
-    return tuple(a + b for a, b in zip(x, y))
 
 
 def linear_combination(

@@ -28,6 +28,7 @@ from .errors import (
 from .inner_product import (
     GramInnerProduct,
     _Image,
+    _full_dimensional,
     _images,
     _nonorthogonal_pairs,
     _orthogonalize,
@@ -40,7 +41,7 @@ from .dependence import (
     project,
     relation_point,
 )
-from .linalg import Frame, Vector, _Value, vec, vector_add
+from .linalg import Frame, Vector, _Value, vec
 
 import random
 
@@ -127,13 +128,6 @@ def greedy_maximal_extension(base: Relation, pool: Relation) -> Relation:
     return Relation._trusted(accepted)
 
 
-def _full_dimensional(frame: Frame, what: str) -> None:
-    if frame.size != frame.dim:
-        raise ShapeError(
-            f"{what} needs m == dim, got m={frame.size}, dim={frame.dim}"
-        )
-
-
 def _witness(
     G: GramInnerProduct, candidate: Frame, images: list[_Image], i: int, j: int
 ) -> tuple[Frame, Vector]:
@@ -151,7 +145,8 @@ def _witness(
                     else tuple(Fraction(a, out[1]) for a in out[0]))
     # Gram-Schmidt keeps prefix spans: the witness is independent too.
     witness = Frame._trusted(tuple(slots))  # type: ignore[arg-type]
-    return witness, vector_add(candidate[i - 1], candidate[j - 1])
+    b_i, b_j = candidate[i - 1], candidate[j - 1]
+    return witness, tuple(a + b for a, b in zip(b_i, b_j))
 
 
 def orthogonality_witness(

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from orthocheck import is_independent, validate_inner_product
+from orthocheck import GramInnerProduct
+from orthocheck.linalg import is_independent
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -25,4 +26,4 @@ def rational_forms_and_frames(draw, n=None, m=None):
     ]
     vectors = [[draw(rationals) for _ in range(n)] for _ in range(m)]
     assume(is_independent(vectors))
-    return validate_inner_product(gram), vectors
+    return GramInnerProduct(gram), vectors

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 from orthocheck import (
+    GramInnerProduct,
     Relation,
     RelationPoint,
     build_orthogonal_relation,
@@ -35,7 +36,6 @@ from orthocheck import (
     sample_inner_product,
     sample_span_point,
     solve_coordinates,
-    validate_inner_product,
     verify_orthogonal_maximality,
     verify_projection_equivalence,
 )
@@ -79,7 +79,7 @@ def test_criterion_2_formula_equivalence():
     for g in range(10):
         forms.append(sample_inner_product(3, 3, derive_seed(MASTER, 2, g)))
     for G in forms:
-        validate_inner_product(G.matrix)
+        GramInnerProduct(G.matrix)
     trials, failures = 1_000, 0
     for k in range(trials):
         G = forms[k % len(forms)]
@@ -210,7 +210,7 @@ def test_criterion_7_adapted_inner_product():
         dim = 2 + (k % 2)
         fr = sample_frame(dim, dim, 4, derive_seed(MASTER, 7, k))
         G = frame_adapted_inner_product(fr)
-        validate_inner_product(G.matrix)
+        GramInnerProduct(G.matrix)
         orthonormal = all(
             evaluate(G, fr[i], fr[j]) == (1 if i == j else 0)
             for i in range(dim)

@@ -280,6 +280,34 @@ def test_env_seed_override(capsys, monkeypatch):
     assert "ORTHO_SEED" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_seed_outside_64_bits_is_usage_error(capsys, monkeypatch, source, seed):
+    # derive_seed reads seeds modulo 2^64, so these would alias 2^64 - 1,
+    # 0 and 5 while echoing themselves.
+    argv = ["factor", "--frames", "2", "--points", "2"]
+    if source == "flag":
+        argv.append(f"--seed={seed}")
+    else:
+        monkeypatch.setenv("ORTHO_SEED", str(seed))
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert report is None
+    assert err == f"ortho: seed {seed} is outside [0, 2^64)\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_largest_seed_is_accepted(capsys, monkeypatch, source):
+    argv = ["factor", "--frames", "2", "--points", "2"]
+    if source == "flag":
+        argv.append(f"--seed={2**64 - 1}")
+    else:
+        monkeypatch.setenv("ORTHO_SEED", str(2**64 - 1))
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert report["config"]["seed"] == 2**64 - 1
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, printed, _ = run_cli(capsys, "equivalence", "--output", str(out))

@@ -7,37 +7,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthocheck import (
-    Counterexample,
     DuplicatePointError,
     Frame,
     OrthoError,
-    PreconditionError,
-    ProjectionKey,
     Relation,
     RelationPoint,
     ShapeError,
     SpanMembershipError,
-    build_arbitrary_relation,
     build_orthogonal_relation,
-    canonical_witness_pool,
     factor_check,
     frame_of,
     identity_inner_product,
     is_orthogonal_tuple,
-    is_orthogonal_via_factorization,
-    project,
-    recover_orthogonal_tuples,
-    relation_from_json,
     relation_point,
     relation_to_json,
     sample_inner_product,
     solve_coordinates,
-    span_contains,
 )
 
+from orthocheck.dependence import (
+    ProjectionKey,
+    is_orthogonal_via_factorization,
+    project,
+)
 from orthocheck.inner_product import first_nonorthogonal_pair, gram_schmidt
-from orthocheck.linalg import sample_frame
-from orthocheck.serialize import load_gram
+from orthocheck.linalg import sample_frame, span_contains
+from orthocheck.maximality import canonical_witness_pool
+from orthocheck.serialize import load_gram, relation_from_json
 
 from oracles import first_conflict_pairwise, grouping_verdict
 
@@ -428,17 +424,13 @@ def test_predicate_agrees_with_first_nonorthogonal_pair(name):
 def test_built_entries_carry_their_solved_coordinates(name):
     G = _form(name)
     for m in range(2, G.dim + 1):
-        relations = [build_orthogonal_relation(G, 2, 3, 4, seed=m, m=m)]
-        if name.startswith("identity"):
-            relations.append(build_arbitrary_relation(G.dim, 2, 3, 4,
-                                                      seed=m, m=m))
-        for rel in relations:
-            assert len(rel) > 0
-            for p in rel:
-                assert (p.frame.dim, p.frame.size) == (G.dim, m)
-                assert p.values == solve_coordinates(p.frame, p.point)
-                assert span_contains(p.frame, p.point)
-                assert all(type(e) is F for e in p.point + p.values)
+        rel = build_orthogonal_relation(G, 2, 3, 4, seed=m, m=m)
+        assert len(rel) > 0
+        for p in rel:
+            assert (p.frame.dim, p.frame.size) == (G.dim, m)
+            assert p.values == solve_coordinates(p.frame, p.point)
+            assert span_contains(p.frame, p.point)
+            assert all(type(e) is F for e in p.point + p.values)
 
 
 # --- builders ---
@@ -448,7 +440,7 @@ def test_build_orthogonal_relation_passes_under_sampled_forms():
         G = sample_inner_product(2, 3, seed + 100)
         rel = build_orthogonal_relation(G, 4, 3, 4, seed=seed)
         assert factor_check(rel).passed
-        for fr in recover_orthogonal_tuples(rel):
+        for fr in {p.frame for p in rel}:
             assert is_orthogonal_tuple(G, fr)
 
 
@@ -459,36 +451,12 @@ def test_build_orthogonal_relation_empty_and_deterministic():
     assert a == b
 
 
-def test_build_arbitrary_relation_point_invariants():
-    rel = build_arbitrary_relation(3, 4, 3, 4, seed=2, m=2)
-    assert len(rel) == 12
-    for p in rel.points:
-        assert p.values == solve_coordinates(p.frame, p.point)
-
-
-def test_arbitrary_relation_with_planted_conflict_fails():
-    rel = build_arbitrary_relation(2, 3, 2, 3, seed=6)
+def test_built_relation_with_planted_conflict_fails():
+    rel = build_orthogonal_relation(I2, 3, 2, 3, seed=6)
     planted = rel.union(
         Relation((relation_point(E2, (3, 5)), relation_point(SHEAR, (3, 5))))
     )
     assert not factor_check(planted).passed
-
-
-def test_recover_orthogonal_tuples():
-    rel = build_orthogonal_relation(I2, 5, 3, 4, seed=3)
-    frames = recover_orthogonal_tuples(rel)
-    assert len(frames) == 5
-    for fr in frames:
-        assert is_orthogonal_tuple(I2, fr)
-    assert recover_orthogonal_tuples(Relation(())) == ()
-    bad = Relation((relation_point(E2, (3, 5)), relation_point(SHEAR, (3, 5))))
-    with pytest.raises(PreconditionError):
-        recover_orthogonal_tuples(bad)
-
-
-def test_recover_collapses_duplicate_frames():
-    rel = Relation((relation_point(E2, (3, 5)), relation_point(E2, (1, 0))))
-    assert recover_orthogonal_tuples(rel) == (E2,)
 
 
 # Frame specs per dimension, all with m = 2.  Several share a slot vector,

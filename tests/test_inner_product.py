@@ -14,9 +14,7 @@ from orthocheck import (
     ShapeError,
     SymmetryError,
     ZeroVectorError,
-    coefficient_formula,
     evaluate,
-    first_nonorthogonal_pair,
     frame_adapted_inner_product,
     frame_of,
     gram_schmidt,
@@ -25,10 +23,10 @@ from orthocheck import (
     sample_frame,
     sample_inner_product,
     solve_coordinates,
-    validate_inner_product,
     verify_projection_equivalence,
 )
 from orthocheck.dependence import Relation, relation_point
+from orthocheck.inner_product import coefficient_formula, first_nonorthogonal_pair
 from orthocheck.linalg import mat_mul, transpose
 from orthocheck.maximality import canonical_witness_pool, orthogonality_witness
 
@@ -54,15 +52,15 @@ def test_identity_is_valid():
 
 def test_rejects_asymmetric():
     with pytest.raises(SymmetryError):
-        validate_inner_product([[1, 2], [3, 1]])
+        GramInnerProduct([[1, 2], [3, 1]])
 
 
 def test_rejects_indefinite_with_minor_index():
     with pytest.raises(DefinitenessError) as err:
-        validate_inner_product([[1, 2], [2, 1]])
+        GramInnerProduct([[1, 2], [2, 1]])
     assert err.value.minor_index == 2
     with pytest.raises(DefinitenessError) as err:
-        validate_inner_product([[-1, 0], [0, 1]])
+        GramInnerProduct([[-1, 0], [0, 1]])
     assert err.value.minor_index == 1
 
 
@@ -101,16 +99,16 @@ def test_definiteness_matches_leading_minor_oracle(rows):
     minors = [det_cofactor([row[:k] for row in rows[:k]]) for k in range(1, n + 1)]
     failing = next((k for k, d in enumerate(minors, 1) if d <= 0), None)
     if failing is None:
-        assert validate_inner_product(rows).dim == n
+        assert GramInnerProduct(rows).dim == n
         return
     with pytest.raises(DefinitenessError) as err:
-        validate_inner_product(rows)
+        GramInnerProduct(rows)
     assert err.value.minor_index == failing
     assert f"minor {failing} is {minors[failing - 1]}, not positive" in str(err.value)
 
 
 def test_integer_cache_stays_out_of_eq_hash_and_repr():
-    G = validate_inner_product([["1/2", "1/3"], ["1/3", "1"]])
+    G = GramInnerProduct([["1/2", "1/3"], ["1/3", "1"]])
     H = GramInnerProduct(((F(1, 2), F(1, 3)), (F(1, 3), F(1))))
     assert G == H and hash(G) == hash(H)
     assert repr(G) == f"GramInnerProduct(matrix={G.matrix!r})"
@@ -118,13 +116,13 @@ def test_integer_cache_stays_out_of_eq_hash_and_repr():
 
 def test_rejects_non_square():
     with pytest.raises(ShapeError):
-        validate_inner_product([[1, 0, 0], [0, 1, 0]])
+        GramInnerProduct([[1, 0, 0], [0, 1, 0]])
 
 
 def test_sampled_products_validate():
     for seed in range(30):
         G = sample_inner_product(3, 4, seed)
-        validate_inner_product(G.matrix)
+        GramInnerProduct(G.matrix)
 
 
 # --- evaluation ---
@@ -429,7 +427,7 @@ def test_adapted_form_makes_frame_orthonormal():
         n = rng.choice((2, 3))
         fr = sample_frame(n, n, 4, seed=rng.randrange(2**32))
         G = frame_adapted_inner_product(fr)
-        validate_inner_product(G.matrix)
+        GramInnerProduct(G.matrix)
         for i in range(n):
             for j in range(n):
                 expected = F(1) if i == j else F(0)

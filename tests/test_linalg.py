@@ -15,20 +15,24 @@ from orthocheck import (
     ShapeError,
     SpanMembershipError,
     derive_seed,
-    determinant,
     frame_of,
-    invert_matrix,
-    is_independent,
     linear_combination,
-    matrix_rank,
     sample_coefficients,
     sample_frame,
     sample_span_point,
     solve_coordinates,
+)
+from orthocheck.linalg import (
+    determinant,
+    identity_matrix,
+    invert_matrix,
+    is_independent,
+    mat_mul,
+    matrix_rank,
     span_contains,
+    transpose,
     vec,
 )
-from orthocheck.linalg import mat_mul, identity_matrix, transpose
 
 from oracles import (
     det_cofactor,

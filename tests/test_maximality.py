@@ -9,7 +9,6 @@ import orthocheck.inner_product
 import orthocheck.linalg
 import orthocheck.maximality
 from orthocheck import (
-    Chain,
     ChainOrderError,
     DependentFrameError,
     Frame,
@@ -21,19 +20,14 @@ from orthocheck import (
     RelationPoint,
     ShapeError,
     build_orthogonal_relation,
-    canonical_witness_pool,
-    chain_union,
     chain_union_check,
     evaluate,
     exhaustive_candidates_2d,
     factor_check,
-    first_nonorthogonal_pair,
     frame_of,
     gram_schmidt,
-    greedy_maximal_extension,
     identity_inner_product,
     is_orthogonal_tuple,
-    orthogonality_witness,
     relation_point,
     sample_chain,
     sample_frame,
@@ -42,6 +36,14 @@ from orthocheck import (
     verify_orthogonal_maximality,
 )
 from orthocheck.dependence import factor_check_points
+from orthocheck.inner_product import first_nonorthogonal_pair
+from orthocheck.maximality import (
+    Chain,
+    canonical_witness_pool,
+    chain_union,
+    greedy_maximal_extension,
+    orthogonality_witness,
+)
 from orthocheck.serialize import frame_from_json
 
 from oracles import nonorthogonal_pairs, witness_by_solving

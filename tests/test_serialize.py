@@ -16,9 +16,6 @@ from orthocheck import (
     factor_check,
     frame_of,
     identity_inner_product,
-    load_gram,
-    load_relation,
-    relation_from_json,
     relation_point,
     relation_to_json,
     verify_orthogonal_maximality,
@@ -30,10 +27,13 @@ from orthocheck.serialize import (
     frame_to_json,
     gram_from_json,
     gram_to_json,
+    load_gram,
+    load_relation,
     maximality_report_to_json,
     outcome_to_json,
     rational_from_json,
     rational_to_json,
+    relation_from_json,
     vector_from_json,
     vector_to_json,
 )
