@@ -340,6 +340,47 @@ def test_report_round_trips_exactly(capsys):
     assert canonical_dumps(json.loads(text)) == text
 
 
+ENVELOPE_RUNS = {
+    "equivalence": (("equivalence", "--frames", "2", "--points", "2"), 0),
+    "factor": (("factor", "--frames", "2", "--points", "2"), 0),
+    "maximality": (("maximality", "--bound", "1"), 0),
+    "chain": (("chain", "--frames", "2", "--points", "2"), 0),
+    "pair-ip": (("pair-ip", "--a=1,0", "--b=1,1"), 0),
+    "factor-input-fail": (("factor", "--input", "counterexample"), 1),
+}
+
+
+@pytest.mark.parametrize("name", ENVELOPE_RUNS)
+def test_report_envelope_on_stdout_and_output(capsys, tmp_path, name):
+    from orthocheck.serialize import canonical_dumps
+
+    argv, expected_code = ENVELOPE_RUNS[name]
+    if "counterexample" in argv:
+        path = tmp_path / "rel.json"
+        path.write_text(json.dumps(COUNTEREXAMPLE_RELATION), encoding="utf-8")
+        argv = tuple(str(path) if a == "counterexample" else a for a in argv)
+    code = main(list(argv))
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main([*argv, "--output", str(out)]) == code == expected_code
+    assert capsys.readouterr().out == ""
+    written = out.read_bytes().decode("utf-8")
+
+    stripped = []
+    for text in (printed, written):
+        report = json.loads(text)
+        assert text == canonical_dumps(report) + "\n"
+        assert set(report) == {"command", "config", "payload", "verdict",
+                               "duration_s"}
+        assert report["command"] == argv[0]
+        assert report["verdict"] == ("pass" if code == 0 else "fail")
+        assert type(report["duration_s"]) is float
+        assert report["duration_s"] >= 0
+        del report["duration_s"]
+        stripped.append(canonical_dumps(report))
+    assert stripped[0] == stripped[1]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "orthocheck", "equivalence", "--frames", "1"],
