@@ -6,8 +6,11 @@ over a built or loaded relation), ``maximality`` (candidate sweep with
 witness rejections, exhaustive in dimension 2), ``chain`` (nested chain
 unions), and ``pair-ip`` (adapted inner product for one vector pair).
 
-Reports are canonical JSON.  With a fixed config the payload is
-byte-identical across runs and platforms; only ``duration_s`` varies.
+Each ``cmd_*`` returns its payload and whether it passed; ``main`` times
+the command, assembles the report (command, config echo, payload, verdict,
+``duration_s``) and writes it, to stdout or ``--output``, as canonical
+JSON.  With a fixed config the payload is byte-identical across runs and
+platforms; only ``duration_s`` varies.
 Exit codes: 0 verdict pass, 1 verdict fail, 2 usage or parse error, 3 an
 unexpected error inside the library (a bug; the traceback goes to stderr).
 A flag the chosen command path never reads is a usage error; ``--seed`` is
@@ -25,7 +28,7 @@ import time
 from typing import Any, Collection, Sequence
 
 from .dependence import build_orthogonal_relation, factor_check
-from .errors import OrthoError, ShapeError, UsageError
+from .errors import DependentFrameError, OrthoError, ShapeError, UsageError
 from .inner_product import (
     GramInnerProduct,
     coefficient_formula,
@@ -39,9 +42,9 @@ from .inner_product import (
 from .linalg import (
     Frame,
     Vector,
+    _check_seed,
     _Value,
     derive_seed,
-    is_independent,
     sample_frame,
     sample_span_point,
     solve_coordinates,
@@ -110,10 +113,7 @@ class RunConfig(_Value):
             raise UsageError("frame and point counts must be >= 0")
         if self.bound < 1:
             raise UsageError(f"bound must be positive, got {self.bound}")
-        # derive_seed reads a seed modulo 2^64: one outside would alias
-        # another seed's payload while echoing its own.
-        if not 0 <= self.seed < 1 << 64:
-            raise UsageError(f"seed {self.seed} is outside [0, 2^64)")
+        _check_seed(self.seed)
 
     def to_json(self) -> dict[str, Any]:
         return dict(zip(self._fields, self._values()))
@@ -128,42 +128,6 @@ class RunConfig(_Value):
                 f"--gram {self.gram} is {G.dim}x{G.dim} but --dim is {self.dim}"
             )
         return G
-
-
-class Report(_Value):
-    """One command run: config echo, payload, verdict, wall-clock time."""
-
-    _fields = ("command", "config", "payload", "verdict", "duration_s")
-
-    def __init__(self, command: str, config: RunConfig,
-                 payload: dict[str, Any], verdict: str,
-                 duration_s: float) -> None:
-        self.__dict__.update(command=command, config=config, payload=payload,
-                             verdict=verdict, duration_s=duration_s)
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "config": self.config.to_json(),
-            "payload": self.payload,
-            "verdict": self.verdict,
-            "duration_s": self.duration_s,
-        }
-
-
-def _report(command: str, config: RunConfig, payload: dict[str, Any],
-            passed: bool, started: float) -> Report:
-    return Report(
-        command=command,
-        config=config,
-        payload=payload,
-        verdict="pass" if passed else "fail",
-        duration_s=round(time.perf_counter() - started, 6),
-    )
 
 
 def _cap_work(command: str, config: RunConfig) -> None:
@@ -205,9 +169,11 @@ def _reject_unread(given: Collection[str], path: str, *unread: str) -> None:
         raise UsageError(f"{path} does not read {' or '.join(flags)}")
 
 
-def cmd_equivalence(config: RunConfig) -> Report:
+Result = tuple[dict[str, Any], bool]
+
+
+def cmd_equivalence(config: RunConfig) -> Result:
     """Solver coordinates vs the coefficient formula on orthogonal frames."""
-    started = time.perf_counter()
     G = config.load_inner_product()
     _cap_work("equivalence", config)
     trials = failures = 0
@@ -221,14 +187,12 @@ def cmd_equivalence(config: RunConfig) -> Report:
             trials += 1
             if not verify_projection_equivalence(G, frame, x):
                 failures += 1
-    payload = {"trials": trials, "failures": failures}
-    return _report("equivalence", config, payload, failures == 0, started)
+    return {"trials": trials, "failures": failures}, failures == 0
 
 
 def cmd_factor(config: RunConfig, input_path: str | None = None,
-               given: Collection[str] = ()) -> Report:
+               given: Collection[str] = ()) -> Result:
     """Factorization scan over a loaded relation or a fresh orthogonal one."""
-    started = time.perf_counter()
     if input_path is not None and config.gram is not None:
         raise UsageError(
             "--gram cannot be combined with --input: a loaded relation is "
@@ -253,8 +217,7 @@ def cmd_factor(config: RunConfig, input_path: str | None = None,
             m=config.m,
         )
     outcome = factor_check(rel)
-    return _report("factor", config, outcome_to_json(outcome),
-                   outcome.passed, started)
+    return outcome_to_json(outcome), outcome.passed
 
 
 def _recheck_rejection(G: GramInnerProduct, report: MaximalityReport) -> bool:
@@ -272,10 +235,9 @@ def _recheck_rejection(G: GramInnerProduct, report: MaximalityReport) -> bool:
     )
 
 
-def cmd_maximality(config: RunConfig, given: Collection[str] = ()) -> Report:
+def cmd_maximality(config: RunConfig, given: Collection[str] = ()) -> Result:
     """Candidate sweep: orthogonal frames accepted, the rest rejected with
     verified witnesses.  Exhaustive grid in dimension 2, sampled above."""
-    started = time.perf_counter()
     if config.m != config.dim:
         raise UsageError(
             f"maximality sweep needs m == dim, got m={config.m}, dim={config.dim}"
@@ -307,12 +269,11 @@ def cmd_maximality(config: RunConfig, given: Collection[str] = ()) -> Report:
         },
         "rejected": [maximality_report_to_json(r) for r in rejected],
     }
-    return _report("maximality", config, payload, sound, started)
+    return payload, sound
 
 
-def cmd_chain(config: RunConfig) -> Report:
+def cmd_chain(config: RunConfig) -> Result:
     """Nested chain inside a built orthogonal relation; union must factor."""
-    started = time.perf_counter()
     G = config.load_inner_product()
     _cap_work("chain", config)
     rel = build_orthogonal_relation(
@@ -325,13 +286,13 @@ def cmd_chain(config: RunConfig) -> Report:
         "chain_lengths": [len(member) for member in chain],
         "union_passes": union_passes,
     }
-    return _report("chain", config, payload, union_passes, started)
+    return payload, union_passes
 
 
-def cmd_pair_ip(config: RunConfig, a: Vector, b: Vector,
-                given: Collection[str] = ()) -> Report:
-    """Adapted inner product for one independent pair in dimension 2."""
-    started = time.perf_counter()
+def cmd_pair_ip(config: RunConfig, a_text: str, b_text: str,
+                given: Collection[str] = ()) -> Result:
+    """Adapted inner product for one independent pair in dimension 2, given
+    as vector literals (see ``parse_vector_literal``)."""
     if (config.dim, config.m) != (2, 2):
         raise UsageError(
             f"pair-ip runs in dimension 2 with m = 2, got --dim {config.dim} "
@@ -342,7 +303,13 @@ def cmd_pair_ip(config: RunConfig, a: Vector, b: Vector,
             "pair-ip builds its own adapted inner product and takes no --gram"
         )
     _reject_unread(given, "pair-ip", "frames", "points")
-    frame = Frame((a, b))
+    a, b = parse_vector_literal(a_text), parse_vector_literal(b_text)
+    if len(a) != 2 or len(b) != 2:
+        raise UsageError("pair-ip expects two 2-dimensional vectors")
+    try:
+        frame = Frame((a, b))
+    except DependentFrameError:
+        raise UsageError(f"vectors {a_text} and {b_text} are dependent") from None
     G = frame_adapted_inner_product(frame)
     x = sample_span_point(frame, config.bound, derive_seed(config.seed, 0))
     solver = solve_coordinates(frame, x)
@@ -356,7 +323,7 @@ def cmd_pair_ip(config: RunConfig, a: Vector, b: Vector,
         "coordinates_solver": vector_to_json(solver),
         "coordinates_formula": vector_to_json(formula),
     }
-    return _report("pair-ip", config, payload, passed, started)
+    return payload, passed
 
 
 def parse_vector_literal(text: str) -> Vector:
@@ -432,15 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: Report, output: str | None) -> None:
-    text = canonical_dumps(report.to_json())
-    if output is None:
-        print(text)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -448,39 +406,42 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    seed = args.seed
-    env_seed = os.environ.get("ORTHO_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            print(f"ortho: ORTHO_SEED is not an integer: {env_seed!r}",
-                  file=sys.stderr)
-            return 2
-
     try:
+        env_seed = os.environ.get("ORTHO_SEED")
+        try:
+            seed = args.seed if env_seed is None else int(env_seed)
+        except ValueError:
+            raise UsageError(
+                f"ORTHO_SEED is not an integer: {env_seed!r}") from None
         given = {name: getattr(args, name)
                  for name in ("frames", "points", "bound")
                  if getattr(args, name) is not None}
         config = RunConfig(dim=args.dim, m=args.m, seed=seed, gram=args.gram,
                            **given)
+        started = time.perf_counter()
         if args.command == "equivalence":
-            report = cmd_equivalence(config)
+            payload, passed = cmd_equivalence(config)
         elif args.command == "factor":
-            report = cmd_factor(config, args.input, given)
+            payload, passed = cmd_factor(config, args.input, given)
         elif args.command == "maximality":
-            report = cmd_maximality(config, given)
+            payload, passed = cmd_maximality(config, given)
         elif args.command == "chain":
-            report = cmd_chain(config)
+            payload, passed = cmd_chain(config)
         else:
-            a = parse_vector_literal(args.a)
-            b = parse_vector_literal(args.b)
-            if len(a) != 2 or len(b) != 2:
-                raise UsageError("pair-ip expects two 2-dimensional vectors")
-            if not is_independent([a, b]):
-                raise UsageError(f"vectors {args.a} and {args.b} are dependent")
-            report = cmd_pair_ip(config, a, b, given)
-        _emit(report, args.output)
+            payload, passed = cmd_pair_ip(config, args.a, args.b, given)
+        report = {
+            "command": args.command,
+            "config": config.to_json(),
+            "payload": payload,
+            "verdict": "pass" if passed else "fail",
+            "duration_s": round(time.perf_counter() - started, 6),
+        }
+        text = canonical_dumps(report) + "\n"
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
     except (OrthoError, OSError) as exc:
         print(f"ortho: {exc}", file=sys.stderr)
         return 2
@@ -490,7 +451,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # uncaught exception, 1, would read as a failing verdict.
         sys.excepthook(*sys.exc_info())
         return 3
-    return 0 if report.passed else 1
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     DependentFrameError,
     GenerationError,
+    PreconditionError,
     ShapeError,
     SpanMembershipError,
 )
@@ -461,6 +462,14 @@ def solve_coordinates(frame: Frame, x: Vector) -> Coordinates:
 # seeded sampling
 
 
+def _check_seed(seed: int) -> None:
+    """Seeds live in [0, 2^64).  One outside would alias one inside:
+    ``derive_seed`` works modulo 2^64, and ``random.Random`` reads a seed
+    by its absolute value."""
+    if not 0 <= seed <= _MASK64:
+        raise PreconditionError(f"seed {seed} is outside [0, 2^64)")
+
+
 def _mix64(z: int) -> int:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
@@ -473,7 +482,8 @@ def derive_seed(seed: int, *indices: int) -> int:
     Gives decorrelated per-trial streams, so work split across workers by
     index reproduces the single-threaded output byte for byte.
     """
-    z = seed & _MASK64
+    _check_seed(seed)
+    z = seed
     for idx in indices:
         z = (z + (idx + 1) * 0x9E3779B97F4A7C15) & _MASK64
         z = _mix64(z)
@@ -490,6 +500,7 @@ def sample_frame(dim: int, m: int, bound: int, seed: int) -> Frame:
         raise ShapeError(f"need 2 <= m <= dim, got m={m}, dim={dim}")
     if bound < 0:
         raise ShapeError(f"bound must be nonnegative, got {bound}")
+    _check_seed(seed)
     rng = random.Random(seed)
     for _ in range(SAMPLING_CAP):
         candidate = [
@@ -508,6 +519,7 @@ def sample_coefficients(m: int, bound: int, seed: int) -> Coordinates:
     """Draw m integer coefficients in [-bound, bound], deterministically."""
     if bound < 0:
         raise ShapeError(f"bound must be nonnegative, got {bound}")
+    _check_seed(seed)
     rng = random.Random(seed)
     return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(m))
 

@@ -41,7 +41,7 @@ from .dependence import (
     project,
     relation_point,
 )
-from .linalg import Frame, Vector, _Value, vec
+from .linalg import Frame, Vector, _check_seed, _Value, vec
 
 import random
 
@@ -304,6 +304,7 @@ def exhaustive_candidates_2d(bound: int) -> tuple[Frame, ...]:
 
 def sample_chain(rel: Relation, depth: int, seed: int) -> Chain:
     """A random nested chain of sub-relations of ``rel``, deterministic."""
+    _check_seed(seed)
     rng = random.Random(seed)
     count = len(rel)
     sizes = sorted(rng.randint(0, count) for _ in range(depth))

@@ -283,8 +283,8 @@ def test_env_seed_override(capsys, monkeypatch):
 @pytest.mark.parametrize("source", ["flag", "env"])
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
 def test_seed_outside_64_bits_is_usage_error(capsys, monkeypatch, source, seed):
-    # derive_seed reads seeds modulo 2^64, so these would alias 2^64 - 1,
-    # 0 and 5 while echoing themselves.
+    # Read modulo 2^64 these would alias 2^64 - 1, 0 and 5 while echoing
+    # themselves.
     argv = ["factor", "--frames", "2", "--points", "2"]
     if source == "flag":
         argv.append(f"--seed={seed}")

@@ -12,13 +12,18 @@ from orthocheck import (
     Frame,
     GenerationError,
     OrthoError,
+    PreconditionError,
     ShapeError,
     SpanMembershipError,
+    build_orthogonal_relation,
     derive_seed,
     frame_of,
+    identity_inner_product,
     linear_combination,
+    sample_chain,
     sample_coefficients,
     sample_frame,
+    sample_inner_product,
     sample_span_point,
     solve_coordinates,
 )
@@ -429,7 +434,37 @@ def test_derive_seed_frozen_values():
     assert derive_seed(0, 1) == 7960286522194355700
     assert derive_seed(42, 3, 7) == 8984740033306438383
     assert derive_seed(0) == 0
-    assert derive_seed(2**64 + 5) == derive_seed(5)
+
+
+I2 = identity_inner_product(2)
+SEEDED = {
+    "derive_seed": lambda seed: derive_seed(seed),
+    "derive_seed-indices": lambda seed: derive_seed(seed, 3, 1),
+    "sample_frame": lambda seed: sample_frame(2, 2, 3, seed),
+    "sample_coefficients": lambda seed: sample_coefficients(2, 3, seed),
+    "sample_span_point": lambda seed: sample_span_point(
+        frame_of((1, 0), (0, 1)), 3, seed),
+    "sample_inner_product": lambda seed: sample_inner_product(2, 3, seed),
+    "build_orthogonal_relation": lambda seed: build_orthogonal_relation(
+        I2, 2, 2, 3, seed),
+    "sample_chain": lambda seed: sample_chain(
+        build_orthogonal_relation(I2, 2, 2, 3, 0), 3, seed),
+}
+
+
+@pytest.mark.parametrize("name", SEEDED)
+@pytest.mark.parametrize("seed", [-1, -7, 2**64, 2**64 + 5])
+def test_seed_outside_64_bits_raises(name, seed):
+    # Each would alias a seed inside: derive_seed works modulo 2^64, and
+    # random.Random reads a seed by its absolute value.
+    with pytest.raises(PreconditionError,
+                       match=rf"^seed {seed} is outside \[0, 2\^64\)$"):
+        SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_largest_seed_is_accepted(name):
+    assert SEEDED[name](2**64 - 1) == SEEDED[name](2**64 - 1)
 
 
 def test_derive_seed_decorrelates_indices():

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from orthocheck.cli import Report, RunConfig
+from orthocheck.cli import RunConfig
 from orthocheck.dependence import (
     Counterexample,
     FactorizationOutcome,
@@ -98,15 +98,6 @@ CASES = {
         "RunConfig(dim=2, m=2, frames=8, points=4, bound=5, seed=0, gram=None)",
         CONFIG,
     ),
-    "Report": (
-        Report, ("chain", CONFIG, {"union_passes": True}, "pass", 0.5),
-        {"command": "chain", "config": CONFIG,
-         "payload": {"union_passes": True}, "verdict": "pass",
-         "duration_s": 0.5},
-        f"Report(command='chain', config={CONFIG!r}, "
-        "payload={'union_passes': True}, verdict='pass', duration_s=0.5)",
-        Report("chain", CONFIG, {"union_passes": False}, "fail", 0.5),
-    ),
 }
 
 
@@ -124,10 +115,6 @@ def test_positional_and_keyword_construction_agree(case):
         # Identity equality: equal fields do not make two outcomes equal.
         assert a == a and a != b and hash(a) != hash(b)
         assert len({a, b, a}) == 2
-    elif cls is Report:
-        assert a == b and not a != b
-        with pytest.raises(TypeError):  # the payload is a dict
-            hash(a)
     else:
         assert a == b and not a != b
         assert hash(a) == hash(b)
