@@ -9,102 +9,57 @@ counterexample.
 The package root exports the README tour, the error classes and the
 acceptance suite's names; every other helper is imported from its own
 module (``orthocheck.linalg``, ``.inner_product``, ``.dependence``,
-``.maximality``, ``.serialize``).
+``.maximality``, ``.serialize``).  Importing the package loads none of
+them: a root name imports its home module the first time it is read
+(PEP 562), so ``from orthocheck import Frame`` loads only what ``Frame``
+needs.
 """
 
-from .errors import (
-    ChainOrderError,
-    DefinitenessError,
-    DependentFrameError,
-    DuplicatePointError,
-    GenerationError,
-    NoViolationError,
-    OrthoError,
-    OutputLimitError,
-    PreconditionError,
-    RelationParseError,
-    ShapeError,
-    SpanMembershipError,
-    SymmetryError,
-    ZeroVectorError,
-)
-from .linalg import (
-    Frame,
-    derive_seed,
-    frame_of,
-    linear_combination,
-    sample_coefficients,
-    sample_frame,
-    sample_span_point,
-    solve_coordinates,
-)
-from .inner_product import (
-    GramInnerProduct,
-    evaluate,
-    frame_adapted_inner_product,
-    gram_schmidt,
-    identity_inner_product,
-    is_orthogonal_tuple,
-    sample_inner_product,
-    verify_projection_equivalence,
-)
-from .dependence import (
-    Relation,
-    RelationPoint,
-    build_orthogonal_relation,
-    factor_check,
-    relation_point,
-)
-from .maximality import (
-    chain_union_check,
-    exhaustive_candidates_2d,
-    sample_chain,
-    verify_orthogonal_maximality,
-)
-from .serialize import canonical_dumps, relation_to_json
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChainOrderError",
-    "DefinitenessError",
-    "DependentFrameError",
-    "DuplicatePointError",
-    "Frame",
-    "GenerationError",
-    "GramInnerProduct",
-    "NoViolationError",
-    "OrthoError",
-    "OutputLimitError",
-    "PreconditionError",
-    "Relation",
-    "RelationParseError",
-    "RelationPoint",
-    "ShapeError",
-    "SpanMembershipError",
-    "SymmetryError",
-    "ZeroVectorError",
-    "build_orthogonal_relation",
-    "canonical_dumps",
-    "chain_union_check",
-    "derive_seed",
-    "evaluate",
-    "exhaustive_candidates_2d",
-    "factor_check",
-    "frame_adapted_inner_product",
-    "frame_of",
-    "gram_schmidt",
-    "identity_inner_product",
-    "is_orthogonal_tuple",
-    "linear_combination",
-    "relation_point",
-    "relation_to_json",
-    "sample_chain",
-    "sample_coefficients",
-    "sample_frame",
-    "sample_inner_product",
-    "sample_span_point",
-    "solve_coordinates",
-    "verify_orthogonal_maximality",
-    "verify_projection_equivalence",
-]
+# Each exported name and the module that defines it.
+_HOME = {
+    **dict.fromkeys((
+        "ChainOrderError", "DefinitenessError", "DependentFrameError",
+        "DuplicatePointError", "GenerationError", "NoViolationError",
+        "OrthoError", "OutputLimitError", "PreconditionError",
+        "RelationParseError", "ShapeError", "SpanMembershipError",
+        "SymmetryError", "ZeroVectorError",
+    ), "errors"),
+    **dict.fromkeys((
+        "Frame", "derive_seed", "frame_of", "linear_combination",
+        "sample_coefficients", "sample_frame", "sample_span_point",
+        "solve_coordinates",
+    ), "linalg"),
+    **dict.fromkeys((
+        "GramInnerProduct", "evaluate", "frame_adapted_inner_product",
+        "gram_schmidt", "identity_inner_product", "is_orthogonal_tuple",
+        "sample_inner_product", "verify_projection_equivalence",
+    ), "inner_product"),
+    **dict.fromkeys((
+        "Relation", "RelationPoint", "build_orthogonal_relation",
+        "factor_check", "relation_point",
+    ), "dependence"),
+    **dict.fromkeys((
+        "chain_union_check", "exhaustive_candidates_2d", "sample_chain",
+        "verify_orthogonal_maximality",
+    ), "maximality"),
+    **dict.fromkeys(("canonical_dumps", "relation_to_json"), "serialize"),
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    """Import ``name``'s home module and cache the value in the package."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_HOME[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -6,6 +6,9 @@ over a built or loaded relation), ``maximality`` (candidate sweep with
 witness rejections, exhaustive in dimension 2), ``chain`` (nested chain
 unions), and ``pair-ip`` (adapted inner product for one vector pair).
 
+Each command imports the modules it runs when it is dispatched, so a run
+loads no ``dependence`` or ``maximality`` code it does not call; that
+import is part of the command's ``duration_s``.
 Each ``cmd_*`` returns its payload and whether it passed; ``main`` times
 the command, assembles the report (command, config echo, payload, verdict,
 ``duration_s``) and writes it, to stdout or ``--output``, as canonical
@@ -25,9 +28,8 @@ import argparse
 import os
 import sys
 import time
-from typing import Any, Collection, Sequence
+from typing import TYPE_CHECKING, Any, Collection, Sequence
 
-from .dependence import build_orthogonal_relation, factor_check
 from .errors import DependentFrameError, OrthoError, ShapeError, UsageError
 from .inner_product import (
     GramInnerProduct,
@@ -49,13 +51,6 @@ from .linalg import (
     sample_span_point,
     solve_coordinates,
 )
-from .maximality import (
-    MaximalityReport,
-    chain_union_check,
-    exhaustive_candidates_2d,
-    sample_chain,
-    verify_orthogonal_maximality,
-)
 from .serialize import (
     canonical_dumps,
     gram_to_json,
@@ -67,6 +62,9 @@ from .serialize import (
     rational_to_json,
     vector_to_json,
 )
+
+if TYPE_CHECKING:
+    from .maximality import MaximalityReport
 
 CHAIN_DEPTH = 4
 _CHAIN_STREAM = 0x434E
@@ -193,6 +191,8 @@ def cmd_equivalence(config: RunConfig) -> Result:
 def cmd_factor(config: RunConfig, input_path: str | None = None,
                given: Collection[str] = ()) -> Result:
     """Factorization scan over a loaded relation or a fresh orthogonal one."""
+    from .dependence import build_orthogonal_relation, factor_check
+
     if input_path is not None and config.gram is not None:
         raise UsageError(
             "--gram cannot be combined with --input: a loaded relation is "
@@ -238,6 +238,8 @@ def _recheck_rejection(G: GramInnerProduct, report: MaximalityReport) -> bool:
 def cmd_maximality(config: RunConfig, given: Collection[str] = ()) -> Result:
     """Candidate sweep: orthogonal frames accepted, the rest rejected with
     verified witnesses.  Exhaustive grid in dimension 2, sampled above."""
+    from .maximality import exhaustive_candidates_2d, verify_orthogonal_maximality
+
     if config.m != config.dim:
         raise UsageError(
             f"maximality sweep needs m == dim, got m={config.m}, dim={config.dim}"
@@ -274,6 +276,9 @@ def cmd_maximality(config: RunConfig, given: Collection[str] = ()) -> Result:
 
 def cmd_chain(config: RunConfig) -> Result:
     """Nested chain inside a built orthogonal relation; union must factor."""
+    from .dependence import build_orthogonal_relation
+    from .maximality import chain_union_check, sample_chain
+
     G = config.load_inner_product()
     _cap_work("chain", config)
     rel = build_orthogonal_relation(

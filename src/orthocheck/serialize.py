@@ -10,6 +10,8 @@ Parsers raise :class:`RelationParseError` with a dotted/indexed location
 ("points[3].frame[1][0]") for anything structurally wrong.  Semantic Gram
 failures (asymmetry, a non-positive minor) propagate as their own error
 types since they carry diagnostics a parse error would flatten.
+Only the relation parsers import ``dependence``, when they run, so a
+command that reads no relation does not load it.
 """
 
 from __future__ import annotations
@@ -18,19 +20,21 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .dependence import (
-    Counterexample,
-    FactorizationOutcome,
-    ProjectionKey,
-    Relation,
-    RelationPoint,
-)
 from .errors import OrthoError, OutputLimitError, RelationParseError
 from .inner_product import GramInnerProduct
 from .linalg import Frame, Vector
-from .maximality import MaximalityReport
+
+if TYPE_CHECKING:
+    from .dependence import (
+        Counterexample,
+        FactorizationOutcome,
+        ProjectionKey,
+        Relation,
+        RelationPoint,
+    )
+    from .maximality import MaximalityReport
 
 RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?\Z", re.ASCII)
 
@@ -140,6 +144,8 @@ def relation_point_from_json(
     frames that parsed are stored: a malformed frame raises at its first
     occurrence, with that occurrence's location.
     """
+    from .dependence import RelationPoint
+
     if not isinstance(obj, dict):
         raise RelationParseError("expected an object", location)
     missing = {"frame", "point", "values"} - obj.keys()
@@ -163,6 +169,8 @@ def relation_to_json(rel: Relation) -> list[dict[str, Any]]:
 
 
 def relation_from_json(obj: Any, location: str = "points") -> Relation:
+    from .dependence import Relation
+
     if not isinstance(obj, list):
         raise RelationParseError("expected an array of relation points", location)
     frames: dict[str, Frame] = {}

@@ -421,7 +421,9 @@ def test_library_value_error_exits_three(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("injected library fault")
 
-    monkeypatch.setattr("orthocheck.cli.build_orthogonal_relation", broken)
+    # cmd_factor imports it from its home module when it runs.
+    monkeypatch.setattr("orthocheck.dependence.build_orthogonal_relation",
+                        broken)
     code, report, err = run_cli(capsys, "factor", "--frames", "1")
     assert code == 3
     assert report is None

@@ -52,6 +52,15 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_dir_lists_every_exported_name():
+    assert [n for n in orthocheck.__all__ if n not in dir(orthocheck)] == []
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'orthocheck'.*'no_such_name'"):
+        orthocheck.no_such_name
+
+
 def test_star_import_binds_exactly_all():
     namespace = {}
     exec("from orthocheck import *", namespace)

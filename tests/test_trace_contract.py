@@ -10,7 +10,8 @@ nothing under ``perfbench/`` is imported or written.
 A name that resolves can still be bypassed: a dispatch that reaches a
 command through a binding the tracer did not replace runs untraced.  So a
 few small commands also run through ``trace_child.py`` in a subprocess,
-writing only into the test's temporary directory.
+writing only into the test's temporary directory, and the library calls
+that a command imports when it runs are counted too.
 """
 
 import ast
@@ -67,12 +68,15 @@ def test_validator_class_resolves_with_post_init(layer, name):
     assert callable(getattr(cls, "__post_init__", None))
 
 
-@pytest.mark.parametrize("argv", [
-    ("equivalence", "--frames", "2", "--points", "2"),
-    ("factor", "--frames", "2", "--points", "2"),
-    ("maximality", "--bound", "1"),
+@pytest.mark.parametrize("argv, deferred", [
+    (("equivalence", "--frames", "2", "--points", "2"), ()),
+    (("factor", "--frames", "2", "--points", "2"),
+     ("dependence.build_orthogonal_relation", "dependence.factor_check")),
+    (("maximality", "--bound", "1"),
+     ("maximality.verify_orthogonal_maximality",
+      "maximality.exhaustive_candidates_2d")),
 ], ids=["equivalence", "factor", "maximality"])
-def test_traced_run_goes_through_the_wrappers(capsys, tmp_path, argv):
+def test_traced_run_goes_through_the_wrappers(capsys, tmp_path, argv, deferred):
     stats_path = tmp_path / "s.json"
     path = os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -83,7 +87,10 @@ def test_traced_run_goes_through_the_wrappers(capsys, tmp_path, argv):
     )
     assert result.returncode == 0, result.stderr
     functions = json.loads(stats_path.read_text(encoding="utf-8"))["functions"]
-    for key in ("cli.main", f"cli.cmd_{argv[0]}", "serialize.canonical_dumps"):
+    # ``deferred`` names are imported inside the command when it runs, so
+    # they are read from their home modules after the wrappers went in.
+    for key in ("cli.main", f"cli.cmd_{argv[0]}", "serialize.canonical_dumps",
+                *deferred):
         assert functions[key]["calls"] == 1, key
 
     assert main(list(argv)) == 0

@@ -3,9 +3,11 @@
 A deletion can leave its imports behind, and nothing else notices: the
 module still imports cleanly.  This reads each ``src/orthocheck/*.py``
 with ``ast`` and checks that each imported name is read somewhere in it.
-``__init__.py`` is exempt (its imports are the package's re-exports), as
-are ``__future__`` imports and lines marked ``# noqa``, which keep a name
-bound on purpose.
+Every import counts, also one inside a function or under
+``typing.TYPE_CHECKING``, since ``ast.walk`` reaches them all.  The package
+root re-exports through a name table, not by importing, so it is checked
+too.  ``__future__`` imports and lines marked ``# noqa``, which keep a name
+bound on purpose, are exempt.
 """
 
 import ast
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "orthocheck"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def _imported(tree, lines):
