@@ -40,11 +40,10 @@ _HOME = {
     ), "inner_product"),
     **dict.fromkeys((
         "Relation", "RelationPoint", "build_orthogonal_relation",
-        "factor_check", "relation_point",
+        "chain_union_check", "factor_check", "relation_point", "sample_chain",
     ), "dependence"),
     **dict.fromkeys((
-        "chain_union_check", "exhaustive_candidates_2d", "sample_chain",
-        "verify_orthogonal_maximality",
+        "exhaustive_candidates_2d", "verify_orthogonal_maximality",
     ), "maximality"),
     **dict.fromkeys(("canonical_dumps", "relation_to_json"), "serialize"),
 }

@@ -6,8 +6,9 @@ over a built or loaded relation), ``maximality`` (candidate sweep with
 witness rejections, exhaustive in dimension 2), ``chain`` (nested chain
 unions), and ``pair-ip`` (adapted inner product for one vector pair).
 
-Each command imports the modules it runs when it is dispatched, so a run
-loads no ``dependence`` or ``maximality`` code it does not call; that
+Each command imports the modules it runs when it is dispatched:
+``factor`` and ``chain`` load ``dependence``, ``maximality`` loads
+``maximality``, and ``equivalence`` and ``pair-ip`` load neither.  That
 import is part of the command's ``duration_s``.
 Each ``cmd_*`` returns its payload and whether it passed; ``main`` times
 the command, assembles the report (command, config echo, payload, verdict,
@@ -160,7 +161,7 @@ def _cap_work(command: str, config: RunConfig) -> None:
 
 
 def _reject_unread(given: Collection[str], path: str, *unread: str) -> None:
-    """Raise UsageError if ``given``, the count flags passed explicitly on
+    """Raise UsageError if ``given``, the config flags passed explicitly on
     the command line, holds one that this command path never reads."""
     flags = [f"--{name}" for name in unread if name in given]
     if flags:
@@ -276,8 +277,11 @@ def cmd_maximality(config: RunConfig, given: Collection[str] = ()) -> Result:
 
 def cmd_chain(config: RunConfig) -> Result:
     """Nested chain inside a built orthogonal relation; union must factor."""
-    from .dependence import build_orthogonal_relation
-    from .maximality import chain_union_check, sample_chain
+    from .dependence import (
+        build_orthogonal_relation,
+        chain_union_check,
+        sample_chain,
+    )
 
     G = config.load_inner_product()
     _cap_work("chain", config)
@@ -351,16 +355,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dim", type=int, default=2, help="ambient dimension")
-        p.add_argument("--m", type=int, default=2, help="vectors per frame")
         # No parser defaults: RunConfig fills them in, so that an explicit
         # flag the command path ignores can be told from a default.
+        p.add_argument("--dim", type=int, help="ambient dimension")
+        p.add_argument("--m", type=int, help="vectors per frame")
         p.add_argument("--frames", type=int, help="frame count")
         p.add_argument("--points", type=int, help="span points per frame")
         p.add_argument("--bound", type=int,
                        help="integer entry bound for sampling")
-        p.add_argument("--seed", type=int, default=0,
-                       help="master seed, in [0, 2^64)")
+        p.add_argument("--seed", type=int, help="master seed, in [0, 2^64)")
         p.add_argument("--gram", default=None,
                        help="path to a Gram matrix JSON file "
                             "(default: identity)")
@@ -412,17 +415,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        env_seed = os.environ.get("ORTHO_SEED")
-        try:
-            seed = args.seed if env_seed is None else int(env_seed)
-        except ValueError:
-            raise UsageError(
-                f"ORTHO_SEED is not an integer: {env_seed!r}") from None
-        given = {name: getattr(args, name)
-                 for name in ("frames", "points", "bound")
+        given = {name: getattr(args, name) for name in RunConfig._fields
                  if getattr(args, name) is not None}
-        config = RunConfig(dim=args.dim, m=args.m, seed=seed, gram=args.gram,
-                           **given)
+        env_seed = os.environ.get("ORTHO_SEED")
+        if env_seed is not None:
+            try:
+                given["seed"] = int(env_seed)
+            except ValueError:
+                raise UsageError(
+                    f"ORTHO_SEED is not an integer: {env_seed!r}") from None
+        config = RunConfig(**given)
         started = time.perf_counter()
         if args.command == "equivalence":
             payload, passed = cmd_equivalence(config)

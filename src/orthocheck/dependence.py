@@ -7,24 +7,40 @@ onto (slot vector, point): any two entries of the relation that agree on
 that pair must carry the same value.  :func:`factor_check` decides this on
 finite data and, when factorization fails, returns the first colliding
 pair in a deterministic scan order, so reports and fixtures are stable.
+
+Factorizable relations are closed under unions of chains, so maximal
+factorizable supersets exist; a greedy pass over a finite pool stands in
+for the transfinite step, and a frame's witness pool lets the scan alone
+decide orthogonality (:func:`is_orthogonal_via_factorization`).
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
+    ChainOrderError,
     DuplicatePointError,
+    PreconditionError,
     ShapeError,
     SpanMembershipError,
 )
-from .inner_product import GramInnerProduct, gram_schmidt
+from .inner_product import (
+    GramInnerProduct,
+    _full_dimensional,
+    _images,
+    _nonorthogonal_pairs,
+    _witness,
+    gram_schmidt,
+)
 from .linalg import (
     Coordinates,
     Frame,
     Vector,
+    _check_seed,
     _Value,
     as_vector,
     derive_seed,
@@ -153,8 +169,13 @@ class Relation(_Value):
         return iter(self.points)
 
     def take(self, indices: Iterable[int]) -> "Relation":
-        """The sub-relation at the given indices, in insertion order."""
+        """The sub-relation at the given indices, in insertion order.  An
+        index outside ``[0, len(self))`` raises IndexError: one wrapped
+        around from the end could repeat a kept point."""
         picked = sorted(set(indices))
+        if picked and not 0 <= picked[0] <= picked[-1] < len(self.points):
+            raise IndexError(f"indices {picked[0]}..{picked[-1]} reach outside "
+                             f"a relation of {len(self.points)} points")
         return Relation._trusted(self.points[i] for i in picked)
 
     def union(self, other: "Relation") -> "Relation":
@@ -312,6 +333,98 @@ def factor_check(rel: Relation) -> FactorizationOutcome:
     return factor_check_points(rel.points)
 
 
+class Chain(_Value):
+    """Relations ascending by inclusion: each one a subset of the next."""
+
+    _fields = ("relations",)
+
+    def __init__(self, relations: Sequence[Relation]) -> None:
+        self.__dict__.update(relations=relations)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        self.__dict__.update(relations=tuple(self.relations))
+        for earlier, later in zip(self.relations, self.relations[1:]):
+            missing = set(earlier.points) - set(later.points)
+            if missing:
+                raise ChainOrderError(
+                    f"chain is not ascending: {len(missing)} points drop out"
+                )
+
+    def __len__(self) -> int:
+        return len(self.relations)
+
+    def __iter__(self):
+        return iter(self.relations)
+
+
+def chain_union(chain: Chain) -> Relation:
+    """The union of a chain's relations, first-appearance order."""
+    points = []
+    for rel in chain.relations:
+        points.extend(rel.points)
+    return Relation.from_points(points)
+
+
+def chain_union_check(chain: Chain) -> bool:
+    """Verify that the union of a factorizable chain still factors.
+
+    Every member must pass factor_check (PreconditionError otherwise).
+    For such chains the union passes too; this runs the check rather than
+    trusting the argument.
+    """
+    for k, rel in enumerate(chain.relations):
+        if not factor_check(rel).passed:
+            raise PreconditionError(f"chain member {k} does not factor")
+    return factor_check(chain_union(chain)).passed
+
+
+def sample_chain(rel: Relation, depth: int, seed: int) -> Chain:
+    """A random nested chain of sub-relations of ``rel``, deterministic."""
+    _check_seed(seed)
+    rng = random.Random(seed)
+    count = len(rel)
+    sizes = sorted(rng.randint(0, count) for _ in range(depth))
+    order = rng.sample(range(count), count) if count else []
+    return Chain(tuple(rel.take(order[:size]) for size in sizes))
+
+
+def greedy_maximal_extension(base: Relation, pool: Relation) -> Relation:
+    """Grow ``base`` inside ``pool`` until no point can be added.
+
+    Scans the pool in insertion order, accepting a point eagerly whenever
+    it does not break factorization against what is accepted so far.  The
+    result contains the base, factors, and is maximal within the pool:
+    adding any leftover point makes factor_check fail.  Which maximal set
+    is reached depends on the scan order; membership soundness does not.
+    """
+    outcome = factor_check(base)
+    if not outcome.passed:
+        raise PreconditionError("base relation does not factor")
+    if base.points and pool.points and (
+        (base.points[0].frame.dim, base.slot_count)
+        != (pool.points[0].frame.dim, pool.slot_count)
+    ):
+        raise ShapeError("base and pool have different (dim, size) shapes")
+    m = base.slot_count or pool.slot_count
+    # The base's own factor tables, extended in place as points are taken.
+    tables = outcome.tables or tuple({} for _ in range(m))
+    accepted = dict.fromkeys(base.points)
+    for p in pool.points:
+        keys = [project(p, i) for i in range(1, m + 1)]
+        if all(
+            table.get(key, value) == value
+            for table, key, value in zip(tables, keys, p.values)
+        ):
+            accepted[p] = None
+            for table, key, value in zip(tables, keys, p.values):
+                table[key] = value
+    # A pool point equal to an accepted one is the same key of ``accepted``;
+    # one repeating an accepted (frame, point) pair with other values
+    # disagrees with some table.  So the accepted pairs are distinct.
+    return Relation._trusted(accepted)
+
+
 def is_orthogonal_via_factorization(
     frame: Frame,
     witness_pool: Relation,
@@ -325,7 +438,7 @@ def is_orthogonal_via_factorization(
     supplied witness pool, and passes iff factorization holds on the
     union.  A frame alone can never collide with itself, so the pool
     carries the burden of rejection: with the pool built by
-    ``maximality.canonical_witness_pool`` the predicate accepts exactly
+    :func:`canonical_witness_pool` the predicate accepts exactly
     the frames orthogonal under the pool's inner product.
     """
     own = tuple(
@@ -334,6 +447,26 @@ def is_orthogonal_via_factorization(
     )
     rel = Relation.from_points(own + witness_pool.points)
     return factor_check(rel).passed
+
+
+def canonical_witness_pool(frame: Frame, G: GramInnerProduct) -> Relation:
+    """Witness entries for every non-orthogonal slot pair of a frame.
+
+    For each pair (i, j) with ``<a_i, a_j> != 0`` the pool holds the
+    candidate's own entry at the collision point and the witness frame's
+    entry at the same point.  Joining this pool in
+    ``is_orthogonal_via_factorization`` makes the predicate complete:
+    orthogonal frames still pass, non-orthogonal ones are rejected.
+    Empty for frames already orthogonal under G.
+    """
+    images = _images(G, frame.vectors)
+    points = []
+    for i, j in _nonorthogonal_pairs(images):
+        _full_dimensional(frame, "witness construction")
+        witness, x = _witness(G, frame, images, i, j)
+        points.append(relation_point(frame, x))
+        points.append(relation_point(witness, x))
+    return Relation.from_points(points)
 
 
 def build_orthogonal_relation(

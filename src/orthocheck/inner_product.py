@@ -244,6 +244,29 @@ def _orthogonalize(
     return out
 
 
+def _witness(
+    G: GramInnerProduct, candidate: Frame, images: list[_Image], i: int, j: int
+) -> tuple[Frame, Vector]:
+    """The orthogonal witness frame of a full-dimensional candidate, given
+    its :func:`_images` under G and a pair (i, j) that is not orthogonal,
+    with the collision point ``b_i + b_j``.
+
+    Gram-Schmidt runs on the images with slot i first, so its first output
+    is ``b_i`` itself and reuses that image; the outputs are then put back
+    in the candidate's slot order.
+    """
+    order = [i - 1] + [k for k in range(candidate.size) if k != i - 1]
+    outputs = _orthogonalize(G, [images[k] for k in order])
+    slots: list[Vector | None] = [None] * candidate.size
+    for k, out in zip(order, outputs):
+        slots[k] = (candidate[k] if out is None
+                    else tuple(Fraction(a, out[1]) for a in out[0]))
+    # Gram-Schmidt keeps prefix spans: the witness is independent too.
+    witness = Frame._trusted(tuple(slots))  # type: ignore[arg-type]
+    b_i, b_j = candidate[i - 1], candidate[j - 1]
+    return witness, tuple(a + b for a, b in zip(b_i, b_j))
+
+
 def gram_schmidt(G: GramInnerProduct, vectors: Frame | Sequence[Vector]) -> Frame:
     """Orthogonalize a frame under G, exactly.
 

@@ -348,7 +348,7 @@ class Frame(_Value):
             raise ShapeError(
                 f"{len(vectors)} vectors cannot be independent in dimension {n}"
             )
-        if not is_independent(vectors):
+        if matrix_rank(vectors) < len(vectors):
             raise DependentFrameError(
                 f"frame vectors are linearly dependent: {vectors}"
             )

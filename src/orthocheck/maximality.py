@@ -1,16 +1,14 @@
-"""Chain unions, greedy maximal extension, and the counterexample oracle.
+"""Orthogonal frames are maximal: the counterexample oracle and its sweep.
 
-Two facts make orthogonality-by-factorization tick at finite scale.
-First, factorizable relations are closed under unions of chains, so
-maximal factorizable supersets exist; here the transfinite step is
-replaced by a greedy pass over a finite pool, which makes maximality
-decidable and directly testable.  Second, relations built over orthogonal
-frames are not just factorizable but maximally so: every non-orthogonal
-frame can be rejected by an explicit witness, an orthogonal frame sharing
-the offending slot vector plus one collision point where the two frames
-disagree on that slot's coordinate.  :func:`orthogonality_witness`
-constructs that certificate and :func:`verify_orthogonal_maximality`
-sweeps it over candidate frames.
+Relations built over orthogonal frames are not just factorizable but
+maximally so: every non-orthogonal frame can be rejected by an explicit
+witness, an orthogonal frame sharing the offending slot vector plus one
+collision point where the two frames disagree on that slot's coordinate.
+:func:`orthogonality_witness` constructs that certificate and
+:func:`verify_orthogonal_maximality` sweeps it over candidate frames,
+reading every value from the candidates' integer images.  The
+relation-level side of maximality (chain unions, the greedy extension and
+the witness pool) lives in :mod:`orthocheck.dependence`.
 """
 
 from __future__ import annotations
@@ -19,134 +17,16 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .errors import (
-    ChainOrderError,
-    NoViolationError,
-    PreconditionError,
-    ShapeError,
-)
+from .errors import NoViolationError, ShapeError
 from .inner_product import (
     GramInnerProduct,
-    _Image,
     _full_dimensional,
     _images,
     _nonorthogonal_pairs,
-    _orthogonalize,
+    _witness,
     first_nonorthogonal_pair,  # noqa: F401  perfbench's traced run wraps it here
 )
-from .dependence import (
-    Relation,
-    RelationPoint,
-    factor_check,
-    project,
-    relation_point,
-)
-from .linalg import Frame, Vector, _check_seed, _Value, vec
-
-import random
-
-
-class Chain(_Value):
-    """Relations ascending by inclusion: each one a subset of the next."""
-
-    _fields = ("relations",)
-
-    def __init__(self, relations: Sequence[Relation]) -> None:
-        self.__dict__.update(relations=relations)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        self.__dict__.update(relations=tuple(self.relations))
-        for earlier, later in zip(self.relations, self.relations[1:]):
-            missing = set(earlier.points) - set(later.points)
-            if missing:
-                raise ChainOrderError(
-                    f"chain is not ascending: {len(missing)} points drop out"
-                )
-
-    def __len__(self) -> int:
-        return len(self.relations)
-
-    def __iter__(self):
-        return iter(self.relations)
-
-
-def chain_union(chain: Chain) -> Relation:
-    """The union of a chain's relations, first-appearance order."""
-    points = []
-    for rel in chain.relations:
-        points.extend(rel.points)
-    return Relation.from_points(points)
-
-
-def chain_union_check(chain: Chain) -> bool:
-    """Verify that the union of a factorizable chain still factors.
-
-    Every member must pass factor_check (PreconditionError otherwise).
-    For such chains the union passes too; this runs the check rather than
-    trusting the argument.
-    """
-    for k, rel in enumerate(chain.relations):
-        if not factor_check(rel).passed:
-            raise PreconditionError(f"chain member {k} does not factor")
-    return factor_check(chain_union(chain)).passed
-
-
-def greedy_maximal_extension(base: Relation, pool: Relation) -> Relation:
-    """Grow ``base`` inside ``pool`` until no point can be added.
-
-    Scans the pool in insertion order, accepting a point eagerly whenever
-    it does not break factorization against what is accepted so far.  The
-    result contains the base, factors, and is maximal within the pool:
-    adding any leftover point makes factor_check fail.  Which maximal set
-    is reached depends on the scan order; membership soundness does not.
-    """
-    outcome = factor_check(base)
-    if not outcome.passed:
-        raise PreconditionError("base relation does not factor")
-    if base.points and pool.points and (
-        (base.points[0].frame.dim, base.slot_count)
-        != (pool.points[0].frame.dim, pool.slot_count)
-    ):
-        raise ShapeError("base and pool have different (dim, size) shapes")
-    m = base.slot_count or pool.slot_count
-    # The base's own factor tables, extended in place as points are taken.
-    tables = outcome.tables or tuple({} for _ in range(m))
-    accepted = dict.fromkeys(base.points)
-    for p in pool.points:
-        keys = [project(p, i) for i in range(1, m + 1)]
-        if all(
-            table.get(key, value) == value
-            for table, key, value in zip(tables, keys, p.values)
-        ):
-            accepted[p] = None
-            for table, key, value in zip(tables, keys, p.values):
-                table[key] = value
-    # A pool point equal to an accepted one is the same key of ``accepted``;
-    # one repeating an accepted (frame, point) pair with other values
-    # disagrees with some table.  So the accepted pairs are distinct.
-    return Relation._trusted(accepted)
-
-
-def _witness(
-    G: GramInnerProduct, candidate: Frame, images: list[_Image], i: int, j: int
-) -> tuple[Frame, Vector]:
-    """:func:`orthogonality_witness` for a full-dimensional candidate, its
-    :func:`_images` under G and a pair (i, j) that is not orthogonal.
-
-    Gram-Schmidt runs on the images with slot i first, so its first output
-    is ``b_i`` itself and reuses that image.
-    """
-    order = [i - 1] + [k for k in range(candidate.size) if k != i - 1]
-    outputs = _orthogonalize(G, [images[k] for k in order])
-    slots: list[Vector | None] = [None] * candidate.size
-    for k, out in zip(order, outputs):
-        slots[k] = (candidate[k] if out is None
-                    else tuple(Fraction(a, out[1]) for a in out[0]))
-    # Gram-Schmidt keeps prefix spans: the witness is independent too.
-    witness = Frame._trusted(tuple(slots))  # type: ignore[arg-type]
-    b_i, b_j = candidate[i - 1], candidate[j - 1]
-    return witness, tuple(a + b for a, b in zip(b_i, b_j))
+from .linalg import Frame, Vector, _Value, vec
 
 
 def orthogonality_witness(
@@ -181,8 +61,8 @@ class MaximalityReport(_Value):
 
     Orthogonal candidates are accepted.  A rejected candidate carries the
     witness frame, the collision point, and the two disagreeing slot
-    values; re-running the factorization scan on those two entries
-    reproduces the collision.
+    values; the canonical relation entries of both frames at the
+    collision point reproduce the collision in the factorization scan.
     """
 
     _fields = ("candidate", "verdict", "orthogonal_witness", "collision_point",
@@ -208,15 +88,6 @@ class MaximalityReport(_Value):
     @property
     def accepted(self) -> bool:
         return self.verdict == "accepted"
-
-    def collision_points(self) -> tuple[RelationPoint, RelationPoint]:
-        """The two canonical relation entries that demonstrate the rejection."""
-        if self.accepted:
-            raise ValueError("accepted candidates carry no collision")
-        return (
-            relation_point(self.candidate, self.collision_point),
-            relation_point(self.orthogonal_witness, self.collision_point),
-        )
 
 
 def verify_orthogonal_maximality(
@@ -266,26 +137,6 @@ def verify_orthogonal_maximality(
     return tuple(reports)
 
 
-def canonical_witness_pool(frame: Frame, G: GramInnerProduct) -> Relation:
-    """Witness entries for every non-orthogonal slot pair of a frame.
-
-    For each pair (i, j) with ``<a_i, a_j> != 0`` the pool holds the
-    candidate's own entry at the collision point and the witness frame's
-    entry at the same point.  Joining this pool in
-    ``is_orthogonal_via_factorization`` makes the predicate complete:
-    orthogonal frames still pass, non-orthogonal ones are rejected.
-    Empty for frames already orthogonal under G.
-    """
-    images = _images(G, frame.vectors)
-    points = []
-    for i, j in _nonorthogonal_pairs(images):
-        _full_dimensional(frame, "witness construction")
-        witness, x = _witness(G, frame, images, i, j)
-        points.append(relation_point(frame, x))
-        points.append(relation_point(witness, x))
-    return Relation.from_points(points)
-
-
 def exhaustive_candidates_2d(bound: int) -> tuple[Frame, ...]:
     """Every independent ordered pair of integer vectors in dimension 2.
 
@@ -300,13 +151,3 @@ def exhaustive_candidates_2d(bound: int) -> tuple[Frame, ...]:
             if v[0] * w[1] - v[1] * w[0] != 0:  # the independence proof
                 frames.append(Frame._trusted((v, w)))
     return tuple(frames)
-
-
-def sample_chain(rel: Relation, depth: int, seed: int) -> Chain:
-    """A random nested chain of sub-relations of ``rel``, deterministic."""
-    _check_seed(seed)
-    rng = random.Random(seed)
-    count = len(rel)
-    sizes = sorted(rng.randint(0, count) for _ in range(depth))
-    order = rng.sample(range(count), count) if count else []
-    return Chain(tuple(rel.take(order[:size]) for size in sizes))

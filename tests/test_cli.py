@@ -504,11 +504,9 @@ def test_read_flags_and_seed_stay_accepted(capsys, monkeypatch, argv):
 def _config_of(argv):
     """The RunConfig that ``main`` builds for ``argv``, and the command."""
     args = _build_parser().parse_args(list(argv))
-    given = {name: getattr(args, name) for name in ("frames", "points", "bound")
+    given = {name: getattr(args, name) for name in RunConfig._fields
              if getattr(args, name) is not None}
-    config = RunConfig(dim=args.dim, m=args.m, seed=args.seed, gram=args.gram,
-                       **given)
-    return args, config
+    return args, RunConfig(**given)
 
 
 def _benchmark_argvs():

@@ -27,12 +27,12 @@ from orthocheck import (
 
 from orthocheck.dependence import (
     ProjectionKey,
+    canonical_witness_pool,
     is_orthogonal_via_factorization,
     project,
 )
 from orthocheck.inner_product import first_nonorthogonal_pair, gram_schmidt
 from orthocheck.linalg import sample_frame, span_contains
-from orthocheck.maximality import canonical_witness_pool
 from orthocheck.serialize import load_gram, relation_from_json
 
 from oracles import first_conflict_pairwise, grouping_verdict
@@ -206,6 +206,16 @@ def test_take_and_union():
     assert sub.points == (points[0], points[2])
     merged = sub.union(rel.take([3]))
     assert len(merged) == 3
+
+
+@pytest.mark.parametrize("indices", [[-1, 2], [0, 3], [-4], [5]])
+def test_take_rejects_indices_outside_the_relation(indices):
+    # A wrapped -1 would pick index 2 a second time: one (frame, point)
+    # pair twice, which Relation itself refuses.
+    rel = Relation(tuple(relation_point(E2, (k, 1)) for k in range(3)))
+    with pytest.raises(IndexError, match="reach outside"):
+        rel.take(indices)
+    assert len(Relation().take([])) == 0
 
 
 # --- factor_check on the pinned examples ---

@@ -5,7 +5,8 @@ imports is paid for on every run.  ``dataclasses`` alone pulls in
 ``inspect``, ``ast``, ``dis`` and ``tokenize``; the value classes are plain
 classes (see ``orthocheck.linalg._Value``) so that none of them loads.
 The package root resolves its names on first access, and ``cli`` imports
-``dependence`` and ``maximality`` only inside the commands that call them.
+``dependence`` and ``maximality`` only inside the commands that call them;
+``maximality`` does not import ``dependence``.
 
 Each check runs in a fresh interpreter started with ``-S``: the check is on
 what the package imports, not on what a site hook (a .pth file) of this
@@ -64,7 +65,10 @@ RELATION4 = str(ROOT / "tests" / "fixtures" / "relation4.json")
     (["factor", "--frames", "1"], ["maximality"]),
     (["factor", "--input", RELATION4, "--dim", "4", "--m", "4"],
      ["maximality"]),
-], ids=["equivalence", "pair-ip", "factor", "factor-input"])
+    (["maximality", "--bound", "1"], ["dependence"]),
+    (["chain", "--frames", "1", "--points", "1"], ["maximality"]),
+], ids=["equivalence", "pair-ip", "factor", "factor-input", "maximality",
+        "chain"])
 def test_command_loads_only_its_modules(tmp_path, argv, absent):
     report = tmp_path / "report.json"
     code = (

@@ -25,10 +25,10 @@ from orthocheck import (
     solve_coordinates,
     verify_projection_equivalence,
 )
-from orthocheck.dependence import Relation, relation_point
+from orthocheck.dependence import Relation, canonical_witness_pool, relation_point
 from orthocheck.inner_product import coefficient_formula, first_nonorthogonal_pair
 from orthocheck.linalg import mat_mul, transpose
-from orthocheck.maximality import canonical_witness_pool, orthogonality_witness
+from orthocheck.maximality import orthogonality_witness
 
 from oracles import (
     det_cofactor,

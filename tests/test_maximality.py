@@ -35,15 +35,15 @@ from orthocheck import (
     solve_coordinates,
     verify_orthogonal_maximality,
 )
-from orthocheck.dependence import factor_check_points
-from orthocheck.inner_product import first_nonorthogonal_pair
-from orthocheck.maximality import (
+from orthocheck.dependence import (
     Chain,
     canonical_witness_pool,
     chain_union,
+    factor_check_points,
     greedy_maximal_extension,
-    orthogonality_witness,
 )
+from orthocheck.inner_product import first_nonorthogonal_pair
+from orthocheck.maximality import orthogonality_witness
 from orthocheck.serialize import frame_from_json
 
 from oracles import nonorthogonal_pairs, witness_by_solving
@@ -273,19 +273,20 @@ def test_sweep_fixture_reports():
 
 
 def test_rejection_reproduces_factor_conflict():
-    reports = verify_orthogonal_maximality(I2, [SHEAR])
-    p, q = reports[0].collision_points()
+    (report,) = verify_orthogonal_maximality(I2, [SHEAR])
+    x = report.collision_point
+    p = relation_point(report.candidate, x)
+    q = relation_point(report.orthogonal_witness, x)
     out = factor_check(Relation((p, q)))
     assert not out.passed
-    assert out.counterexample.index == reports[0].index
+    assert out.counterexample.index == report.index
 
 
 def test_accepted_report_has_no_collision():
     report = verify_orthogonal_maximality(I2, [E2])[0]
     assert report.accepted
     assert report.orthogonal_witness is None
-    with pytest.raises(ValueError):
-        report.collision_points()
+    assert report.collision_point is None
 
 
 def test_sweep_agrees_with_gram_check_on_grid():

@@ -12,6 +12,7 @@ import pytest
 
 from orthocheck.cli import RunConfig
 from orthocheck.dependence import (
+    Chain,
     Counterexample,
     FactorizationOutcome,
     ProjectionKey,
@@ -28,7 +29,7 @@ from orthocheck.errors import (
 )
 from orthocheck.inner_product import GramInnerProduct
 from orthocheck.linalg import Frame
-from orthocheck.maximality import Chain, MaximalityReport
+from orthocheck.maximality import MaximalityReport
 
 E1, E2 = (F(1), F(0)), (F(0), F(1))
 VECTORS = (E1, E2)
