@@ -71,11 +71,11 @@ CHAIN_DEPTH = 4
 _CHAIN_STREAM = 0x434E
 
 # Work caps, checked from the flags before any work starts (_cap_work).
-# Each allows about a minute on a 2-core VM at the dearest shape its flags
+# Each allows under a minute on a 2-core VM at the dearest shape its flags
 # reach: the dimension-2 grid up to --bound 11 (279,841 pairs at about
-# 0.19 ms each), and SAMPLE_CAP sampled frames or points at dim 16 with
-# entries up to BOUND_CAP, which sets their bit length (about 12 ms per
-# unit; equivalence at 5,000 points ran 56 s).
+# 0.12 ms each, the median of five runs at --bound 7), and SAMPLE_CAP
+# sampled frames or points at dim 16 with entries up to BOUND_CAP, which
+# sets their bit length (about 12 ms per unit; 5,000 points ran 56 s).
 GRID_CAP = 300_000
 SAMPLE_CAP = 5_000
 BOUND_CAP = 100
@@ -407,6 +407,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_config(args: argparse.Namespace) -> tuple[dict[str, Any], RunConfig]:
+    """The config flags given, ``ORTHO_SEED`` over ``--seed``, and their RunConfig."""
+    given = {name: getattr(args, name) for name in RunConfig._fields
+             if getattr(args, name) is not None}
+    env_seed = os.environ.get("ORTHO_SEED")
+    if env_seed is not None:
+        try:
+            given["seed"] = int(env_seed)
+        except ValueError:
+            raise UsageError(f"ORTHO_SEED is not an integer: {env_seed!r}") from None
+    return given, RunConfig(**given)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -415,16 +428,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        given = {name: getattr(args, name) for name in RunConfig._fields
-                 if getattr(args, name) is not None}
-        env_seed = os.environ.get("ORTHO_SEED")
-        if env_seed is not None:
-            try:
-                given["seed"] = int(env_seed)
-            except ValueError:
-                raise UsageError(
-                    f"ORTHO_SEED is not an integer: {env_seed!r}") from None
-        config = RunConfig(**given)
+        given, config = _run_config(args)
         started = time.perf_counter()
         if args.command == "equivalence":
             payload, passed = cmd_equivalence(config)

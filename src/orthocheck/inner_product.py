@@ -253,18 +253,21 @@ def _witness(
 
     Gram-Schmidt runs on the images with slot i first, so its first output
     is ``b_i`` itself and reuses that image; the outputs are then put back
-    in the candidate's slot order.
+    in the candidate's slot order.  With ``b = U / s``, the collision point
+    is ``(U_i s_j + U_j s_i) / (s_i s_j)``, one Fraction per entry.
     """
-    order = [i - 1] + [k for k in range(candidate.size) if k != i - 1]
+    vectors = candidate.vectors
+    order = [i - 1] + [k for k in range(len(vectors)) if k != i - 1]
     outputs = _orthogonalize(G, [images[k] for k in order])
-    slots: list[Vector | None] = [None] * candidate.size
+    slots: list[Vector | None] = [None] * len(vectors)
     for k, out in zip(order, outputs):
-        slots[k] = (candidate[k] if out is None
+        slots[k] = (vectors[k] if out is None
                     else tuple(Fraction(a, out[1]) for a in out[0]))
     # Gram-Schmidt keeps prefix spans: the witness is independent too.
     witness = Frame._trusted(tuple(slots))  # type: ignore[arg-type]
-    b_i, b_j = candidate[i - 1], candidate[j - 1]
-    return witness, tuple(a + b for a, b in zip(b_i, b_j))
+    (U_i, s_i, _), (U_j, s_j, _) = images[i - 1], images[j - 1]
+    den = s_i * s_j
+    return witness, tuple(Fraction(a * s_j + b * s_i, den) for a, b in zip(U_i, U_j))
 
 
 def gram_schmidt(G: GramInnerProduct, vectors: Frame | Sequence[Vector]) -> Frame:

@@ -98,15 +98,17 @@ def linear_combination(
 def _cleared(entries: Iterable[RationalLike]) -> tuple[list[int], int]:
     """Integer numerators over the least common denominator of ``entries``.
 
-    Returns ``(numerators, d)`` with ``entries[k] == numerators[k] / d`` and
-    ``d >= 1``.  Ints and Fractions are read directly; anything else goes
-    through ``Fraction`` first, so fraction strings are accepted too.
+    Returns ints ``(numerators, d)`` with ``entries[k] == numerators[k] / d``
+    and ``d >= 1``; ``entries`` may be a generator.  Each int or Fraction is
+    split once, by ``as_integer_ratio``; anything else (a fraction string, a
+    bool) goes through ``Fraction`` first.
     """
-    values = [e if type(e) in _EXACT else Fraction(e) for e in entries]
-    d = lcm(*[e.denominator for e in values])
+    ratios = [(e if type(e) in _EXACT else Fraction(e)).as_integer_ratio()
+              for e in entries]
+    d = lcm(*[q for _, q in ratios])
     if d == 1:
-        return [e.numerator for e in values], 1
-    return [e.numerator * (d // e.denominator) for e in values], d
+        return [p for p, _ in ratios], 1
+    return [p * (d // q) for p, q in ratios], d
 
 
 def _bareiss(
@@ -232,10 +234,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def invert_matrix(rows: Matrix) -> Matrix:
@@ -443,7 +442,7 @@ def solve_coordinates(frame: Frame, x: Vector) -> Coordinates:
     # to c_k * d_x / d_k.
     columns, scales = _integer_rows(frame.vectors)
     xn, xd = _cleared(x)
-    rows = [[col[r] for col in columns] + [xn[r]] for r in range(n)]
+    rows = [list(row) for row in zip(*columns, xn)]
     pivots, _ = _bareiss(rows, pivot_limit=m)
     if len(pivots) < m:
         # Only a frame built with Frame._trusted can get here.
@@ -451,11 +450,9 @@ def solve_coordinates(frame: Frame, x: Vector) -> Coordinates:
     for i in range(m, n):
         if rows[i][m] != 0:
             raise SpanMembershipError(f"{x} is not in the span of the frame")
-    det = rows[m - 1][m - 1]
+    den = rows[m - 1][m - 1] * xd
     numerators = _back_substitute(rows, m, m)
-    return tuple(
-        Fraction(num * d, det * xd) for num, d in zip(numerators, scales)
-    )
+    return tuple(Fraction(num * d, den) for num, d in zip(numerators, scales))
 
 
 # ---------------------------------------------------------------------------

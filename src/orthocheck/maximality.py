@@ -100,11 +100,12 @@ def verify_orthogonal_maximality(
     G-orthogonal frames cannot absorb the candidate: its witness pair
     breaks factorization at the reported slot.
     """
+    n = G.dim
     reports = []
     for candidate in candidates:
-        if candidate.dim != G.dim:
+        if candidate.dim != n:
             raise ShapeError(
-                f"candidate dimension {candidate.dim} against a {G.dim}x{G.dim} form"
+                f"candidate dimension {candidate.dim} against a {n}x{n} form"
             )
         _full_dimensional(candidate, "maximality sweep")
         images = _images(G, candidate.vectors)
@@ -123,17 +124,10 @@ def verify_orthogonal_maximality(
         ii = sum(map(mul, GU_i, U_i))
         ij = sum(map(mul, GU_i, U_j))
         values = (Fraction(1), Fraction(ii * s_j + ij * s_i, ii * s_j))
-        reports.append(
-            MaximalityReport(
-                candidate,
-                "rejected",
-                orthogonal_witness=witness,
-                collision_point=x,
-                values=values,
-                index=i,
-                other_index=j,
-            )
-        )
+        reports.append(MaximalityReport(
+            candidate, "rejected", orthogonal_witness=witness,
+            collision_point=x, values=values, index=i, other_index=j,
+        ))
     return tuple(reports)
 
 
@@ -141,13 +135,16 @@ def exhaustive_candidates_2d(bound: int) -> tuple[Frame, ...]:
     """Every independent ordered pair of integer vectors in dimension 2.
 
     Entries range over [-bound, bound]; enumeration order is lexicographic
-    in ((a1, a2), (b1, b2)), so the sweep is reproducible.
+    in ((a1, a2), (b1, b2)), so the sweep is reproducible.  A negative
+    bound raises ShapeError rather than giving an empty, vacuous sweep.
     """
+    if bound < 0:
+        raise ShapeError(f"bound must be nonnegative, got {bound}")
     span = range(-bound, bound + 1)
-    vectors = [vec(a, b) for a in span for b in span]
+    grid = [((a, b), vec(a, b)) for a in span for b in span]
     frames = []
-    for v in vectors:
-        for w in vectors:
-            if v[0] * w[1] - v[1] * w[0] != 0:  # the independence proof
+    for (a1, a2), v in grid:
+        for (b1, b2), w in grid:
+            if a1 * b2 - a2 * b1:  # the independence proof, over ints
                 frames.append(Frame._trusted((v, w)))
     return tuple(frames)

@@ -11,9 +11,9 @@ from orthocheck.cli import (
     GRID_CAP,
     BOUND_CAP,
     SAMPLE_CAP,
-    RunConfig,
     _build_parser,
     _cap_work,
+    _run_config,
     main,
 )
 
@@ -502,11 +502,19 @@ def test_read_flags_and_seed_stay_accepted(capsys, monkeypatch, argv):
 # --- the work cap ---
 
 def _config_of(argv):
-    """The RunConfig that ``main`` builds for ``argv``, and the command."""
+    """The parsed ``argv`` and the RunConfig that ``main`` builds for it."""
     args = _build_parser().parse_args(list(argv))
-    given = {name: getattr(args, name) for name in RunConfig._fields
-             if getattr(args, name) is not None}
-    return args, RunConfig(**given)
+    return args, _run_config(args)[1]
+
+
+def test_config_of_reads_the_env_seed_as_main_does(capsys, monkeypatch):
+    monkeypatch.setenv("ORTHO_SEED", "99")
+    argv = ("equivalence", "--frames", "1", "--points", "1", "--seed", "7")
+    _, config = _config_of(argv)
+    assert config.seed == 99
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert report["config"] == config.to_json()
 
 
 def _benchmark_argvs():

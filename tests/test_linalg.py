@@ -1,10 +1,11 @@
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import lcm
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orthocheck import (
@@ -28,6 +29,7 @@ from orthocheck import (
     solve_coordinates,
 )
 from orthocheck.linalg import (
+    _cleared,
     determinant,
     identity_matrix,
     invert_matrix,
@@ -114,6 +116,29 @@ def test_linear_combination_matches_fraction_reference(case):
     out = linear_combination(vectors, coeffs)
     assert out == linear_combination_fractions(vectors, coeffs)
     assert all(type(e) is F for e in out)
+
+
+# --- clearing denominators ---
+
+clearable_entries = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60).map(str),
+    st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(clearable_entries, max_size=6), st.booleans())
+@example([], False)
+@example([], True)
+def test_cleared_matches_fraction_reference(entries, as_generator):
+    numerators, d = _cleared((e for e in entries) if as_generator else entries)
+    values = [F(e) for e in entries]
+    assert len(numerators) == len(values)
+    assert all(F(n, d) == v for n, v in zip(numerators, values))
+    assert d == lcm(*[v.denominator for v in values])
+    assert all(type(n) is int for n in numerators) and type(d) is int
 
 
 # --- determinant and rank against naive oracles ---

@@ -350,6 +350,14 @@ def test_sweep_matches_the_solving_route(case):
         assert report.orthogonal_witness == witness
         assert report.collision_point == x
         assert report.values == values
+        # An int would compare equal to its Fraction: check types too.
+        solved = [solve_coordinates(frame, x)
+                  for frame in (candidate, report.orthogonal_witness)]
+        assert all(type(e) is F for e in (
+            *report.collision_point, *report.values,
+            *(e for v in report.orthogonal_witness for e in v),
+            *(e for coords in solved for e in coords),
+        ))
         expected_points = []
         for i, j in pairs:
             witness, x, _ = witness_by_solving(G, candidate, i, j)
@@ -387,6 +395,27 @@ def test_exhaustive_candidates_bound_one():
     assert len(grid) == 48
     assert grid[0].vectors == ((F(-1), F(-1)), (F(-1), F(0)))
     assert all(abs(c) <= 1 for fr in grid for v in fr for c in v)
+
+
+@pytest.mark.parametrize("bound", range(4))
+def test_exhaustive_candidates_match_the_definition(bound):
+    span = range(-bound, bound + 1)
+    vectors = [(F(a), F(b)) for a in span for b in span]
+    pairs = [(v, w) for v in vectors for w in vectors]
+    independent = sorted(
+        (v, w) for v, w in pairs if v[0] * w[1] - v[1] * w[0] != 0
+    )
+    dependent = sum(1 for v, w in pairs if v[0] * w[1] == v[1] * w[0])
+    grid = exhaustive_candidates_2d(bound)
+    assert [fr.vectors for fr in grid] == independent
+    assert len(grid) == (2 * bound + 1) ** 4 - dependent
+    assert all(type(e) is F for fr in grid for v in fr for e in v)
+
+
+def test_exhaustive_candidates_reject_a_negative_bound():
+    with pytest.raises(ShapeError, match=r"^bound must be nonnegative, got -1$"):
+        exhaustive_candidates_2d(-1)
+    assert exhaustive_candidates_2d(0) == ()
 
 
 def test_exhaustive_candidates_all_independent():
