@@ -32,7 +32,13 @@ from orthocheck.dependence import (
     project,
 )
 from orthocheck.inner_product import first_nonorthogonal_pair, gram_schmidt
-from orthocheck.linalg import sample_frame, span_contains
+from orthocheck.linalg import (
+    derive_seed,
+    sample_coefficients,
+    sample_frame,
+    sample_span_point,
+    span_contains,
+)
 from orthocheck.serialize import load_gram, relation_from_json
 
 from oracles import first_conflict_pairwise, grouping_verdict
@@ -441,6 +447,34 @@ def test_built_entries_carry_their_solved_coordinates(name):
             assert p.values == solve_coordinates(p.frame, p.point)
             assert span_contains(p.frame, p.point)
             assert all(type(e) is F for e in p.point + p.values)
+
+
+@pytest.mark.parametrize("name", [f"identity{d}" for d in range(2, 9)]
+                         + ["gram4", "gram6"])
+def test_built_points_are_the_sampled_span_points(name):
+    """Entry (k, t) sits at ``sample_span_point(frame_k, bound, s)`` and
+    carries ``sample_coefficients(m, bound, s)``, with ``s`` the seed
+    derived for (k, t + 1); repeated (frame, point) pairs keep the first."""
+    G = _form(name)
+    frame_count, points_per_frame, bound, seed = 3, 4, 3, 11
+    fractional = False
+    for m in range(2, G.dim + 1):
+        rel = build_orthogonal_relation(G, frame_count, points_per_frame,
+                                        bound, seed, m=m)
+        expected = {}
+        for k in range(frame_count):
+            frame = gram_schmidt(G, sample_frame(G.dim, m, bound,
+                                                 derive_seed(seed, k, 0)))
+            for t in range(points_per_frame):
+                s = derive_seed(seed, k, t + 1)
+                point = sample_span_point(frame, bound, s)
+                expected.setdefault((frame, point),
+                                    sample_coefficients(m, bound, s))
+        assert [(p.frame, p.point, p.values) for p in rel] == [
+            (frame, point, values) for (frame, point), values in expected.items()
+        ]
+        fractional |= any(e.denominator > 1 for p in rel for e in p.point)
+    assert fractional
 
 
 # --- builders ---
