@@ -57,7 +57,7 @@ from .serialize import (
     gram_to_json,
     load_gram,
     load_relation,
-    maximality_report_to_json,
+    maximality_reports_to_json,
     outcome_to_json,
     rational_from_json,
     rational_to_json,
@@ -73,7 +73,7 @@ _CHAIN_STREAM = 0x434E
 # Work caps, checked from the flags before any work starts (_cap_work).
 # Each allows under a minute on a 2-core VM at the dearest shape its flags
 # reach: the dimension-2 grid up to --bound 11 (279,841 pairs at about
-# 0.12 ms each, the median of five runs at --bound 7), and SAMPLE_CAP
+# 0.11 ms each, the median of ten runs at --bound 7), and SAMPLE_CAP
 # sampled frames or points at dim 16 with entries up to BOUND_CAP, which
 # sets their bit length (about 12 ms per unit; 5,000 points ran 56 s).
 GRID_CAP = 300_000
@@ -270,7 +270,7 @@ def cmd_maximality(config: RunConfig, given: Collection[str] = ()) -> Result:
             "orthogonal_accepted": accepted,
             "nonorthogonal_rejected": len(rejected),
         },
-        "rejected": [maximality_report_to_json(r) for r in rejected],
+        "rejected": maximality_reports_to_json(rejected),
     }
     return payload, sound
 

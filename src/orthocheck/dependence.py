@@ -40,11 +40,14 @@ from .linalg import (
     Coordinates,
     Frame,
     Vector,
+    _check_nonnegative,
     _check_seed,
+    _combine,
+    _integer_rows,
+    _Rows,
     _Value,
     as_vector,
     derive_seed,
-    linear_combination,
     sample_coefficients,
     sample_frame,
     solve_coordinates,
@@ -111,18 +114,18 @@ def relation_point(frame: Frame, point: Vector) -> RelationPoint:
     return RelationPoint._trusted(frame, point, solve_coordinates(frame, point))
 
 
-def _sampled_entry(frame: Frame, bound: int, seed: int) -> RelationPoint:
+def _sampled_entry(frame: Frame, rows: _Rows, bound: int, seed: int) -> RelationPoint:
     """Canonical entry at a sampled span point, built from its coefficients.
 
     The point is the combination of the frame's vectors with the drawn
     coefficients, so it lies in the span, and coordinates over an
     independent frame are unique: the coefficients are exactly what
     :func:`relation_point` would solve for.  The point is the one
-    ``sample_span_point(frame, bound, seed)`` returns.
+    ``sample_span_point(frame, bound, seed)`` returns.  ``rows`` is the
+    frame cleared by ``_integer_rows``, once for all of its points.
     """
     coeffs = sample_coefficients(frame.size, bound, seed)
-    point = linear_combination(frame.vectors, coeffs)
-    return RelationPoint._trusted(frame, point, coeffs)
+    return RelationPoint._trusted(frame, _combine(rows, coeffs), coeffs)
 
 
 class Relation(_Value):
@@ -441,8 +444,10 @@ def is_orthogonal_via_factorization(
     :func:`canonical_witness_pool` the predicate accepts exactly
     the frames orthogonal under the pool's inner product.
     """
+    _check_nonnegative(points_per_frame=points_per_frame)
+    rows = _integer_rows(frame.vectors)
     own = tuple(
-        _sampled_entry(frame, bound, derive_seed(seed, t))
+        _sampled_entry(frame, rows, bound, derive_seed(seed, t))
         for t in range(points_per_frame)
     )
     rel = Relation.from_points(own + witness_pool.points)
@@ -485,13 +490,12 @@ def build_orthogonal_relation(
     function of the projection key alone, the result always passes
     :func:`factor_check`.  Deterministic for a fixed seed.
     """
+    _check_nonnegative(frame_count=frame_count, points_per_frame=points_per_frame)
     m = G.dim if m is None else m
-    frames = [
-        gram_schmidt(G, sample_frame(G.dim, m, bound, derive_seed(seed, k, 0)))
-        for k in range(frame_count)
-    ]
-    return Relation.from_points(
-        _sampled_entry(frame, bound, derive_seed(seed, k, t + 1))
-        for k, frame in enumerate(frames)
-        for t in range(points_per_frame)
-    )
+    entries: list[RelationPoint] = []
+    for k in range(frame_count):
+        frame = gram_schmidt(G, sample_frame(G.dim, m, bound, derive_seed(seed, k, 0)))
+        rows = _integer_rows(frame.vectors)
+        entries += (_sampled_entry(frame, rows, bound, derive_seed(seed, k, t + 1))
+                    for t in range(points_per_frame))
+    return Relation.from_points(entries)

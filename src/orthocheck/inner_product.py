@@ -114,9 +114,9 @@ def _row(G: GramInnerProduct, v: Vector) -> tuple[list[int], int]:
     return U, s
 
 
-def _images(G: GramInnerProduct, vectors: Sequence[Vector]) -> list[_Image]:
-    """Each vector cleared once to ``(U, s, Gn U)``: an integer row U over
-    a scale s (checked by :func:`_row`), and its image under G's numerator
+def _image(G: GramInnerProduct, v: Vector) -> _Image:
+    """``v`` cleared once to ``(U, s, Gn U)``: an integer row U over a
+    scale s (checked by :func:`_row`), and its image under G's numerator
     matrix Gn.
 
     With ``G = Gn / gd``, ``<v, w> = (Gn U_v) . U_w / (gd s_v s_w)``.  So
@@ -124,12 +124,13 @@ def _images(G: GramInnerProduct, vectors: Sequence[Vector]) -> list[_Image]:
     a zero test needs no Fraction at all, and in a ratio of two inner
     products gd cancels.
     """
-    rows = G._numerators
-    out = []
-    for v in vectors:
-        U, s = _row(G, v)
-        out.append((U, s, [sum(map(mul, row, U)) for row in rows]))
-    return out
+    U, s = _row(G, v)
+    return U, s, [sum(map(mul, row, U)) for row in G._numerators]
+
+
+def _images(G: GramInnerProduct, vectors: Sequence[Vector]) -> list[_Image]:
+    """The :func:`_image` of each vector."""
+    return [_image(G, v) for v in vectors]
 
 
 def _nonorthogonal_pairs(images: list[_Image]) -> Iterator[tuple[int, int]]:
@@ -154,7 +155,7 @@ def evaluate(G: GramInnerProduct, x: Vector, y: Vector) -> Fraction:
     Computed over integers: with ``x = xn / xd``, ``y = yn / yd`` and
     ``G = Gn / gd``, the value is ``(Gn xn) . yn / (gd xd yd)``.
     """
-    ((_, xd, GX),) = _images(G, (x,))
+    _, xd, GX = _image(G, x)
     yn, yd = _row(G, y)
     return Fraction(sum(map(mul, GX, yn)), G._denominator * xd * yd)
 
@@ -177,7 +178,7 @@ def coefficient_formula(G: GramInnerProduct, a: Vector, x: Vector) -> Fraction:
     This is the closed form for a coordinate over an orthogonal frame:
     the value depends only on ``a`` and ``x``.
     """
-    (image,) = _images(G, (a,))
+    image = _image(G, a)
     if not any(image[0]):
         raise ZeroVectorError("projection coefficient onto the zero vector")
     return _coefficient(image, *_row(G, x))

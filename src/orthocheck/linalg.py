@@ -36,6 +36,7 @@ RationalLike = Fraction | int | str
 Vector = tuple[Fraction, ...]
 Coordinates = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
+_Rows = tuple[list[list[int]], list[int]]  # integer rows, and each one's scale
 
 #: Rejection-sampling attempts before giving up.  Degenerate parameters
 #: (bound=0 can never yield an independent frame) fail loudly instead of
@@ -81,7 +82,14 @@ def linear_combination(
     dims = {len(v) for v in vectors}
     if len(dims) != 1:
         raise ShapeError(f"mixed vector dimensions: {sorted(dims)}")
-    rows, scales = _integer_rows(vectors)
+    return _combine(_integer_rows(vectors), coeffs)
+
+
+def _combine(cleared: _Rows, coeffs: Sequence[RationalLike]) -> Vector:
+    """:func:`linear_combination` of vectors as :func:`_integer_rows` clears
+    them, with no shape checks: a caller combining one frame's vectors many
+    times clears them once."""
+    rows, scales = cleared
     numerators, e = _cleared(coeffs)
     L = lcm(*scales)
     weights = [c * (L // d) for c, d in zip(numerators, scales)]
@@ -178,9 +186,7 @@ def _back_substitute(rows: list[list[int]], m: int, col: int) -> list[int]:
     return out
 
 
-def _integer_rows(
-    vectors: Sequence[Sequence[RationalLike]],
-) -> tuple[list[list[int]], list[int]]:
+def _integer_rows(vectors: Sequence[Sequence[RationalLike]]) -> _Rows:
     """Clear denominators row by row: integer rows plus each row's scale.
 
     Scaling a row by a positive integer keeps its zero pattern, so the
@@ -467,6 +473,13 @@ def _check_seed(seed: int) -> None:
         raise PreconditionError(f"seed {seed} is outside [0, 2^64)")
 
 
+def _check_nonnegative(**counts: int) -> None:
+    """A negative count or bound would give a vacuous result: ShapeError."""
+    for name, count in counts.items():
+        if count < 0:
+            raise ShapeError(f"{name} must be nonnegative, got {count}")
+
+
 def _mix64(z: int) -> int:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
@@ -495,8 +508,7 @@ def sample_frame(dim: int, m: int, bound: int, seed: int) -> Frame:
     """
     if not 2 <= m <= dim:
         raise ShapeError(f"need 2 <= m <= dim, got m={m}, dim={dim}")
-    if bound < 0:
-        raise ShapeError(f"bound must be nonnegative, got {bound}")
+    _check_nonnegative(bound=bound)
     _check_seed(seed)
     rng = random.Random(seed)
     for _ in range(SAMPLING_CAP):
@@ -514,8 +526,7 @@ def sample_frame(dim: int, m: int, bound: int, seed: int) -> Frame:
 
 def sample_coefficients(m: int, bound: int, seed: int) -> Coordinates:
     """Draw m integer coefficients in [-bound, bound], deterministically."""
-    if bound < 0:
-        raise ShapeError(f"bound must be nonnegative, got {bound}")
+    _check_nonnegative(bound=bound)
     _check_seed(seed)
     rng = random.Random(seed)
     return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(m))

@@ -15,18 +15,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Iterable
 
 from .errors import NoViolationError, ShapeError
 from .inner_product import (
     GramInnerProduct,
     _full_dimensional,
+    _Image,
+    _image,
     _images,
     _nonorthogonal_pairs,
     _witness,
     first_nonorthogonal_pair,  # noqa: F401  perfbench's traced run wraps it here
 )
-from .linalg import Frame, Vector, _Value, vec
+from .linalg import Frame, Vector, _check_nonnegative, _Value, vec
 
 
 def orthogonality_witness(
@@ -91,16 +93,19 @@ class MaximalityReport(_Value):
 
 
 def verify_orthogonal_maximality(
-    G: GramInnerProduct, candidates: Sequence[Frame]
+    G: GramInnerProduct, candidates: Iterable[Frame]
 ) -> tuple[MaximalityReport, ...]:
     """Sweep candidate frames: accept the orthogonal, refute the rest.
 
     Every candidate must be full-dimensional for the form (ShapeError
     otherwise).  A rejected report shows that the relation built over
     G-orthogonal frames cannot absorb the candidate: its witness pair
-    breaks factorization at the reported slot.
+    breaks factorization at the reported slot.  Each distinct vector
+    object is cleared once per call: the grid's candidates share a few.
+    The table keeps each vector, so its id is not reused while it lives.
     """
     n = G.dim
+    seen: dict[int, tuple[Vector, _Image]] = {}  # id -> the vector, its image
     reports = []
     for candidate in candidates:
         if candidate.dim != n:
@@ -108,7 +113,12 @@ def verify_orthogonal_maximality(
                 f"candidate dimension {candidate.dim} against a {n}x{n} form"
             )
         _full_dimensional(candidate, "maximality sweep")
-        images = _images(G, candidate.vectors)
+        images = []
+        for v in candidate.vectors:
+            hit = seen.get(id(v))
+            if hit is None:
+                hit = seen[id(v)] = (v, _image(G, v))
+            images.append(hit[1])
         pair = next(_nonorthogonal_pairs(images), None)
         if pair is None:
             reports.append(MaximalityReport(candidate, "accepted"))
@@ -138,8 +148,7 @@ def exhaustive_candidates_2d(bound: int) -> tuple[Frame, ...]:
     in ((a1, a2), (b1, b2)), so the sweep is reproducible.  A negative
     bound raises ShapeError rather than giving an empty, vacuous sweep.
     """
-    if bound < 0:
-        raise ShapeError(f"bound must be nonnegative, got {bound}")
+    _check_nonnegative(bound=bound)
     span = range(-bound, bound + 1)
     grid = [((a, b), vec(a, b)) for a in span for b in span]
     frames = []

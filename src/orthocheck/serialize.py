@@ -20,7 +20,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .errors import OrthoError, OutputLimitError, RelationParseError
 from .inner_product import GramInnerProduct
@@ -184,6 +184,22 @@ def relation_from_json(obj: Any, location: str = "points") -> Relation:
         raise RelationParseError(str(exc), location) from exc
 
 
+def _vector_memo() -> Callable[[Vector], list[str]]:
+    """:func:`vector_to_json` behind a call-local table keyed by ``id()``:
+    each distinct vector object is converted once, and every use shares its
+    JSON list, which serializes to the same bytes.  The table keeps the
+    vector, so its id is not reused while the table lives."""
+    table: dict[int, tuple[Vector, list[str]]] = {}
+
+    def cached(v: Vector) -> list[str]:
+        hit = table.get(id(v))
+        if hit is None:
+            hit = table[id(v)] = (v, vector_to_json(v))
+        return hit[1]
+
+    return cached
+
+
 def tables_to_json(
     tables: tuple[dict[ProjectionKey, Fraction], ...]
 ) -> list[list[dict[str, Any]]]:
@@ -191,17 +207,10 @@ def tables_to_json(
 
     Entries keep the first-seen scan order, so equal relations give
     byte-equal tables.  Keys share their vector and point objects across
-    entries and slots, so each object is converted once per call (memo by
-    identity) and its JSON list is shared by every entry that uses it.
+    entries and slots, so each object is converted once per call, and
+    its JSON list is shared by every entry that uses it.
     """
-    memo: dict[int, list[str]] = {}
-
-    def cached(v: Vector) -> list[str]:
-        out = memo.get(id(v))
-        if out is None:
-            out = memo[id(v)] = vector_to_json(v)
-        return out
-
+    cached = _vector_memo()
     return [
         [
             {
@@ -231,20 +240,32 @@ def outcome_to_json(outcome: FactorizationOutcome) -> dict[str, Any]:
     return {"tables": tables_to_json(outcome.tables)}
 
 
-def maximality_report_to_json(report: MaximalityReport) -> dict[str, Any]:
+def maximality_report_to_json(report: MaximalityReport,
+                              to_json=vector_to_json) -> dict[str, Any]:
     """Accepted reports carry candidate and verdict; rejected ones add the
     witness frame, collision point, and the two disagreeing values.
+    ``to_json`` converts each candidate vector.
     """
-    payload: dict[str, Any] = {
-        "candidate": frame_to_json(report.candidate),
-        "verdict": report.verdict,
-    }
+    candidate = [to_json(v) for v in report.candidate]
+    payload: dict[str, Any] = {"candidate": candidate, "verdict": report.verdict}
     if not report.accepted:
-        payload["witness"] = frame_to_json(report.orthogonal_witness)
+        # The witness keeps the candidate's vector object in slot i, and in
+        # any slot Gram-Schmidt left as it was: that slot shares its list.
+        pairs = zip(report.orthogonal_witness, report.candidate, candidate)
+        payload["witness"] = [c if w is v else vector_to_json(w) for w, v, c in pairs]
         payload["x"] = vector_to_json(report.collision_point)
         payload["value_candidate"] = rational_to_json(report.values[0])
         payload["value_witness"] = rational_to_json(report.values[1])
     return payload
+
+
+def maximality_reports_to_json(reports: Iterable[MaximalityReport]
+                               ) -> list[dict[str, Any]]:
+    """Each report as :func:`maximality_report_to_json` writes it, with each
+    distinct vector object converted once per call: grid candidates share a
+    few vectors, and a witness keeps its candidate's slot vector."""
+    to_json = _vector_memo()
+    return [maximality_report_to_json(report, to_json) for report in reports]
 
 
 def _load_json(path: str) -> Any:

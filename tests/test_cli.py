@@ -176,6 +176,38 @@ def test_maximality_bound_one_summary(capsys):
     assert len(report["payload"]["rejected"]) == 32
 
 
+def test_rejection_writer_converts_each_vector_object_once(capsys, monkeypatch):
+    """The rejected reports share the grid's vectors, and each witness its
+    candidate's slot vector; each distinct object is converted once."""
+    import orthocheck.maximality
+    import orthocheck.serialize
+
+    sweeps, converted = [], []
+    real_sweep = orthocheck.maximality.verify_orthogonal_maximality
+    real_to_json = orthocheck.serialize.vector_to_json
+
+    def sweep(*args):
+        sweeps.append(real_sweep(*args))
+        return sweeps[-1]
+
+    def to_json(v):
+        converted.append(v)
+        return real_to_json(v)
+
+    monkeypatch.setattr(orthocheck.maximality, "verify_orthogonal_maximality",
+                        sweep)
+    monkeypatch.setattr(orthocheck.serialize, "vector_to_json", to_json)
+    code, report, _ = run_cli(capsys, "maximality", "--bound", "2")
+    assert code == 0
+    (reports,) = sweeps
+    rejected = [r for r in reports if not r.accepted]
+    assert len(report["payload"]["rejected"]) == len(rejected) > 0
+    vectors = {id(v): v for r in rejected
+               for v in (*r.candidate, *r.orthogonal_witness, r.collision_point)}
+    assert len(converted) == len(vectors)
+    assert {id(v) for v in converted} == set(vectors)
+
+
 def test_maximality_requires_square_config(capsys):
     code, report, err = run_cli(capsys, "maximality", "--dim", "3")
     assert code == 2

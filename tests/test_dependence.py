@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orthocheck.linalg
 from orthocheck import (
     DuplicatePointError,
     Frame,
@@ -475,6 +476,44 @@ def test_built_points_are_the_sampled_span_points(name):
         ]
         fractional |= any(e.denominator > 1 for p in rel for e in p.point)
     assert fractional
+
+
+def test_builder_clears_each_frame_once(monkeypatch):
+    """At dim 8 with 12 frames of 16 points, the builder clears the 96
+    frame vectors once each, not once for every point of their frame."""
+    cleared = []
+    real = orthocheck.linalg._cleared
+
+    def counted(entries):
+        cleared.append(entries)
+        return real(entries)
+
+    monkeypatch.setattr(orthocheck.linalg, "_cleared", counted)
+    rel = build_orthogonal_relation(identity_inner_product(8), 12, 16, 5, 3)
+    monkeypatch.undo()
+    assert len(rel) == 192
+    frame_vectors = {id(v) for p in rel for v in p.frame}
+    assert len(frame_vectors) == 96
+    assert sum(1 for e in cleared if id(e) in frame_vectors) == 96
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_orthogonal_relation(I2, -1, 3, 2, 0),
+     "frame_count must be nonnegative, got -1"),
+    (lambda: build_orthogonal_relation(I2, 3, -1, 2, 0),
+     "points_per_frame must be nonnegative, got -1"),
+    (lambda: is_orthogonal_via_factorization(E2, Relation(()),
+                                             points_per_frame=-2),
+     "points_per_frame must be nonnegative, got -2"),
+], ids=["frame_count", "points_per_frame", "predicate"])
+def test_negative_counts_raise(call, message):
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        call()
+
+
+def test_zero_counts_stay_allowed():
+    assert len(build_orthogonal_relation(I2, 2, 0, 2, 0)) == 0
+    assert is_orthogonal_via_factorization(E2, Relation(()), points_per_frame=0)
 
 
 # --- builders ---

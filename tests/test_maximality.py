@@ -388,6 +388,44 @@ def test_sweep_solves_and_evaluates_nothing(monkeypatch):
     assert calls == []
 
 
+def test_sweep_clears_each_distinct_vector_once(monkeypatch):
+    """The grid's 2,112 candidates at bound 3 are built from 48 vector
+    objects; each is cleared once per sweep, not once per use."""
+    grid = exhaustive_candidates_2d(3)
+    distinct = {id(v) for fr in grid for v in fr}
+    assert (len(grid), len(distinct)) == (2112, 48)
+    cleared = []
+    real = orthocheck.inner_product._cleared
+
+    def counted(entries):
+        cleared.append(entries)
+        return real(entries)
+
+    monkeypatch.setattr(orthocheck.inner_product, "_cleared", counted)
+    reports = verify_orthogonal_maximality(I2, grid)
+    monkeypatch.undo()
+    assert len(cleared) == 48
+    assert {id(v) for v in cleared} == distinct
+    assert reports == verify_orthogonal_maximality(I2, grid)
+
+
+@pytest.mark.parametrize("G, dim", [(I2, 2), (sample_inner_product(3, 3, 4), 3)])
+def test_sweep_over_a_one_shot_generator_matches_a_tuple(G, dim):
+    """Frames built fresh, one at a time, and dropped by the caller give the
+    reports a sweep over the same frames held in a tuple gives."""
+    def fresh():
+        for seed in range(40):
+            fr = sample_frame(dim, dim, 2, seed)
+            if seed % 3 == 0:
+                fr = gram_schmidt(G, fr)
+            yield Frame._trusted(tuple(tuple(v) for v in fr.vectors))
+
+    streamed = verify_orthogonal_maximality(G, fresh())
+    held = verify_orthogonal_maximality(G, tuple(fresh()))
+    assert streamed == held
+    assert {r.verdict for r in held} == {"accepted", "rejected"}
+
+
 # --- candidate grids and witness pools ---
 
 def test_exhaustive_candidates_bound_one():

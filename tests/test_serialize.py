@@ -13,11 +13,13 @@ from orthocheck import (
     Relation,
     RelationParseError,
     SymmetryError,
+    exhaustive_candidates_2d,
     factor_check,
     frame_of,
     identity_inner_product,
     relation_point,
     relation_to_json,
+    sample_frame,
     verify_orthogonal_maximality,
 )
 from orthocheck.serialize import (
@@ -30,6 +32,7 @@ from orthocheck.serialize import (
     load_gram,
     load_relation,
     maximality_report_to_json,
+    maximality_reports_to_json,
     outcome_to_json,
     rational_from_json,
     rational_to_json,
@@ -305,6 +308,19 @@ def test_maximality_report_json_fields():
     assert rj["x"] == ["2", "1"]
     aj = maximality_report_to_json(accepted)
     assert sorted(aj) == ["candidate", "verdict"]
+
+
+@pytest.mark.parametrize("G, candidates", [
+    *[(identity_inner_product(2), exhaustive_candidates_2d(b)) for b in (1, 2, 3)],
+    (identity_inner_product(4), [sample_frame(4, 4, 3, s) for s in range(30)]),
+], ids=["grid1", "grid2", "grid3", "sampled4"])
+def test_batch_writer_bytes_match_one_report_at_a_time(G, candidates):
+    reports = verify_orthogonal_maximality(G, candidates)
+    rejected = [r for r in reports if not r.accepted]
+    assert rejected
+    for chosen in (rejected, reports):
+        assert canonical_dumps(maximality_reports_to_json(chosen)) == (
+            canonical_dumps([maximality_report_to_json(r) for r in chosen]))
 
 
 def test_canonical_dumps_is_sorted_and_compact():
