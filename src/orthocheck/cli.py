@@ -34,18 +34,19 @@ from typing import TYPE_CHECKING, Any, Collection, Sequence
 from .errors import DependentFrameError, OrthoError, ShapeError, UsageError
 from .inner_product import (
     GramInnerProduct,
+    _projection_checks,
     coefficient_formula,
     evaluate,
     frame_adapted_inner_product,
     gram_schmidt,
     identity_inner_product,
     is_orthogonal_tuple,
-    verify_projection_equivalence,
 )
 from .linalg import (
     Frame,
     Vector,
     _check_seed,
+    _span_points,
     _Value,
     derive_seed,
     sample_frame,
@@ -180,12 +181,11 @@ def cmd_equivalence(config: RunConfig) -> Result:
         raw = sample_frame(config.dim, config.m, config.bound,
                            derive_seed(config.seed, k, 0))
         frame = gram_schmidt(G, raw)
-        for t in range(config.points):
-            x = sample_span_point(frame, config.bound,
-                                  derive_seed(config.seed, k, t + 1))
-            trials += 1
-            if not verify_projection_equivalence(G, frame, x):
-                failures += 1
+        seeds = [derive_seed(config.seed, k, t + 1) for t in range(config.points)]
+        checks = _projection_checks(G, frame, [
+            x for _, x in _span_points(frame, config.bound, seeds)])
+        trials += len(checks)
+        failures += checks.count(False)
     return {"trials": trials, "failures": failures}, failures == 0
 
 

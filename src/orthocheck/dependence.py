@@ -42,13 +42,10 @@ from .linalg import (
     Vector,
     _check_nonnegative,
     _check_seed,
-    _combine,
-    _integer_rows,
-    _Rows,
+    _span_points,
     _Value,
     as_vector,
     derive_seed,
-    sample_coefficients,
     sample_frame,
     solve_coordinates,
     span_contains,
@@ -112,20 +109,6 @@ def relation_point(frame: Frame, point: Vector) -> RelationPoint:
     solve is also its span test (SpanMembershipError outside the span)."""
     point = as_vector(point)
     return RelationPoint._trusted(frame, point, solve_coordinates(frame, point))
-
-
-def _sampled_entry(frame: Frame, rows: _Rows, bound: int, seed: int) -> RelationPoint:
-    """Canonical entry at a sampled span point, built from its coefficients.
-
-    The point is the combination of the frame's vectors with the drawn
-    coefficients, so it lies in the span, and coordinates over an
-    independent frame are unique: the coefficients are exactly what
-    :func:`relation_point` would solve for.  The point is the one
-    ``sample_span_point(frame, bound, seed)`` returns.  ``rows`` is the
-    frame cleared by ``_integer_rows``, once for all of its points.
-    """
-    coeffs = sample_coefficients(frame.size, bound, seed)
-    return RelationPoint._trusted(frame, _combine(rows, coeffs), coeffs)
 
 
 class Relation(_Value):
@@ -444,13 +427,12 @@ def is_orthogonal_via_factorization(
     :func:`canonical_witness_pool` the predicate accepts exactly
     the frames orthogonal under the pool's inner product.
     """
-    _check_nonnegative(points_per_frame=points_per_frame)
-    rows = _integer_rows(frame.vectors)
-    own = tuple(
-        _sampled_entry(frame, rows, bound, derive_seed(seed, t))
-        for t in range(points_per_frame)
-    )
-    rel = Relation.from_points(own + witness_pool.points)
+    _check_nonnegative(points_per_frame=points_per_frame, bound=bound)
+    _check_seed(seed)
+    # Canonical entries: the drawn coefficients are the point's coordinates.
+    own = [RelationPoint._trusted(frame, x, c) for c, x in _span_points(
+        frame, bound, [derive_seed(seed, t) for t in range(points_per_frame)])]
+    rel = Relation.from_points((*own, *witness_pool.points))
     return factor_check(rel).passed
 
 
@@ -490,12 +472,16 @@ def build_orthogonal_relation(
     function of the projection key alone, the result always passes
     :func:`factor_check`.  Deterministic for a fixed seed.
     """
-    _check_nonnegative(frame_count=frame_count, points_per_frame=points_per_frame)
+    _check_nonnegative(frame_count=frame_count,
+                       points_per_frame=points_per_frame, bound=bound)
+    _check_seed(seed)
     m = G.dim if m is None else m
+    if not 2 <= m <= G.dim:
+        raise ShapeError(f"need 2 <= m <= dim, got m={m}, dim={G.dim}")
     entries: list[RelationPoint] = []
     for k in range(frame_count):
         frame = gram_schmidt(G, sample_frame(G.dim, m, bound, derive_seed(seed, k, 0)))
-        rows = _integer_rows(frame.vectors)
-        entries += (_sampled_entry(frame, rows, bound, derive_seed(seed, k, t + 1))
-                    for t in range(points_per_frame))
+        seeds = [derive_seed(seed, k, t + 1) for t in range(points_per_frame)]
+        entries += (RelationPoint._trusted(frame, x, c)
+                    for c, x in _span_points(frame, bound, seeds))
     return Relation.from_points(entries)

@@ -28,11 +28,11 @@ from .linalg import (
     _Value,
     _bareiss,
     _cleared,
+    _solve_many,
     identity_matrix,
     invert_matrix,
     mat_mul,
     sample_frame,
-    solve_coordinates,
     transpose,
 )
 
@@ -191,17 +191,31 @@ def verify_projection_equivalence(
 
     Requires the frame to be orthogonal under G (PreconditionError
     otherwise) and ``x`` to lie in its span.  For such inputs the two
-    routes always agree; this computes both and compares.  The frame and
-    ``x`` are cleared once: every pair is checked for orthogonality and
-    every formula value is built from the frame's integer images, while
-    the solved side is the public :func:`solve_coordinates`.
+    routes always agree; this computes both and compares.
+    """
+    return _projection_checks(G, frame, [x])[0]
+
+
+def _projection_checks(
+    G: GramInnerProduct, frame: Frame, points: Sequence[Vector]
+) -> list[bool]:
+    """:func:`verify_projection_equivalence` at each of a frame's points.
+
+    The frame is cleared once to its :func:`_images`, which prove every
+    pair orthogonal (even with no points) and give every formula value;
+    one elimination (:func:`_solve_many`) gives the solved side of all
+    the points.
     """
     images = _images(G, frame.vectors)
     if next(_nonorthogonal_pairs(images), None) is not None:
         raise PreconditionError("frame is not orthogonal under the given form")
-    solved = solve_coordinates(frame, x)
-    xn, xd = _row(G, x)
-    return solved == tuple(_coefficient(image, xn, xd) for image in images)
+    cleared = [U for U, _, _ in images], [s for _, s, _ in images]
+    checks = []
+    for x, solved in zip(points, _solve_many(cleared, points)):
+        xn, xd = _row(G, x)
+        checks.append(solved == tuple(_coefficient(image, xn, xd)
+                                      for image in images))
+    return checks
 
 
 def _orthogonalize(

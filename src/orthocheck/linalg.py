@@ -171,21 +171,6 @@ def _bareiss(
     return pivots, swaps
 
 
-def _back_substitute(rows: list[list[int]], m: int, col: int) -> list[int]:
-    """Cramer numerators of the solved column ``col`` after :func:`_bareiss`.
-
-    Needs pivots on the diagonal of the leading m x m block.  Returns
-    integers ``N`` such that the solution is ``N[k] / rows[m-1][m-1]``.
-    """
-    det = rows[m - 1][m - 1]
-    out = [0] * m
-    for r in range(m - 1, -1, -1):
-        row = rows[r]
-        s = det * row[col] - sum(row[j] * out[j] for j in range(r + 1, m))
-        out[r] = s // row[r]
-    return out
-
-
 def _integer_rows(vectors: Sequence[Sequence[RationalLike]]) -> _Rows:
     """Clear denominators row by row: integer rows plus each row's scale.
 
@@ -246,27 +231,20 @@ def identity_matrix(n: int) -> Matrix:
 def invert_matrix(rows: Matrix) -> Matrix:
     """Exact inverse; raises ShapeError on singular input.
 
-    Rows are cleared to integers (``S A`` for a diagonal scale S), the
-    kernel eliminates ``[S A | I]``, and each identity column is solved by
-    back substitution, so ``A^-1 = (S A)^-1 S``.
+    Column j of ``A^-1`` is the solution of ``A y = e_j``: one batched
+    solve (:func:`_solve_many`) over the columns of A for every identity
+    column at once.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ShapeError("inverse needs a square matrix")
     if n == 0:
         return ()
-    work, scales = _integer_rows(rows)
-    for i, row in enumerate(work):
-        row.extend(1 if i == j else 0 for j in range(n))
-    pivots, _ = _bareiss(work, pivot_limit=n)
-    if len(pivots) < n:
-        raise ShapeError("matrix is singular")
-    det = work[n - 1][n - 1]
-    columns = [_back_substitute(work, n, n + j) for j in range(n)]
-    return tuple(
-        tuple(Fraction(columns[j][i] * scales[j], det) for j in range(n))
-        for i in range(n)
-    )
+    try:
+        return transpose(_solve_many(_integer_rows(transpose(rows)),
+                                     identity_matrix(n)))
+    except DependentFrameError:
+        raise ShapeError("matrix is singular") from None
 
 
 # ---------------------------------------------------------------------------
@@ -439,26 +417,50 @@ def solve_coordinates(frame: Frame, x: Vector) -> Coordinates:
     Returns ``(c_1, ..., c_m)`` with ``x == sum(c_k * a_k)``, exactly.
     Raises SpanMembershipError when ``x`` is outside the span.
     """
-    x = as_vector(x)
-    n, m = frame.dim, frame.size
-    if len(x) != n:
-        raise ShapeError(f"point has dimension {len(x)}, frame has {n}")
-    # Columns are the frame vectors, each cleared to integers by its own
-    # scale d_k, augmented with x cleared by d_x.  The scaled system solves
-    # to c_k * d_x / d_k.
-    columns, scales = _integer_rows(frame.vectors)
-    xn, xd = _cleared(x)
-    rows = [list(row) for row in zip(*columns, xn)]
+    return _solve_many(_integer_rows(frame.vectors), [x])[0]
+
+
+def _solve_many(cleared: _Rows, points: Sequence[Vector]) -> list[Coordinates]:
+    """:func:`solve_coordinates` of each point over the vectors cleared to
+    ``cleared`` by :func:`_integer_rows`, from one elimination: the columns
+    are the vectors, each over its own scale d_k, augmented with every
+    point, each over its own d_x, and solve to ``c_k * d_x / d_k``.  The
+    first point outside the span raises SpanMembershipError.  With no
+    points nothing is eliminated.
+    """
+    if not points:
+        return []
+    columns, scales = cleared
+    m, n = len(columns), len(columns[0])
+    numerators, denominators = [], []
+    for x in points:
+        xn, xd = _cleared(x)
+        if len(xn) != n:
+            raise ShapeError(f"point has dimension {len(xn)}, frame has {n}")
+        numerators.append(xn)
+        denominators.append(xd)
+    rows = [list(row) for row in zip(*columns, *numerators)]
     pivots, _ = _bareiss(rows, pivot_limit=m)
     if len(pivots) < m:
-        # Only a frame built with Frame._trusted can get here.
+        # Only a frame built with Frame._trusted, or a singular matrix that
+        # invert_matrix was given, can get here.
         raise DependentFrameError("frame vectors are linearly dependent")
-    for i in range(m, n):
-        if rows[i][m] != 0:
-            raise SpanMembershipError(f"{x} is not in the span of the frame")
-    den = rows[m - 1][m - 1] * xd
-    numerators = _back_substitute(rows, m, m)
-    return tuple(Fraction(num * d, den) for num, d in zip(numerators, scales))
+    det = rows[m - 1][m - 1]
+    solved = []
+    for j, xd in enumerate(denominators, m):
+        for row in rows[m:]:
+            if row[j]:
+                x = as_vector(points[j - m])
+                raise SpanMembershipError(f"{x} is not in the span of the frame")
+        # Back substitution: out / det solves column j's scaled system.
+        out = [0] * m
+        for r in range(m - 1, -1, -1):
+            row = rows[r]
+            s = det * row[j] - sum(row[c] * out[c] for c in range(r + 1, m))
+            out[r] = s // row[r]
+        den = det * xd
+        solved.append(tuple(Fraction(num * d, den) for num, d in zip(out, scales)))
+    return solved
 
 
 # ---------------------------------------------------------------------------
@@ -538,5 +540,17 @@ def sample_span_point(frame: Frame, bound: int, seed: int) -> Vector:
     Deterministic for a fixed seed; ``span_contains(frame, result)`` holds
     by construction.
     """
-    coeffs = sample_coefficients(frame.size, bound, seed)
-    return linear_combination(frame.vectors, coeffs)
+    return _span_points(frame, bound, [seed])[0][1]
+
+
+def _span_points(
+    frame: Frame, bound: int, seeds: Iterable[int]
+) -> list[tuple[Coordinates, Vector]]:
+    """For each seed, the coefficients :func:`sample_coefficients` draws
+    and the point :func:`sample_span_point` makes of them, clearing the
+    frame once for all of them.  The coefficients are the point's
+    coordinates over the frame, which are unique as the frame is
+    independent: a relation entry built from them is canonical."""
+    rows = _integer_rows(frame.vectors)
+    return [(c, _combine(rows, c)) for c in
+            (sample_coefficients(frame.size, bound, s) for s in seeds)]

@@ -46,6 +46,81 @@ def test_equivalence_zero_frames(capsys):
     assert report["payload"] == {"failures": 0, "trials": 0}
 
 
+GRAM4 = str(ROOT / "tests" / "fixtures" / "gram4.json")
+EQUIVALENCE_SWEEP = ("equivalence", "--dim", "4", "--m", "3", "--frames", "3",
+                     "--points", "4", "--bound", "3", "--seed", "11",
+                     "--gram", GRAM4)
+
+
+def test_equivalence_points_are_the_sampled_span_points(capsys, monkeypatch):
+    """Frame k's points are ``sample_span_point(frame_k, bound, s)``, with
+    ``s`` the seed derived for (k, t + 1), handed over in order."""
+    import orthocheck.cli as cli
+    from orthocheck import (derive_seed, gram_schmidt, sample_frame,
+                            sample_span_point)
+    from orthocheck.serialize import load_gram
+
+    seen = []
+    real = cli._projection_checks
+
+    def recorded(G, frame, points):
+        seen.append((frame, list(points)))
+        return real(G, frame, points)
+
+    monkeypatch.setattr(cli, "_projection_checks", recorded)
+    code, report, _ = run_cli(capsys, *EQUIVALENCE_SWEEP)
+    assert (code, report["payload"]) == (0, {"failures": 0, "trials": 12})
+    G, expected = load_gram(GRAM4), []
+    for k in range(3):
+        frame = gram_schmidt(G, sample_frame(4, 3, 3, derive_seed(11, k, 0)))
+        expected.append((frame, [sample_span_point(frame, 3, derive_seed(11, k, t + 1))
+                                 for t in range(4)]))
+    assert seen == expected
+    assert any(e.denominator > 1 for _, points in seen for x in points for e in x)
+
+
+def test_equivalence_runs_one_elimination_per_frame(capsys, monkeypatch):
+    """``--frames 3 --points 4`` solves all of a frame's points in one
+    augmented elimination: 3 of them, not 12."""
+    import orthocheck.linalg as linalg
+
+    solves = []
+    real = linalg._bareiss
+
+    def counted(rows, pivot_limit=None, swap=True):
+        if pivot_limit is not None:
+            solves.append(len(rows[0]) - pivot_limit)
+        return real(rows, pivot_limit, swap)
+
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    code, report, _ = run_cli(capsys, *EQUIVALENCE_SWEEP)
+    assert (code, report["payload"]) == (0, {"failures": 0, "trials": 12})
+    assert solves == [4, 4, 4]  # right-hand columns per elimination
+
+
+def test_equivalence_counts_a_wrong_solved_coordinate(capsys, monkeypatch):
+    """The sweep compares every coordinate of every point: one perturbed
+    coordinate of one point of one frame is one failure in as many trials."""
+    import orthocheck.inner_product as inner_product
+
+    real = inner_product._solve_many
+    calls = []
+
+    def perturbed(cleared, points):
+        solved = real(cleared, points)
+        calls.append(len(points))
+        if len(calls) == 2:  # frame 1, point 2, coordinate 1
+            c = solved[2]
+            solved[2] = (c[0], c[1] + 1, *c[2:])
+        return solved
+
+    monkeypatch.setattr(inner_product, "_solve_many", perturbed)
+    code, report, _ = run_cli(capsys, *EQUIVALENCE_SWEEP)
+    assert calls == [4, 4, 4]
+    assert code == 1 and report["verdict"] == "fail"
+    assert report["payload"] == {"failures": 1, "trials": 12}
+
+
 def test_payloads_are_byte_identical_across_runs(capsys):
     payloads = []
     for _ in range(2):

@@ -505,10 +505,22 @@ def test_builder_clears_each_frame_once(monkeypatch):
     (lambda: is_orthogonal_via_factorization(E2, Relation(()),
                                              points_per_frame=-2),
      "points_per_frame must be nonnegative, got -2"),
-], ids=["frame_count", "points_per_frame", "predicate"])
+    (lambda: build_orthogonal_relation(I2, 0, 3, -4, 0),
+     "bound must be nonnegative, got -4"),
+    (lambda: is_orthogonal_via_factorization(E2, Relation(()),
+                                             points_per_frame=0, bound=-3),
+     "bound must be nonnegative, got -3"),
+], ids=["frame_count", "points_per_frame", "predicate", "bound",
+        "predicate-bound"])
 def test_negative_counts_raise(call, message):
     with pytest.raises(ShapeError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("m", [1, 3, 9])
+def test_builder_rejects_a_frame_size_before_drawing(m):
+    with pytest.raises(ShapeError, match=f"^need 2 <= m <= dim, got m={m}, dim=2$"):
+        build_orthogonal_relation(I2, 0, 3, 5, 0, m=m)
 
 
 def test_zero_counts_stay_allowed():

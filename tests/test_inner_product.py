@@ -26,7 +26,11 @@ from orthocheck import (
     verify_projection_equivalence,
 )
 from orthocheck.dependence import Relation, canonical_witness_pool, relation_point
-from orthocheck.inner_product import coefficient_formula, first_nonorthogonal_pair
+from orthocheck.inner_product import (
+    _projection_checks,
+    coefficient_formula,
+    first_nonorthogonal_pair,
+)
 from orthocheck.linalg import mat_mul, transpose
 from orthocheck.maximality import orthogonality_witness
 
@@ -224,6 +228,12 @@ def test_projection_equivalence_on_orthogonal_frames():
 def test_projection_equivalence_requires_orthogonality():
     with pytest.raises(PreconditionError):
         verify_projection_equivalence(I2, frame_of((1, 0), (1, 1)), (3, 5))
+
+
+def test_per_frame_check_proves_orthogonality_without_points():
+    assert _projection_checks(I2, frame_of((2, 0), (0, 3)), []) == []
+    with pytest.raises(PreconditionError):
+        _projection_checks(I2, frame_of((1, 0), (1, 1)), [])
 
 
 def test_projection_equivalence_random_sweep():

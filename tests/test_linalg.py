@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -14,6 +15,7 @@ from orthocheck import (
     GenerationError,
     OrthoError,
     PreconditionError,
+    Relation,
     ShapeError,
     SpanMembershipError,
     build_orthogonal_relation,
@@ -28,8 +30,11 @@ from orthocheck import (
     sample_span_point,
     solve_coordinates,
 )
+from orthocheck.dependence import is_orthogonal_via_factorization
 from orthocheck.linalg import (
     _cleared,
+    _integer_rows,
+    _solve_many,
     determinant,
     identity_matrix,
     invert_matrix,
@@ -222,6 +227,28 @@ def test_solve_round_trip_on_rational_frames(frame, data):
                                       max_size=frame.size)))
     x = linear_combination(frame.vectors, coeffs)
     assert solve_coordinates(frame, x) == coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_frames(max_dim=5), st.data())
+def test_batched_solve_matches_solve_coordinates(frame, data):
+    coeffs = data.draw(st.lists(
+        st.lists(rationals, min_size=frame.size, max_size=frame.size),
+        max_size=4))
+    points = [linear_combination(frame.vectors, c) for c in coeffs]
+    solved = _solve_many(_integer_rows(frame.vectors), points)
+    assert solved == [solve_coordinates(frame, x) for x in points]
+    assert solved == [tuple(c) for c in coeffs]
+
+
+def test_batched_solve_names_the_first_point_outside_the_span():
+    fr = frame_of((1, 0, 0), (0, 2, 0))
+    points = [(3, -2, 0), (F(1, 2), 5, 0), (1, 1, 7), (0, 0, 1)]
+    with pytest.raises(SpanMembershipError,
+                       match=f"^{re.escape(str(vec(1, 1, 7)))} is not in"):
+        _solve_many(_integer_rows(fr.vectors), points)
+    assert _solve_many(_integer_rows(fr.vectors), points[:2]) == [
+        (F(3), F(-1)), (F(1, 2), F(5, 2))]
 
 
 @settings(max_examples=150, deadline=None)
@@ -472,6 +499,11 @@ SEEDED = {
     "sample_inner_product": lambda seed: sample_inner_product(2, 3, seed),
     "build_orthogonal_relation": lambda seed: build_orthogonal_relation(
         I2, 2, 2, 3, seed),
+    "build_orthogonal_relation-empty": lambda seed: build_orthogonal_relation(
+        I2, 0, 3, 3, seed),
+    "is_orthogonal_via_factorization-empty": lambda seed:
+        is_orthogonal_via_factorization(frame_of((1, 0), (0, 1)), Relation(()),
+                                        points_per_frame=0, seed=seed),
     "sample_chain": lambda seed: sample_chain(
         build_orthogonal_relation(I2, 2, 2, 3, 0), 3, seed),
 }
