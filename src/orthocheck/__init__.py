@@ -25,8 +25,8 @@ _HOME = {
         "ChainOrderError", "DefinitenessError", "DependentFrameError",
         "DuplicatePointError", "GenerationError", "NoViolationError",
         "OrthoError", "OutputLimitError", "PreconditionError",
-        "RelationParseError", "ShapeError", "SpanMembershipError",
-        "SymmetryError", "ZeroVectorError",
+        "RationalError", "RelationParseError", "ShapeError",
+        "SpanMembershipError", "SymmetryError", "ZeroVectorError",
     ), "errors"),
     **dict.fromkeys((
         "Frame", "derive_seed", "frame_of", "linear_combination",

@@ -367,6 +367,7 @@ def chain_union_check(chain: Chain) -> bool:
 
 def sample_chain(rel: Relation, depth: int, seed: int) -> Chain:
     """A random nested chain of sub-relations of ``rel``, deterministic."""
+    _check_nonnegative(depth=depth)
     _check_seed(seed)
     rng = random.Random(seed)
     count = len(rel)

@@ -62,6 +62,10 @@ class OutputLimitError(OrthoError, ValueError):
     to write as text."""
 
 
+class RationalError(OrthoError, ValueError):
+    """A value is not a Fraction, an int (not a bool) or a "p/q" string."""
+
+
 class PreconditionError(OrthoError, ValueError):
     """An operation's documented precondition does not hold."""
 

@@ -28,20 +28,19 @@ from .linalg import (
     _Value,
     _bareiss,
     _cleared,
+    _gram_of,
     _solve_many,
-    identity_matrix,
+    as_vector,
     invert_matrix,
-    mat_mul,
     sample_frame,
-    transpose,
 )
 
 
 class GramInnerProduct(_Value):
     """A symmetric positive definite matrix defining ``<x, y> = x^T G y``.
 
-    Entries may be ints, fraction strings or Fractions; they are coerced
-    to Fractions.  Construction validates exactly (SymmetryError, or
+    Entries may be ints, ``p/q`` strings or Fractions, coerced row by row
+    with ``as_vector``.  Construction validates exactly (SymmetryError, or
     DefinitenessError carrying the index of the first failing minor), so
     holding an instance is proof the form is an inner product.  It also
     keeps G as an integer numerator matrix over one common denominator,
@@ -58,7 +57,7 @@ class GramInnerProduct(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(e) for e in row) for row in self.matrix)
+        rows = tuple(as_vector(row) for row in self.matrix)
         self.__dict__.update(matrix=rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
@@ -96,7 +95,7 @@ def identity_inner_product(dim: int) -> GramInnerProduct:
     """The standard dot product in the given dimension."""
     if dim < 1:
         raise ShapeError(f"dimension must be positive, got {dim}")
-    return GramInnerProduct(identity_matrix(dim))
+    return GramInnerProduct([[int(i == j) for j in range(dim)] for i in range(dim)])
 
 
 _Image = tuple[list[int], int, list[int]]
@@ -320,16 +319,12 @@ def frame_adapted_inner_product(frame: Frame) -> GramInnerProduct:
     """An inner product making a full-dimensional frame orthonormal.
 
     With T the matrix whose columns are the frame vectors, returns
-    ``G = T^-T T^-1``, so that ``<a_i, a_j>_G`` is 1 when i == j and 0
-    otherwise.  Only full-dimensional frames (m == n) are supported;
-    anything smaller raises ShapeError.
+    ``G = T^-T T^-1 = (T T^T)^-1``, so that ``<a_i, a_j>_G`` is 1 when
+    i == j and 0 otherwise.  Only full-dimensional frames (m == n) are
+    supported; anything smaller raises ShapeError.
     """
     _full_dimensional(frame, "adapted inner product")
-    columns = tuple(
-        tuple(frame[j][r] for j in range(frame.size)) for r in range(frame.dim)
-    )
-    inv = invert_matrix(columns)
-    return GramInnerProduct(mat_mul(transpose(inv), inv))
+    return GramInnerProduct(invert_matrix(_gram_of(frame.vectors)))
 
 
 def sample_inner_product(dim: int, bound: int, seed: int) -> GramInnerProduct:
@@ -339,4 +334,4 @@ def sample_inner_product(dim: int, bound: int, seed: int) -> GramInnerProduct:
     symmetric positive definite by construction.
     """
     rows = sample_frame(dim, dim, bound, seed).vectors
-    return GramInnerProduct(mat_mul(transpose(rows), rows))
+    return GramInnerProduct(_gram_of(rows))

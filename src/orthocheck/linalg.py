@@ -18,6 +18,8 @@ about 12 ms; ``tests/test_import_graph.py`` guards this.
 from __future__ import annotations
 
 import random
+import re
+import sys
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
@@ -28,6 +30,7 @@ from .errors import (
     DependentFrameError,
     GenerationError,
     PreconditionError,
+    RationalError,
     ShapeError,
     SpanMembershipError,
 )
@@ -48,14 +51,38 @@ _MASK64 = (1 << 64) - 1
 # Entry types read as exact rationals without conversion.
 _EXACT = (int, Fraction)
 
+# The one grammar of rational literals, in the library, the CLI and JSON.
+RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?\Z", re.ASCII)
+
 
 # ---------------------------------------------------------------------------
 # vectors
 
 
+def _rational(e: object) -> Fraction:
+    """The one coercion to Fraction: a Fraction, an int that is not a bool,
+    or a ``p/q`` string matching RATIONAL_PATTERN.  Anything else, a zero
+    denominator or more digits than the int/str limit is a RationalError."""
+    if isinstance(e, str) and RATIONAL_PATTERN.match(e):
+        num, slash, den = e.partition("/")
+        try:
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        except ZeroDivisionError:
+            raise RationalError(f"zero denominator: {e!r}") from None
+        except ValueError:  # int() refuses more digits than the int/str limit
+            digits = max(len(num.lstrip("+-")), len(den))
+            raise RationalError(
+                f"literal of {digits} digits exceeds the "
+                f"{sys.get_int_max_str_digits()}-digit integer limit") from None
+    # Strings first: an isinstance test against Fraction, an ABC, is slow.
+    if isinstance(e, (int, Fraction)) and not isinstance(e, bool):
+        return Fraction(e)
+    raise RationalError(f"not a rational literal: {e!r}")
+
+
 def as_vector(entries: Iterable[RationalLike]) -> Vector:
-    """Coerce an iterable of ints, fraction strings, or Fractions."""
-    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
+    """Coerce an iterable of ints, ``p/q`` strings or Fractions."""
+    return tuple(e if type(e) is Fraction else _rational(e) for e in entries)
 
 
 def vec(*entries: RationalLike) -> Vector:
@@ -108,10 +135,10 @@ def _cleared(entries: Iterable[RationalLike]) -> tuple[list[int], int]:
 
     Returns ints ``(numerators, d)`` with ``entries[k] == numerators[k] / d``
     and ``d >= 1``; ``entries`` may be a generator.  Each int or Fraction is
-    split once, by ``as_integer_ratio``; anything else (a fraction string, a
-    bool) goes through ``Fraction`` first.
+    split once, by ``as_integer_ratio``; anything else goes through
+    :func:`_rational` first.
     """
-    ratios = [(e if type(e) in _EXACT else Fraction(e)).as_integer_ratio()
+    ratios = [(e if type(e) in _EXACT else _rational(e)).as_integer_ratio()
               for e in entries]
     d = lcm(*[q for _, q in ratios])
     if d == 1:
@@ -210,22 +237,10 @@ def determinant(rows: Sequence[Sequence[RationalLike]]) -> Fraction:
     return Fraction(-det if swaps % 2 else det, prod(scales))
 
 
-def transpose(rows: Matrix) -> Matrix:
-    return tuple(tuple(r[c] for r in rows) for c in range(len(rows[0])))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if len(a[0]) != len(b):
-        raise ShapeError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
-    cols = range(len(b[0]))
-    return tuple(
-        tuple(sum((row[k] * b[k][c] for k in range(len(b))), Fraction(0)) for c in cols)
-        for row in a
-    )
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+def _gram_of(vectors: Sequence[Vector]) -> Matrix:
+    """``sum(v v^T)`` over the vectors: ``A^T A`` for A with them as rows."""
+    n = range(len(vectors[0]))
+    return tuple(tuple(sum(v[i] * v[j] for v in vectors) for j in n) for i in n)
 
 
 def invert_matrix(rows: Matrix) -> Matrix:
@@ -238,11 +253,9 @@ def invert_matrix(rows: Matrix) -> Matrix:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ShapeError("inverse needs a square matrix")
-    if n == 0:
-        return ()
     try:
-        return transpose(_solve_many(_integer_rows(transpose(rows)),
-                                     identity_matrix(n)))
+        return tuple(zip(*_solve_many(_integer_rows(tuple(zip(*rows))), [
+            [int(i == j) for j in range(n)] for i in range(n)])))
     except DependentFrameError:
         raise ShapeError("matrix is singular") from None
 
@@ -373,7 +386,7 @@ class Frame(_Value):
 
 def frame_of(*vectors: Iterable[RationalLike]) -> Frame:
     """Shorthand: ``frame_of((1, 0), (1, 1))``."""
-    return Frame(tuple(as_vector(v) for v in vectors))
+    return Frame(vectors)
 
 
 def is_independent(vectors: Sequence[Sequence[RationalLike]]) -> bool:
@@ -528,7 +541,7 @@ def sample_frame(dim: int, m: int, bound: int, seed: int) -> Frame:
 
 def sample_coefficients(m: int, bound: int, seed: int) -> Coordinates:
     """Draw m integer coefficients in [-bound, bound], deterministically."""
-    _check_nonnegative(bound=bound)
+    _check_nonnegative(m=m, bound=bound)
     _check_seed(seed)
     rng = random.Random(seed)
     return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(m))

@@ -32,6 +32,15 @@ def det_cofactor(rows):
     return total
 
 
+def mat_mul(a, b):
+    """Matrix product by the textbook triple loop."""
+    return tuple(
+        tuple(sum((Fraction(row[k]) * b[k][c] for k in range(len(b))), Fraction(0))
+              for c in range(len(b[0])))
+        for row in a
+    )
+
+
 def rank_by_minors(rows):
     """Largest k such that some k-by-k minor has nonzero determinant."""
     if not rows:

@@ -22,6 +22,7 @@ from orthocheck import (
     is_orthogonal_tuple,
     relation_point,
     relation_to_json,
+    sample_chain,
     sample_inner_product,
     solve_coordinates,
 )
@@ -510,8 +511,11 @@ def test_builder_clears_each_frame_once(monkeypatch):
     (lambda: is_orthogonal_via_factorization(E2, Relation(()),
                                              points_per_frame=0, bound=-3),
      "bound must be nonnegative, got -3"),
+    (lambda: sample_chain(Relation(()), -1, 0),
+     "depth must be nonnegative, got -1"),
+    (lambda: sample_coefficients(-1, 3, 0), "m must be nonnegative, got -1"),
 ], ids=["frame_count", "points_per_frame", "predicate", "bound",
-        "predicate-bound"])
+        "predicate-bound", "chain-depth", "coefficients"])
 def test_negative_counts_raise(call, message):
     with pytest.raises(ShapeError, match=f"^{message}$"):
         call()

@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 from math import lcm
 from random import Random
@@ -13,13 +14,16 @@ from orthocheck import (
     DependentFrameError,
     Frame,
     GenerationError,
+    GramInnerProduct,
     OrthoError,
     PreconditionError,
+    RationalError,
     Relation,
     ShapeError,
     SpanMembershipError,
     build_orthogonal_relation,
     derive_seed,
+    evaluate,
     frame_of,
     identity_inner_product,
     linear_combination,
@@ -36,19 +40,17 @@ from orthocheck.linalg import (
     _integer_rows,
     _solve_many,
     determinant,
-    identity_matrix,
     invert_matrix,
     is_independent,
-    mat_mul,
     matrix_rank,
     span_contains,
-    transpose,
     vec,
 )
 
 from oracles import (
     det_cofactor,
     linear_combination_fractions,
+    mat_mul,
     rank_by_minors,
     solve_2x2_cramer,
 )
@@ -123,13 +125,86 @@ def test_linear_combination_matches_fraction_reference(case):
     assert all(type(e) is F for e in out)
 
 
+# --- one coercion: every entry is a rational or a RationalError ---
+
+PROBES = ["1.5", "1e3", " 1/2 ", "\u0661/2", "1_000", 0.1, True, Decimal("1.5"),
+          "abc", float("inf"), float("nan"), None, "1/0", "9" * 5000]
+
+
+@pytest.mark.parametrize("entry", PROBES, ids=[repr(p)[:12] for p in PROBES])
+def test_vec_reads_only_the_literal_grammar(entry):
+    with pytest.raises(RationalError):
+        vec(1, entry)
+
+
+def _exact(e):
+    """Whether ``e`` is an exact rational by the README's rule, decided
+    without the library: a Fraction, an int that is not a bool, or ASCII
+    ``p`` or ``p/q`` with q nonzero and no part over the int/str limit."""
+    if isinstance(e, (int, F)):
+        return not isinstance(e, bool)
+    parts = e.split("/") if isinstance(e, str) else []
+    if not 1 <= len(parts) <= 2 or any(
+            len(p.lstrip("+-")) > sys.get_int_max_str_digits() for p in parts):
+        return False
+    return bool(re.fullmatch(r"[+-]?[0-9]+", parts[0], re.ASCII)) and (
+        len(parts) == 1 or bool(re.fullmatch(r"[0-9]+", parts[1], re.ASCII))
+        and int(parts[1]) != 0)
+
+
+any_entry = st.one_of(
+    st.integers(-10**6, 10**6),
+    rationals,
+    rationals.map(str),
+    st.text(max_size=6),
+    st.sampled_from(PROBES + ["-0/3", "+7", "1/" + "9" * 5000]),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.decimals(),
+)
+
+# Each call, and how many of its four entries it reads.
+I2 = identity_inner_product(2)
+TAXONOMY = {
+    "vec": (2, lambda a, b, c, d: vec(a, b)),
+    "frame_of": (4, lambda a, b, c, d: frame_of((a, b), (c, d))),
+    "Frame": (4, lambda a, b, c, d: Frame(((a, b), (c, d)))),
+    "GramInnerProduct": (4, lambda a, b, c, d: GramInnerProduct(((a, b), (c, d)))),
+    "linear_combination": (4, lambda a, b, c, d: linear_combination(
+        [(a, b), (1, 2)], (c, d))),
+    "solve_coordinates": (2, lambda a, b, c, d: solve_coordinates(
+        frame_of((1, 1), (0, 1)), (a, b))),
+    "evaluate": (4, lambda a, b, c, d: evaluate(I2, (a, b), (c, d))),
+}
+
+
+@pytest.mark.parametrize("name", TAXONOMY)
+@settings(max_examples=80, deadline=None)
+@given(st.lists(any_entry, min_size=4, max_size=4))
+@example(["abc", 1, 1, 1])
+@example([float("inf"), 1, 1, 1])
+@example([None, 1, 1, 1])
+@example(["1/0", 1, 1, 1])
+def test_every_call_returns_or_raises_an_ortho_error(name, entries):
+    reads, call = TAXONOMY[name]
+    exact = all(map(_exact, entries[:reads]))
+    try:
+        call(*entries)
+    except RationalError:
+        assert not exact
+    except OrthoError:
+        assert exact
+    else:
+        assert exact
+
+
 # --- clearing denominators ---
 
 clearable_entries = st.one_of(
     st.integers(-10**6, 10**6),
     st.fractions(min_value=-50, max_value=50, max_denominator=60),
     st.fractions(min_value=-50, max_value=50, max_denominator=60).map(str),
-    st.booleans(),
 )
 
 
@@ -144,6 +219,12 @@ def test_cleared_matches_fraction_reference(entries, as_generator):
     assert all(F(n, d) == v for n, v in zip(numerators, values))
     assert d == lcm(*[v.denominator for v in values])
     assert all(type(n) is int for n in numerators) and type(d) is int
+
+
+@pytest.mark.parametrize("entry", [True, False])
+def test_cleared_rejects_a_bool(entry):
+    with pytest.raises(RationalError, match=f"^not a rational literal: {entry}$"):
+        _cleared([1, entry])
 
 
 # --- determinant and rank against naive oracles ---
@@ -269,14 +350,15 @@ def test_invert_matrix_is_a_left_inverse(rows):
         with pytest.raises(ShapeError):
             invert_matrix(rows)
         return
-    assert mat_mul(invert_matrix(rows), rows) == identity_matrix(len(rows))
+    assert mat_mul(invert_matrix(rows), rows) == identity_inner_product(
+        len(rows)).matrix
 
 
 def test_determinant_basics():
     assert determinant([]) == 1
     assert determinant([[F(5)]]) == 5
     assert determinant([[1, 2], [2, 4]]) == 0
-    assert determinant(identity_matrix(4)) == 1
+    assert determinant(identity_inner_product(4).matrix) == 1
     with pytest.raises(ShapeError):
         determinant([[1, 2, 3], [4, 5, 6]])
 
@@ -298,14 +380,10 @@ def test_determinant_multiplicative(a, b):
 def test_invert_matrix_round_trip():
     rows = [[F(1), F(1)], [F(0), F(1)]]
     inv = invert_matrix(rows)
-    assert mat_mul(rows, inv) == tuple(map(tuple, identity_matrix(2)))
+    assert mat_mul(rows, inv) == identity_inner_product(2).matrix
+    assert invert_matrix([]) == ()
     with pytest.raises(ShapeError):
         invert_matrix([[1, 2], [2, 4]])
-
-
-def test_transpose_involution():
-    rows = [[F(1), F(2), F(3)], [F(4), F(5), F(6)]]
-    assert transpose(transpose(rows)) == tuple(map(tuple, rows))
 
 
 # --- frames ---
@@ -488,7 +566,6 @@ def test_derive_seed_frozen_values():
     assert derive_seed(0) == 0
 
 
-I2 = identity_inner_product(2)
 SEEDED = {
     "derive_seed": lambda seed: derive_seed(seed),
     "derive_seed-indices": lambda seed: derive_seed(seed, 3, 1),
@@ -506,6 +583,8 @@ SEEDED = {
                                         points_per_frame=0, seed=seed),
     "sample_chain": lambda seed: sample_chain(
         build_orthogonal_relation(I2, 2, 2, 3, 0), 3, seed),
+    "sample_chain-empty": lambda seed: sample_chain(Relation(()), 0, seed),
+    "sample_coefficients-empty": lambda seed: sample_coefficients(0, 3, seed),
 }
 
 

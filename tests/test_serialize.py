@@ -22,8 +22,8 @@ from orthocheck import (
     sample_frame,
     verify_orthogonal_maximality,
 )
+from orthocheck.linalg import RATIONAL_PATTERN
 from orthocheck.serialize import (
-    RATIONAL_PATTERN,
     canonical_dumps,
     frame_from_json,
     frame_to_json,
