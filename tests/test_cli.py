@@ -438,6 +438,31 @@ def test_unknown_command_is_usage_error(capsys):
     assert main(["nonsense"]) == 2
 
 
+COMMON_OPTIONS = {"-h", "--help", "--dim", "--m", "--frames", "--points",
+                  "--bound", "--seed", "--gram", "--output"}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("equivalence", set()),
+    ("factor", {"--input"}),
+    ("maximality", set()),
+    ("chain", set()),
+    ("pair-ip", {"--a", "--b"}),
+])
+def test_subcommand_takes_exactly_its_options(command, extra):
+    """Every subcommand takes the eight common flags (and ``--help``); only
+    ``factor`` adds ``--input`` and only ``pair-ip`` adds ``--a``/``--b``."""
+    import argparse
+
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == ["equivalence", "factor", "maximality",
+                                 "chain", "pair-ip"]
+    options = {s for a in sub.choices[command]._actions for s in a.option_strings}
+    assert options == COMMON_OPTIONS | extra
+
+
 def test_report_round_trips_exactly(capsys):
     from orthocheck.serialize import canonical_dumps
 
