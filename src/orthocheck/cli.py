@@ -34,11 +34,11 @@ from typing import TYPE_CHECKING, Any, Collection, Sequence
 from .errors import DependentFrameError, OrthoError, ShapeError, UsageError
 from .inner_product import (
     GramInnerProduct,
+    _orthogonal_samples,
     _projection_checks,
     coefficient_formula,
     evaluate,
     frame_adapted_inner_product,
-    gram_schmidt,
     identity_inner_product,
     is_orthogonal_tuple,
 )
@@ -46,7 +46,6 @@ from .linalg import (
     Frame,
     Vector,
     _check_seed,
-    _span_points,
     _Value,
     derive_seed,
     sample_frame,
@@ -100,20 +99,15 @@ class RunConfig(_Value):
     def __init__(self, dim: int = dim, m: int = m, frames: int = frames,
                  points: int = points, bound: int = bound, seed: int = seed,
                  gram: str | None = gram) -> None:
+        if not 2 <= m <= dim <= 16:
+            raise UsageError(f"need 2 <= m <= dim <= 16, got m={m}, dim={dim}")
+        if frames < 0 or points < 0:
+            raise UsageError("frame and point counts must be >= 0")
+        if bound < 1:
+            raise UsageError(f"bound must be positive, got {bound}")
+        _check_seed(seed)
         self.__dict__.update(dim=dim, m=m, frames=frames, points=points,
                              bound=bound, seed=seed, gram=gram)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.m <= self.dim <= 16:
-            raise UsageError(
-                f"need 2 <= m <= dim <= 16, got m={self.m}, dim={self.dim}"
-            )
-        if self.frames < 0 or self.points < 0:
-            raise UsageError("frame and point counts must be >= 0")
-        if self.bound < 1:
-            raise UsageError(f"bound must be positive, got {self.bound}")
-        _check_seed(self.seed)
 
     def to_json(self) -> dict[str, Any]:
         return dict(zip(self._fields, self._values()))
@@ -177,13 +171,9 @@ def cmd_equivalence(config: RunConfig) -> Result:
     G = config.load_inner_product()
     _cap_work("equivalence", config)
     trials = failures = 0
-    for k in range(config.frames):
-        raw = sample_frame(config.dim, config.m, config.bound,
-                           derive_seed(config.seed, k, 0))
-        frame = gram_schmidt(G, raw)
-        seeds = [derive_seed(config.seed, k, t + 1) for t in range(config.points)]
-        checks = _projection_checks(G, frame, [
-            x for _, x in _span_points(frame, config.bound, seeds)])
+    for frame, points in _orthogonal_samples(
+            G, config.m, config.frames, config.points, config.bound, config.seed):
+        checks = _projection_checks(G, frame, [x for _, x in points])
         trials += len(checks)
         failures += checks.count(False)
     return {"trials": trials, "failures": failures}, failures == 0
@@ -345,6 +335,16 @@ def parse_vector_literal(text: str) -> Vector:
     )
 
 
+# Each subcommand and its help line, in the order ``--help`` lists them.
+_COMMANDS = {
+    "equivalence": "check solver coordinates against the coefficient formula",
+    "factor": "run the factorization scan over a relation",
+    "maximality": "sweep candidate frames; non-orthogonal ones get witnesses",
+    "chain": "nested chain of sub-relations; union must factor",
+    "pair-ip": "adapted inner product for one vector pair",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ortho",
@@ -353,8 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "maximality sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name, help_text in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         # No parser defaults: RunConfig fills them in, so that an explicit
         # flag the command path ignores can be told from a default.
         p.add_argument("--dim", type=int, help="ambient dimension")
@@ -364,46 +364,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bound", type=int,
                        help="integer entry bound for sampling")
         p.add_argument("--seed", type=int, help="master seed, in [0, 2^64)")
-        p.add_argument("--gram", default=None,
-                       help="path to a Gram matrix JSON file "
-                            "(default: identity)")
-        p.add_argument("--output", default=None,
+        p.add_argument("--gram", help="path to a Gram matrix JSON file "
+                                      "(default: identity)")
+        p.add_argument("--output",
                        help="write the JSON report here instead of stdout")
-
-    p_eq = sub.add_parser(
-        "equivalence",
-        help="check solver coordinates against the coefficient formula",
-    )
-    add_common(p_eq)
-
-    p_factor = sub.add_parser(
-        "factor", help="run the factorization scan over a relation",
-    )
-    add_common(p_factor)
-    p_factor.add_argument("--input", default=None,
-                          help="relation JSON file; omitted means a built "
-                               "orthogonal relation")
-
-    p_max = sub.add_parser(
-        "maximality",
-        help="sweep candidate frames; non-orthogonal ones get witnesses",
-    )
-    add_common(p_max)
-
-    p_chain = sub.add_parser(
-        "chain", help="nested chain of sub-relations; union must factor",
-    )
-    add_common(p_chain)
-
-    p_pair = sub.add_parser(
-        "pair-ip", help="adapted inner product for one vector pair",
-    )
-    add_common(p_pair)
-    p_pair.add_argument("--a", required=True,
-                        help="first vector, e.g. --a=1,0")
-    p_pair.add_argument("--b", required=True,
-                        help="second vector, e.g. --b=-1,2")
-
+        if name == "factor":
+            p.add_argument("--input", help="relation JSON file; omitted means a "
+                                           "built orthogonal relation")
+        elif name == "pair-ip":
+            p.add_argument("--a", required=True,
+                           help="first vector, e.g. --a=1,0")
+            p.add_argument("--b", required=True,
+                           help="second vector, e.g. --b=-1,2")
     return parser
 
 
@@ -463,7 +435,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.excepthook(*sys.exc_info())
         return 3
     return 0 if passed else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -27,14 +27,15 @@ from .errors import (
     PreconditionError,
     ShapeError,
     SpanMembershipError,
+    _shown,
 )
 from .inner_product import (
     GramInnerProduct,
     _full_dimensional,
     _images,
     _nonorthogonal_pairs,
+    _orthogonal_samples,
     _witness,
-    gram_schmidt,
 )
 from .linalg import (
     Coordinates,
@@ -46,7 +47,6 @@ from .linalg import (
     _Value,
     as_vector,
     derive_seed,
-    sample_frame,
     solve_coordinates,
     span_contains,
 )
@@ -83,7 +83,7 @@ class RelationPoint(_Value):
             )
         if not span_contains(self.frame, self.point):
             raise SpanMembershipError(
-                f"point {self.point} is outside the frame's span"
+                f"point {_shown(self.point)} is outside the frame's span"
             )
 
     @classmethod
@@ -131,7 +131,7 @@ class Relation(_Value):
         _, repeat = _first_of_each_pair(self.points)
         if repeat is not None:
             raise DuplicatePointError(
-                f"duplicate (frame, point) pair: {(repeat.frame, repeat.point)}"
+                f"duplicate (frame, point) pair: {_shown((repeat.frame, repeat.point))}"
             )
 
     @classmethod
@@ -325,17 +325,14 @@ class Chain(_Value):
     _fields = ("relations",)
 
     def __init__(self, relations: Sequence[Relation]) -> None:
-        self.__dict__.update(relations=relations)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        self.__dict__.update(relations=tuple(self.relations))
-        for earlier, later in zip(self.relations, self.relations[1:]):
+        relations = tuple(relations)
+        for earlier, later in zip(relations, relations[1:]):
             missing = set(earlier.points) - set(later.points)
             if missing:
                 raise ChainOrderError(
                     f"chain is not ascending: {len(missing)} points drop out"
                 )
+        self.__dict__.update(relations=relations)
 
     def __len__(self) -> int:
         return len(self.relations)
@@ -479,10 +476,7 @@ def build_orthogonal_relation(
     m = G.dim if m is None else m
     if not 2 <= m <= G.dim:
         raise ShapeError(f"need 2 <= m <= dim, got m={m}, dim={G.dim}")
-    entries: list[RelationPoint] = []
-    for k in range(frame_count):
-        frame = gram_schmidt(G, sample_frame(G.dim, m, bound, derive_seed(seed, k, 0)))
-        seeds = [derive_seed(seed, k, t + 1) for t in range(points_per_frame)]
-        entries += (RelationPoint._trusted(frame, x, c)
-                    for c, x in _span_points(frame, bound, seeds))
-    return Relation.from_points(entries)
+    return Relation.from_points(
+        RelationPoint._trusted(frame, x, c) for frame, points in
+        _orthogonal_samples(G, m, frame_count, points_per_frame, bound, seed)
+        for c, x in points)

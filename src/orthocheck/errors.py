@@ -1,5 +1,16 @@
 """Exception types shared across the library."""
 
+import sys
+
+
+def _shown(value: object) -> str:
+    """``str(value)`` for an error message, or a placeholder where ``str()``
+    refuses an integer with more digits than the int/str limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<a value over the {sys.get_int_max_str_digits()}-digit integer limit>"
+
 
 class OrthoError(Exception):
     """Base class for every error this library raises on purpose."""

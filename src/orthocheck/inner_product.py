@@ -20,8 +20,10 @@ from .errors import (
     ShapeError,
     SymmetryError,
     ZeroVectorError,
+    _shown,
 )
 from .linalg import (
+    Coordinates,
     Frame,
     Matrix,
     Vector,
@@ -30,7 +32,9 @@ from .linalg import (
     _cleared,
     _gram_of,
     _solve_many,
+    _span_points,
     as_vector,
+    derive_seed,
     invert_matrix,
     sample_frame,
 )
@@ -67,7 +71,7 @@ class GramInnerProduct(_Value):
                 if rows[i][j] != rows[j][i]:
                     raise SymmetryError(
                         f"matrix is not symmetric at ({i}, {j}): "
-                        f"{rows[i][j]} vs {rows[j][i]}"
+                        f"{_shown(rows[i][j])} vs {_shown(rows[j][i])}"
                     )
         flat, d = _cleared(e for row in rows for e in row)
         numerators = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
@@ -82,7 +86,7 @@ class GramInnerProduct(_Value):
             if pivot <= 0:
                 minor = Fraction(pivot, d ** (k + 1))
                 raise DefinitenessError(
-                    f"leading principal minor {k + 1} is {minor}, not positive",
+                    f"leading principal minor {k + 1} is {_shown(minor)}, not positive",
                     minor_index=k + 1,
                 )
 
@@ -219,26 +223,26 @@ def _projection_checks(
 
 def _orthogonalize(
     G: GramInnerProduct,
+    vectors: Sequence[Vector],
     images: Sequence[tuple[list[int], int, list[int] | None]],
-) -> list[tuple[list[int], int] | None]:
-    """Integer Gram-Schmidt over cleared inputs ``(U, s, Gn U)``, as
-    :func:`_images` gives them, in the given order; ``Gn U`` may be None
+) -> list[Vector]:
+    """Integer Gram-Schmidt over ``vectors``, in the given order, cleared
+    to ``(U, s, Gn U)`` as :func:`_images` gives them; ``Gn U`` may be None
     where the caller has not computed it.
 
-    Output k is ``(U, s)``, an integer vector over a positive scale, or None
-    when input k is orthogonal to every earlier output and so is its own
-    output.  The common denominator of G cancels in every projection
-    coefficient ``<W, U> / <W, W>``, so projecting an earlier output W out
-    of U is ``U <- <W,W> U - <W,U> W`` and ``s <- <W,W> s`` under G's
-    numerator matrix, after which ``gcd(s, *U)`` is divided out.  Each
-    output but the last keeps ``Gn W`` and ``<W,W>``, so every later inner
-    product is one dot product; an input that is its own output reuses its
-    given image.
+    Output k is input k itself when it is orthogonal to every earlier
+    output, and otherwise its projected ``U / s`` as Fractions.  The common
+    denominator of G cancels in every projection coefficient
+    ``<W, U> / <W, W>``, so projecting an earlier output W out of U is
+    ``U <- <W,W> U - <W,U> W`` and ``s <- <W,W> s`` under G's numerator
+    matrix, after which ``gcd(s, *U)`` is divided out.  Each output but the
+    last keeps ``Gn W`` and ``<W,W>``, so every later inner product is one
+    dot product; an input that is its own output reuses its given image.
     """
     rows = G._numerators
     done: list[tuple[list[int], list[int], int]] = []  # W, Gn W, <W,W>
-    out: list[tuple[list[int], int] | None] = []
-    for U, s, GU in images:
+    out: list[Vector] = []
+    for v, (U, s, GU) in zip(vectors, images):
         projected = False
         for W, GW, WW in done:
             WU = sum(map(mul, GW, U))
@@ -250,7 +254,7 @@ def _orthogonalize(
                     U = [a // g for a in U]
                     s //= g
                 projected = True
-        out.append((U, s) if projected else None)
+        out.append(tuple(Fraction(a, s) for a in U) if projected else v)
         if len(out) < len(images):
             if projected or GU is None:
                 GU = [sum(map(mul, row, U)) for row in rows]
@@ -272,13 +276,10 @@ def _witness(
     """
     vectors = candidate.vectors
     order = [i - 1] + [k for k in range(len(vectors)) if k != i - 1]
-    outputs = _orthogonalize(G, [images[k] for k in order])
-    slots: list[Vector | None] = [None] * len(vectors)
-    for k, out in zip(order, outputs):
-        slots[k] = (vectors[k] if out is None
-                    else tuple(Fraction(a, out[1]) for a in out[0]))
+    outputs = _orthogonalize(G, [vectors[k] for k in order], [images[k] for k in order])
+    outputs.insert(i - 1, outputs.pop(0))
     # Gram-Schmidt keeps prefix spans: the witness is independent too.
-    witness = Frame._trusted(tuple(slots))  # type: ignore[arg-type]
+    witness = Frame._trusted(tuple(outputs))
     (U_i, s_i, _), (U_j, s_j, _) = images[i - 1], images[j - 1]
     den = s_i * s_j
     return witness, tuple(Fraction(a * s_j + b * s_i, den) for a, b in zip(U_i, U_j))
@@ -301,11 +302,22 @@ def gram_schmidt(G: GramInnerProduct, vectors: Frame | Sequence[Vector]) -> Fram
         raise ShapeError(
             f"frame of dimension {frame.dim} against a {G.dim}x{G.dim} form"
         )
-    outputs = _orthogonalize(G, [(*_cleared(v), None) for v in frame.vectors])
-    return Frame._trusted(tuple(
-        v if out is None else tuple(Fraction(a, out[1]) for a in out[0])
-        for v, out in zip(frame.vectors, outputs)
-    ))
+    return Frame._trusted(tuple(_orthogonalize(
+        G, frame.vectors, [(*_cleared(v), None) for v in frame.vectors])))
+
+
+def _orthogonal_samples(
+    G: GramInnerProduct, m: int, frame_count: int, points_per_frame: int,
+    bound: int, seed: int,
+) -> Iterator[tuple[Frame, list[tuple[Coordinates, Vector]]]]:
+    """The one seeded sampling layout: frame k, of m vectors, is drawn from
+    the seed derived for (k, 0) and made G-orthogonal, and its points, with
+    their coefficients (:func:`_span_points`), from the seeds derived for
+    (k, t + 1), for each t below ``points_per_frame``."""
+    for k in range(frame_count):
+        frame = gram_schmidt(G, sample_frame(G.dim, m, bound, derive_seed(seed, k, 0)))
+        yield frame, _span_points(frame, bound, [
+            derive_seed(seed, k, t + 1) for t in range(points_per_frame)])
 
 
 def _full_dimensional(frame: Frame, what: str) -> None:

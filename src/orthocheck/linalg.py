@@ -33,6 +33,7 @@ from .errors import (
     RationalError,
     ShapeError,
     SpanMembershipError,
+    _shown,
 )
 
 RationalLike = Fraction | int | str
@@ -346,7 +347,7 @@ class Frame(_Value):
             )
         if matrix_rank(vectors) < len(vectors):
             raise DependentFrameError(
-                f"frame vectors are linearly dependent: {vectors}"
+                f"frame vectors are linearly dependent: {_shown(vectors)}"
             )
 
     @classmethod
@@ -463,7 +464,7 @@ def _solve_many(cleared: _Rows, points: Sequence[Vector]) -> list[Coordinates]:
     for j, xd in enumerate(denominators, m):
         for row in rows[m:]:
             if row[j]:
-                x = as_vector(points[j - m])
+                x = _shown(as_vector(points[j - m]))
                 raise SpanMembershipError(f"{x} is not in the span of the frame")
         # Back substitution: out / det solves column j's scaled system.
         out = [0] * m

@@ -67,12 +67,17 @@ def vector_to_json(v: Vector) -> list[str]:
     return [rational_to_json(entry) for entry in v]
 
 
-def vector_from_json(obj: Any, location: str = "vector") -> Vector:
+def _array(obj: Any, location: str, what: str,
+           parse: Callable[[Any, str], Any]) -> tuple:
+    """The entries of a non-empty JSON array of ``what``, each read by
+    ``parse`` at its indexed location ``location[k]``."""
     if not isinstance(obj, list) or not obj:
-        raise RelationParseError("expected a non-empty array of rationals", location)
-    return tuple(
-        rational_from_json(entry, f"{location}[{k}]") for k, entry in enumerate(obj)
-    )
+        raise RelationParseError(f"expected a non-empty array of {what}", location)
+    return tuple(parse(entry, f"{location}[{k}]") for k, entry in enumerate(obj))
+
+
+def vector_from_json(obj: Any, location: str = "vector") -> Vector:
+    return _array(obj, location, "rationals", rational_from_json)
 
 
 def frame_to_json(frame: Frame) -> list[list[str]]:
@@ -80,11 +85,7 @@ def frame_to_json(frame: Frame) -> list[list[str]]:
 
 
 def frame_from_json(obj: Any, location: str = "frame") -> Frame:
-    if not isinstance(obj, list) or not obj:
-        raise RelationParseError("expected a non-empty array of vectors", location)
-    vectors = tuple(
-        vector_from_json(entry, f"{location}[{k}]") for k, entry in enumerate(obj)
-    )
+    vectors = _array(obj, location, "vectors", vector_from_json)
     try:
         return Frame(vectors)
     except OrthoError as exc:
@@ -99,11 +100,7 @@ def gram_from_json(obj: Any, location: str = "gram") -> GramInnerProduct:
     """Parse a Gram matrix.  Structure errors become parse errors; symmetry
     and definiteness failures keep their own types (and the failing minor).
     """
-    if not isinstance(obj, list) or not obj:
-        raise RelationParseError("expected a non-empty array of rows", location)
-    rows = tuple(
-        vector_from_json(entry, f"{location}[{k}]") for k, entry in enumerate(obj)
-    )
+    rows = _array(obj, location, "rows", vector_from_json)
     if any(len(row) != len(rows) for row in rows):
         raise RelationParseError(
             f"expected a square {len(rows)}x{len(rows)} matrix", location

@@ -224,6 +224,19 @@ def test_gram_over_long_literal_is_usage_error(capsys, tmp_path):
     assert LIMIT in err
 
 
+def test_gram_minor_over_the_digit_limit_is_usage_error(capsys, tmp_path):
+    # Entries inside the limit whose second leading minor, -a**2, is not.
+    a = "7" * 4000
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps([[a, "0"], ["0", f"-{a}"]]), encoding="utf-8")
+    code, report, err = run_cli(capsys, "equivalence", "--dim", "2", "--m", "2",
+                                "--gram", str(path))
+    assert (code, report) == (2, None)
+    assert err.splitlines() == [
+        "ortho: leading principal minor 2 is <a value over the "
+        f"{sys.get_int_max_str_digits()}-digit integer limit>, not positive"]
+
+
 def test_pair_ip_over_long_literal_is_usage_error(capsys):
     code, report, err = run_cli(capsys, "pair-ip", f"--a=1,{LONG}", "--b=1,0")
     assert (code, report) == (2, None)
