@@ -2,10 +2,10 @@
 turn the error into another one.
 
 ``str()`` refuses an integer with more digits than the interpreter's
-int/str limit by raising ValueError.  A message that printed such a value
-raised that ValueError in place of its own error, which the CLI reports
-as a bug (exit 3).  Such a value now prints as a placeholder naming the
-limit, and a message over values inside the limit reads as before.
+int/str limit by raising ValueError.  A message that names such a value
+prints a placeholder naming the limit instead, so the error keeps its own
+type: the CLI exits 2 for it, not 3 as for a bug.  A message over values
+inside the limit prints them as ``str()`` does.
 """
 
 import sys
