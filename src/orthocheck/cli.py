@@ -31,7 +31,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, Any, Collection, Sequence
 
-from .errors import DependentFrameError, OrthoError, ShapeError, UsageError
+from .errors import DependentFrameError, OrthoError, ShapeError, UsageError, _shown
 from .inner_product import (
     GramInnerProduct,
     _orthogonal_samples,
@@ -65,6 +65,7 @@ from .serialize import (
 )
 
 if TYPE_CHECKING:
+    from .dependence import Relation
     from .maximality import MaximalityReport
 
 CHAIN_DEPTH = 4
@@ -151,7 +152,7 @@ def _cap_work(command: str, config: RunConfig) -> None:
         unit, cap = "span points", SAMPLE_CAP
     if count > cap:
         raise UsageError(
-            f"{command} {flags} asks for {count} {unit}, above the cap of {cap}"
+            f"{command} {flags} asks for {_shown(count)} {unit}, above the cap of {cap}"
         )
 
 
@@ -164,6 +165,18 @@ def _reject_unread(given: Collection[str], path: str, *unread: str) -> None:
 
 
 Result = tuple[dict[str, Any], bool]
+
+
+def _built_relation(command: str, config: RunConfig) -> Relation:
+    """The orthogonal relation ``command`` builds from its flags: the form
+    is loaded, the work capped, then the relation sampled."""
+    from .dependence import build_orthogonal_relation
+
+    G = config.load_inner_product()
+    _cap_work(command, config)
+    return build_orthogonal_relation(
+        G, config.frames, config.points, config.bound, config.seed, m=config.m,
+    )
 
 
 def cmd_equivalence(config: RunConfig) -> Result:
@@ -182,7 +195,7 @@ def cmd_equivalence(config: RunConfig) -> Result:
 def cmd_factor(config: RunConfig, input_path: str | None = None,
                given: Collection[str] = ()) -> Result:
     """Factorization scan over a loaded relation or a fresh orthogonal one."""
-    from .dependence import build_orthogonal_relation, factor_check
+    from .dependence import factor_check
 
     if input_path is not None and config.gram is not None:
         raise UsageError(
@@ -192,21 +205,14 @@ def cmd_factor(config: RunConfig, input_path: str | None = None,
     if input_path is not None:
         _reject_unread(given, "factor --input", "frames", "points", "bound")
         rel = load_relation(input_path)
-        if rel.points and (rel.points[0].frame.dim, rel.slot_count) != (
-            config.dim, config.m
-        ):
+        if rel.shape not in (None, (config.dim, config.m)):
+            dim, m = rel.shape
             raise ShapeError(
-                f"--input {input_path} holds a relation with "
-                f"dim={rel.points[0].frame.dim}, m={rel.slot_count} "
+                f"--input {input_path} holds a relation with dim={dim}, m={m} "
                 f"but --dim is {config.dim} and --m is {config.m}"
             )
     else:
-        G = config.load_inner_product()
-        _cap_work("factor", config)
-        rel = build_orthogonal_relation(
-            G, config.frames, config.points, config.bound, config.seed,
-            m=config.m,
-        )
+        rel = _built_relation("factor", config)
     outcome = factor_check(rel)
     return outcome_to_json(outcome), outcome.passed
 
@@ -267,17 +273,9 @@ def cmd_maximality(config: RunConfig, given: Collection[str] = ()) -> Result:
 
 def cmd_chain(config: RunConfig) -> Result:
     """Nested chain inside a built orthogonal relation; union must factor."""
-    from .dependence import (
-        build_orthogonal_relation,
-        chain_union_check,
-        sample_chain,
-    )
+    from .dependence import chain_union_check, sample_chain
 
-    G = config.load_inner_product()
-    _cap_work("chain", config)
-    rel = build_orthogonal_relation(
-        G, config.frames, config.points, config.bound, config.seed, m=config.m,
-    )
+    rel = _built_relation("chain", config)
     chain = sample_chain(rel, CHAIN_DEPTH,
                          derive_seed(config.seed, _CHAIN_STREAM))
     union_passes = chain_union_check(chain)

@@ -168,9 +168,12 @@ class Relation(_Value):
         return Relation.from_points(self.points + other.points)
 
     @property
-    def slot_count(self) -> int:
-        """Frame size m shared by all points; 0 for the empty relation."""
-        return self.points[0].frame.size if self.points else 0
+    def shape(self) -> tuple[int, int] | None:
+        """``(dim, m)`` shared by all points; None for the empty relation."""
+        if not self.points:
+            return None
+        frame = self.points[0].frame
+        return frame.dim, frame.size
 
 
 def _check_one_shape(points: Sequence[RelationPoint]) -> None:
@@ -385,12 +388,10 @@ def greedy_maximal_extension(base: Relation, pool: Relation) -> Relation:
     outcome = factor_check(base)
     if not outcome.passed:
         raise PreconditionError("base relation does not factor")
-    if base.points and pool.points and (
-        (base.points[0].frame.dim, base.slot_count)
-        != (pool.points[0].frame.dim, pool.slot_count)
-    ):
+    shapes = {base.shape, pool.shape} - {None}
+    if len(shapes) > 1:
         raise ShapeError("base and pool have different (dim, size) shapes")
-    m = base.slot_count or pool.slot_count
+    m = shapes.pop()[1] if shapes else 0
     # The base's own factor tables, extended in place as points are taken.
     tables = outcome.tables or tuple({} for _ in range(m))
     accepted = dict.fromkeys(base.points)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
     DependentFrameError,
@@ -41,6 +41,7 @@ Vector = tuple[Fraction, ...]
 Coordinates = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 _Rows = tuple[list[list[int]], list[int]]  # integer rows, and each one's scale
+_T, _R = TypeVar("_T"), TypeVar("_R")
 
 #: Rejection-sampling attempts before giving up.  Degenerate parameters
 #: (bound=0 can never yield an independent frame) fail loudly instead of
@@ -58,6 +59,29 @@ RATIONAL_PATTERN = re.compile(r"[+-]?\d+(?:/\d+)?\Z", re.ASCII)
 
 # ---------------------------------------------------------------------------
 # vectors
+
+
+def _per_object(fn: Callable[[_T], _R]) -> Callable[[_T], _R]:
+    """``fn`` behind a call-local table keyed by ``id()``: ``fn`` runs once
+    per distinct object, and every later use shares its result.  The table
+    keeps each object, so its id is not reused while the table lives."""
+    table: dict[int, tuple[_T, _R]] = {}
+
+    def cached(obj: _T) -> _R:
+        hit = table.get(id(obj))
+        if hit is None:
+            hit = table[id(obj)] = (obj, fn(obj))
+        return hit[1]
+
+    return cached
+
+
+def _dimension(vectors: Sequence[Sequence[object]]) -> int:
+    """The one length n that every vector has; ShapeError if they differ."""
+    dims = {len(v) for v in vectors}
+    if len(dims) != 1:
+        raise ShapeError(f"mixed vector dimensions: {sorted(dims)}")
+    return dims.pop()
 
 
 def _rational(e: object) -> Fraction:
@@ -107,9 +131,7 @@ def linear_combination(
         )
     if not vectors:
         raise ShapeError("empty combination has no dimension")
-    dims = {len(v) for v in vectors}
-    if len(dims) != 1:
-        raise ShapeError(f"mixed vector dimensions: {sorted(dims)}")
+    _dimension(vectors)
     return _combine(_integer_rows(vectors), coeffs)
 
 
@@ -214,9 +236,7 @@ def matrix_rank(vectors: Sequence[Sequence[RationalLike]]) -> int:
     rows, _ = _integer_rows(vectors)
     if not rows:
         return 0
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ShapeError("rows of unequal length")
+    _dimension(rows)
     pivots, _ = _bareiss(rows)
     return len(pivots)
 
@@ -337,10 +357,7 @@ class Frame(_Value):
         self.__dict__.update(vectors=vectors)
         if len(vectors) < 2:
             raise ShapeError("a frame needs at least two vectors")
-        dims = {len(v) for v in vectors}
-        if len(dims) != 1:
-            raise ShapeError(f"mixed vector dimensions in frame: {sorted(dims)}")
-        n = dims.pop()
+        n = _dimension(vectors)
         if len(vectors) > n:
             raise ShapeError(
                 f"{len(vectors)} vectors cannot be independent in dimension {n}"
@@ -400,14 +417,7 @@ def is_independent(vectors: Sequence[Sequence[RationalLike]]) -> bool:
     vs = [as_vector(v) for v in vectors]
     if not vs:
         raise ShapeError("independence of an empty sequence is undefined here")
-    dims = {len(v) for v in vs}
-    if len(dims) != 1:
-        raise ShapeError(f"mixed vector dimensions: {sorted(dims)}")
-    n = dims.pop()
-    m = len(vs)
-    if m > n:
-        return False
-    return matrix_rank(vs) == m
+    return len(vs) <= _dimension(vs) and matrix_rank(vs) == len(vs)
 
 
 def span_contains(frame: Frame, x: Vector) -> bool:
@@ -521,6 +531,7 @@ def sample_frame(dim: int, m: int, bound: int, seed: int) -> Frame:
 
     Deterministic for a fixed seed.  Resamples until the vectors are
     independent; after SAMPLING_CAP failed draws raises GenerationError.
+    Each draw is ranked as ints; Fractions are built for the accepted one.
     """
     if not 2 <= m <= dim:
         raise ShapeError(f"need 2 <= m <= dim, got m={m}, dim={dim}")
@@ -528,12 +539,9 @@ def sample_frame(dim: int, m: int, bound: int, seed: int) -> Frame:
     _check_seed(seed)
     rng = random.Random(seed)
     for _ in range(SAMPLING_CAP):
-        candidate = [
-            tuple(Fraction(rng.randint(-bound, bound)) for _ in range(dim))
-            for _ in range(m)
-        ]
-        if is_independent(candidate):
-            return Frame._trusted(tuple(candidate))
+        draw = [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(m)]
+        if matrix_rank(draw) == m:
+            return Frame._trusted(tuple(tuple(map(Fraction, row)) for row in draw))
     raise GenerationError(
         f"no independent frame after {SAMPLING_CAP} draws "
         f"(dim={dim}, m={m}, bound={bound})"

@@ -14,21 +14,21 @@ the witness pool) lives in :mod:`orthocheck.dependence`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from operator import mul
 from typing import Iterable
 
-from .errors import NoViolationError, ShapeError
+from .errors import NoViolationError
 from .inner_product import (
     GramInnerProduct,
     _full_dimensional,
-    _Image,
     _image,
     _images,
     _nonorthogonal_pairs,
     _witness,
     first_nonorthogonal_pair,  # noqa: F401  perfbench's traced run wraps it here
 )
-from .linalg import Frame, Vector, _check_nonnegative, _Value, vec
+from .linalg import Frame, Vector, _check_nonnegative, _per_object, _Value, vec
 
 
 def orthogonality_witness(
@@ -98,27 +98,17 @@ def verify_orthogonal_maximality(
     """Sweep candidate frames: accept the orthogonal, refute the rest.
 
     Every candidate must be full-dimensional for the form (ShapeError
-    otherwise).  A rejected report shows that the relation built over
-    G-orthogonal frames cannot absorb the candidate: its witness pair
-    breaks factorization at the reported slot.  Each distinct vector
-    object is cleared once per call: the grid's candidates share a few.
-    The table keeps each vector, so its id is not reused while it lives.
+    otherwise; :func:`_image` checks each vector's length).  A rejected
+    report shows that the relation built over G-orthogonal frames cannot
+    absorb the candidate: its witness pair breaks factorization at the
+    reported slot.  Each distinct vector object is cleared once per call
+    (:func:`_per_object`): the grid's candidates share a few.
     """
-    n = G.dim
-    seen: dict[int, tuple[Vector, _Image]] = {}  # id -> the vector, its image
+    image = _per_object(partial(_image, G))
     reports = []
     for candidate in candidates:
-        if candidate.dim != n:
-            raise ShapeError(
-                f"candidate dimension {candidate.dim} against a {n}x{n} form"
-            )
         _full_dimensional(candidate, "maximality sweep")
-        images = []
-        for v in candidate.vectors:
-            hit = seen.get(id(v))
-            if hit is None:
-                hit = seen[id(v)] = (v, _image(G, v))
-            images.append(hit[1])
+        images = [image(v) for v in candidate.vectors]
         pair = next(_nonorthogonal_pairs(images), None)
         if pair is None:
             reports.append(MaximalityReport(candidate, "accepted"))

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .errors import OrthoError, OutputLimitError, RationalError, RelationParseError
 from .inner_product import GramInnerProduct
-from .linalg import Frame, Vector, _rational
+from .linalg import Frame, Vector, _per_object, _rational
 
 if TYPE_CHECKING:
     from .dependence import (
@@ -167,22 +167,6 @@ def relation_from_json(obj: Any, location: str = "points") -> Relation:
         raise RelationParseError(str(exc), location) from exc
 
 
-def _vector_memo() -> Callable[[Vector], list[str]]:
-    """:func:`vector_to_json` behind a call-local table keyed by ``id()``:
-    each distinct vector object is converted once, and every use shares its
-    JSON list, which serializes to the same bytes.  The table keeps the
-    vector, so its id is not reused while the table lives."""
-    table: dict[int, tuple[Vector, list[str]]] = {}
-
-    def cached(v: Vector) -> list[str]:
-        hit = table.get(id(v))
-        if hit is None:
-            hit = table[id(v)] = (v, vector_to_json(v))
-        return hit[1]
-
-    return cached
-
-
 def tables_to_json(
     tables: tuple[dict[ProjectionKey, Fraction], ...]
 ) -> list[list[dict[str, Any]]]:
@@ -191,9 +175,10 @@ def tables_to_json(
     Entries keep the first-seen scan order, so equal relations give
     byte-equal tables.  Keys share their vector and point objects across
     entries and slots, so each object is converted once per call, and
-    its JSON list is shared by every entry that uses it.
+    its JSON list, which serializes to the same bytes, is shared by every
+    entry that uses it.
     """
-    cached = _vector_memo()
+    cached = _per_object(vector_to_json)
     return [
         [
             {
@@ -247,13 +232,14 @@ def maximality_reports_to_json(reports: Iterable[MaximalityReport]
     """Each report as :func:`maximality_report_to_json` writes it, with each
     distinct vector object converted once per call: grid candidates share a
     few vectors, and a witness keeps its candidate's slot vector."""
-    to_json = _vector_memo()
+    to_json = _per_object(vector_to_json)
     return [maximality_report_to_json(report, to_json) for report in reports]
 
 
 def _load_json(path: str) -> Any:
-    """Parse a UTF-8 JSON file; undecodable bytes and malformed JSON raise
-    RelationParseError naming the file."""
+    """Parse a UTF-8 JSON file; undecodable bytes, malformed JSON and
+    nesting deeper than the decoder recurses raise RelationParseError
+    naming the file."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
@@ -272,6 +258,8 @@ def _load_json(path: str) -> Any:
             f"a JSON number exceeds the {sys.get_int_max_str_digits()}-digit "
             "integer limit", path
         ) from None
+    except RecursionError:
+        raise RelationParseError("JSON nested too deeply to parse", path) from None
 
 
 def load_relation(path: str) -> Relation:

@@ -7,10 +7,11 @@ solver, a double sum over the Gram matrix instead of integer images.
 Slow is fine; these only run on small inputs.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
-from orthocheck.linalg import Frame, solve_coordinates
+from orthocheck.linalg import SAMPLING_CAP, Frame, is_independent, solve_coordinates
 
 
 def det_cofactor(rows):
@@ -163,3 +164,18 @@ def witness_by_solving(G, candidate, i, j):
         solve_coordinates(witness, x)[i - 1],
     )
     return witness, x, values
+
+
+def sample_frame_fraction_draws(dim, m, bound, seed):
+    """``sample_frame`` as it drew before it ranked its int draws: each draw
+    is built as Fractions and tested with ``is_independent``.  Returns the
+    accepted frame, validated afresh, and the number of draws it took."""
+    rng = random.Random(seed)
+    for draws in range(1, SAMPLING_CAP + 1):
+        candidate = [
+            tuple(Fraction(rng.randint(-bound, bound)) for _ in range(dim))
+            for _ in range(m)
+        ]
+        if is_independent(candidate):
+            return Frame(tuple(candidate)), draws
+    raise AssertionError(f"no independent frame in {SAMPLING_CAP} draws")

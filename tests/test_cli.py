@@ -584,6 +584,20 @@ def test_undecodable_input_is_usage_error(capsys, tmp_path):
     assert str(path) in err and "UTF-8" in err
 
 
+@pytest.mark.parametrize("flag", ["--input", "--gram"])
+def test_deeply_nested_json_is_usage_error(capsys, tmp_path, flag):
+    # 2,000 levels (4 KB) pass the decoder's recursion limit on Python 3.11;
+    # a version with a higher limit parses them and rejects the shape.
+    # 100,000 levels pass the limit of every version.
+    for depth in (2_000, 100_000):
+        path = tmp_path / f"deep{depth}.json"
+        path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+        code, report, err = run_cli(capsys, "factor", flag, str(path))
+        assert (code, report) == (2, None)
+        assert len(err.splitlines()) == 1 and err.startswith("ortho: ")
+    assert err == f"ortho: {path}: JSON nested too deeply to parse\n"
+
+
 def test_unwritable_output_is_usage_error(capsys, tmp_path):
     out = tmp_path / "missing-dir" / "report.json"
     code, report, err = run_cli(capsys, "equivalence", "--frames", "1",
@@ -704,6 +718,25 @@ def test_maximality_huge_bound_exits_two_at_once(capsys):
     count = (2 * 1000000 + 1) ** 4
     assert f"--bound 1000000 asks for {count} candidate pairs" in err
     assert f"above the cap of {GRID_CAP}" in err
+
+
+SPAN_FLAGS = ("--frames", "9" * 2200, "--points", "9" * 2200)
+
+
+@pytest.mark.parametrize("argv, unit, cap", [
+    (("maximality", "--bound", "9" * 2000), "candidate pairs", GRID_CAP),
+    (("equivalence", *SPAN_FLAGS), "span points", SAMPLE_CAP),
+    (("factor", *SPAN_FLAGS), "span points", SAMPLE_CAP),
+    (("chain", *SPAN_FLAGS), "span points", SAMPLE_CAP),
+], ids=["grid", "equivalence", "factor", "chain"])
+def test_work_count_over_the_digit_limit_is_usage_error(capsys, argv, unit, cap):
+    # Every flag is inside the int/str limit; the work count is not.
+    code, report, err = run_cli(capsys, *argv)
+    assert (code, report) == (2, None)
+    assert err.splitlines() == [
+        f"ortho: {' '.join(argv)} asks for <a value over the "
+        f"{sys.get_int_max_str_digits()}-digit integer limit> {unit}, "
+        f"above the cap of {cap}"]
 
 
 @pytest.mark.parametrize("argv, flags, count", [

@@ -191,6 +191,12 @@ def test_relation_rejects_duplicates_and_mixed_shapes():
         Relation((p, q3))
 
 
+def test_relation_shape_is_dim_and_frame_size():
+    assert Relation(()).shape is None
+    q3 = relation_point(frame_of((1, 0, 0), (0, 1, 0)), (1, 1, 0))
+    assert Relation((q3,)).shape == (3, 2)
+
+
 def test_relation_duplicate_has_its_own_error_type():
     p = relation_point(E2, (3, 5))
     with pytest.raises(DuplicatePointError) as err:

@@ -52,6 +52,7 @@ from oracles import (
     linear_combination_fractions,
     mat_mul,
     rank_by_minors,
+    sample_frame_fraction_draws,
     solve_2x2_cramer,
 )
 
@@ -454,6 +455,21 @@ def test_is_independent_seeded_sweep_matches_oracle(dim, m, count):
         assert is_independent(vectors) == expected
 
 
+@pytest.mark.parametrize("call", [
+    lambda vectors: linear_combination(vectors, (1, 1)),
+    matrix_rank,
+    is_independent,
+    Frame,
+], ids=["linear_combination", "matrix_rank", "is_independent", "Frame"])
+@pytest.mark.parametrize("vectors", [
+    [(F(1), F(2)), (F(3),)],
+    [(1,), (2, 3)],
+], ids=["shorter-last", "shorter-first"])
+def test_mixed_lengths_are_one_shape_error(call, vectors):
+    with pytest.raises(ShapeError, match=r"^mixed vector dimensions: \[1, 2\]$"):
+        call(vectors)
+
+
 def test_is_independent_edge_cases():
     assert is_independent([(F(1), F(0)), (F(0), F(1))])
     assert not is_independent([(F(1), F(2)), (F(2), F(4))])
@@ -615,6 +631,28 @@ def test_sample_frame_deterministic_and_bounded():
     assert all(abs(c) <= 4 for v in a for c in v)
     assert is_independent(a.vectors)
     assert sample_frame(3, 2, 4, seed=12) != a
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_sample_frame_matches_the_fraction_drawing_reference(dim):
+    for m in range(2, dim + 1):
+        for bound in range(1, 6):
+            for t in range(8):
+                seed = derive_seed(dim, m, bound, t)
+                expected, _ = sample_frame_fraction_draws(dim, m, bound, seed)
+                frame = sample_frame(dim, m, bound, seed)
+                assert frame == expected
+                assert all(type(e) is F for v in frame for e in v)
+
+
+def test_sample_frame_redraws_dependent_pairs_as_the_reference_does():
+    # At dim 2 and bound 1 about two draws in five are dependent.
+    redraws = 0
+    for seed in range(300):
+        expected, draws = sample_frame_fraction_draws(2, 2, 1, seed)
+        assert sample_frame(2, 2, 1, seed) == expected
+        redraws += draws - 1
+    assert redraws > 50
 
 
 def test_sample_frame_validates_arguments():
