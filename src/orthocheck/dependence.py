@@ -45,6 +45,7 @@ from .linalg import (
     _check_seed,
     _span_points,
     _Value,
+    _vector_hash,
     as_vector,
     derive_seed,
     solve_coordinates,
@@ -62,9 +63,9 @@ class RelationPoint(_Value):
     on it), but span membership is always enforced.
 
     The hash covers the (frame, point) pair: it combines the frame's hash
-    with ``hash(point)``, which is computed once, on first use, and kept
-    on the instance.  Equality stays exact and entrywise over all three
-    fields, values included.
+    with the point's, from integer ratios (:func:`_vector_hash`), which is
+    computed once, on first use, and kept on the instance.  Equality stays
+    exact and entrywise over all three fields, values included.
     """
 
     _fields = ("frame", "point", "values")
@@ -97,8 +98,8 @@ class RelationPoint(_Value):
 
     @cached_property
     def point_hash(self) -> int:
-        """``hash(self.point)``, computed once per relation point."""
-        return hash(self.point)
+        """``_vector_hash(self.point)``, once per relation point."""
+        return _vector_hash(self.point)
 
     def __hash__(self) -> int:
         return hash((hash(self.frame), self.point_hash))
@@ -208,10 +209,11 @@ def _first_of_each_pair(
 class ProjectionKey(_Value):
     """What a slot value is allowed to depend on: (slot index, a_i, x).
 
-    Equality is exact and entrywise.  The hash combines the index with
-    ``hash(vector)`` and ``hash(point)``; :func:`project` fills it in from
-    the hashes its frame and relation point have cached, and a key built
-    directly computes it on first use, so equal keys always hash equal.
+    Equality is exact and entrywise.  The hash combines the index with the
+    hashes of vector and point, from integer ratios (:func:`_vector_hash`);
+    :func:`project` fills it in from the hashes its frame and relation
+    point have cached, and a key built directly computes it on first use,
+    so equal keys always hash equal.
     """
 
     _fields = ("index", "vector", "point")
@@ -224,7 +226,7 @@ class ProjectionKey(_Value):
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.index, hash(self.vector), hash(self.point)))
+        return hash((self.index, _vector_hash(self.vector), _vector_hash(self.point)))
 
 
 def project(p: RelationPoint, index: int) -> ProjectionKey:
@@ -284,7 +286,7 @@ def _scan_slot(
         key = project(q, index)
         value = q.values[index - 1]
         known = table.setdefault(key, value)
-        if known != value:
+        if known is not value and known != value:
             first = next(p for p in points[:k] if project(p, index) == key)
             return table, Counterexample(index, first, q)
     return table, None

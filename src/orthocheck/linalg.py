@@ -76,6 +76,12 @@ def _per_object(fn: Callable[[_T], _R]) -> Callable[[_T], _R]:
     return cached
 
 
+def _vector_hash(v: Sequence[Fraction | int]) -> int:
+    """Hash of an exact vector from its entries' integer ratios, canonical
+    for Fractions and ``(n, 1)`` for ints: equal vectors hash equal."""
+    return hash(tuple([e.as_integer_ratio() for e in v]))
+
+
 def _dimension(vectors: Sequence[Sequence[object]]) -> int:
     """The one length n that every vector has; ShapeError if they differ."""
     dims = {len(v) for v in vectors}
@@ -340,10 +346,11 @@ class Frame(_Value):
     way (a nonzero determinant, a rank test, Gram-Schmidt) builds through
     the private :meth:`_trusted` instead of proving it again.  Instances
     are immutable and hashable; equality is entrywise and exact.  The hash
-    of each vector is computed once, on first use of :attr:`slot_hashes`
-    or ``hash()``, and kept on the instance (a frame that is never hashed
-    carries nothing extra); the frame's hash combines those ints.  A
-    cached hash only picks a bucket: ``==`` still compares every entry.
+    of each vector, from integer ratios (:func:`_vector_hash`), is computed
+    once, on first use of :attr:`slot_hashes` or ``hash()``, and kept on
+    the instance (a frame that is never hashed carries nothing extra); the
+    frame's hash combines those ints.  A cached hash only picks a bucket:
+    ``==`` still compares every entry.
     """
 
     _fields = ("vectors",)
@@ -395,8 +402,8 @@ class Frame(_Value):
 
     @cached_property
     def slot_hashes(self) -> tuple[int, ...]:
-        """``hash(v)`` for each vector ``v``, computed once per frame."""
-        return tuple(map(hash, self.vectors))
+        """``_vector_hash(v)`` for each vector ``v``, once per frame."""
+        return tuple(map(_vector_hash, self.vectors))
 
     def __hash__(self) -> int:
         return hash(self.slot_hashes)

@@ -1,8 +1,10 @@
+import itertools
 import json
 import re
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from orthocheck.cli import (
     GRID_CAP,
     BOUND_CAP,
     SAMPLE_CAP,
+    RunConfig,
     _build_parser,
     _cap_work,
     _run_config,
@@ -137,6 +140,32 @@ def test_factor_counterexample_exits_one(capsys, tmp_path):
     assert code == 1
     assert report["verdict"] == "fail"
     assert report["payload"]["counterexample"]["values"] == ["3", "-2"]
+
+
+def test_factor_commands_hash_no_fraction(capsys, tmp_path, monkeypatch):
+    """The benchmark's dim-8 factor runs, built and loaded, hash vectors by
+    integer ratios only: ``Fraction.__hash__`` is never called."""
+    from orthocheck import (build_orthogonal_relation, canonical_dumps,
+                            identity_inner_product, relation_to_json)
+
+    rel = build_orthogonal_relation(identity_inner_product(8), 12, 16,
+                                    RunConfig.bound, RunConfig.seed, m=8)
+    path = tmp_path / "relation8.json"
+    path.write_text(canonical_dumps(relation_to_json(rel)), encoding="utf-8")
+    calls = []
+    fraction_hash = F.__hash__
+
+    def counting_hash(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(F, "__hash__", counting_hash)
+    payloads = []
+    for argv in (("--frames", "12", "--points", "16"), ("--input", str(path))):
+        code, report, _ = run_cli(capsys, "factor", "--dim", "8", "--m", "8", *argv)
+        assert code == 0 and len(report["payload"]["tables"][0]) == 192
+        payloads.append(report["payload"])
+    assert calls == [] and payloads[0] == payloads[1]
 
 
 def test_factor_empty_relation_file(capsys, tmp_path):
@@ -294,6 +323,65 @@ def test_rejection_writer_converts_each_vector_object_once(capsys, monkeypatch):
                for v in (*r.candidate, *r.orthogonal_witness, r.collision_point)}
     assert len(converted) == len(vectors)
     assert {id(v) for v in converted} == set(vectors)
+
+
+def _wrong_witness_value(G, report):
+    """The rejection with the witness's slot value off by one."""
+    first, second = report.values
+    return _with(report, report.orthogonal_witness, (first, second + 1))
+
+
+def _nonorthogonal_witness(G, report):
+    """The rejection with a witness that shares slot i and carries its true
+    values at the collision point, but is not G-orthogonal."""
+    from orthocheck import is_orthogonal_tuple
+    from orthocheck.linalg import Frame, is_independent, solve_coordinates
+
+    i, x = report.index, report.collision_point
+    for v in itertools.product((F(-1), F(1), F(2)), repeat=2):
+        vectors = list(report.candidate)
+        vectors[2 - i] = v  # the other slot of a dim-2 frame
+        if not is_independent(vectors):
+            continue
+        witness = Frame(tuple(vectors))
+        values = tuple(solve_coordinates(fr, x)[i - 1]
+                       for fr in (report.candidate, witness))
+        if values[0] != values[1] and not is_orthogonal_tuple(G, witness):
+            return _with(report, witness, values)
+    raise AssertionError("no non-orthogonal witness in the search range")
+
+
+def _with(report, witness, values):
+    from orthocheck.maximality import MaximalityReport
+
+    return MaximalityReport(report.candidate, report.verdict, witness,
+                            report.collision_point, values, report.index,
+                            report.other_index)
+
+
+@pytest.mark.parametrize("tamper", [_wrong_witness_value, _nonorthogonal_witness],
+                         ids=["wrong-value", "nonorthogonal-witness"])
+def test_maximality_recheck_decides_the_verdict(capsys, monkeypatch, tamper):
+    """Each rejection is re-checked from scratch: one tampered rejection
+    among 32 turns the verdict to fail."""
+    import orthocheck.maximality
+
+    real = orthocheck.maximality.verify_orthogonal_maximality
+    tampered = []
+
+    def sweep(G, candidates):
+        reports = list(real(G, candidates))
+        k = next(k for k, r in enumerate(reports) if not r.accepted)
+        reports[k] = tamper(G, reports[k])
+        tampered.append(reports[k])
+        return tuple(reports)
+
+    monkeypatch.setattr(orthocheck.maximality, "verify_orthogonal_maximality",
+                        sweep)
+    code, report, _ = run_cli(capsys, "maximality", "--bound", "1")
+    assert len(tampered) == 1
+    assert code == 1 and report["verdict"] == "fail"
+    assert report["payload"]["summary"]["nonorthogonal_rejected"] == 32
 
 
 def test_maximality_requires_square_config(capsys):
@@ -698,7 +786,7 @@ def _golden_argvs():
 
 def test_golden_and_benchmark_configs_are_under_the_cap():
     argvs = _golden_argvs() + _benchmark_argvs()
-    assert len(argvs) == 16
+    assert len(argvs) == 17
     capped = 0
     for argv in argvs:
         args, config = _config_of(argv)
@@ -706,7 +794,7 @@ def test_golden_and_benchmark_configs_are_under_the_cap():
             continue  # no sampled or swept work to bound
         _cap_work(args.command, config)
         capped += 1
-    assert capped == 11
+    assert capped == 12
 
 
 def test_maximality_huge_bound_exits_two_at_once(capsys):

@@ -3,9 +3,10 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import orthocheck.dependence
 import orthocheck.linalg
 from orthocheck import (
     DuplicatePointError,
@@ -35,7 +36,9 @@ from orthocheck.dependence import (
 )
 from orthocheck.inner_product import first_nonorthogonal_pair, gram_schmidt
 from orthocheck.linalg import (
+    _vector_hash,
     derive_seed,
+    matrix_rank,
     sample_coefficients,
     sample_frame,
     sample_span_point,
@@ -44,6 +47,7 @@ from orthocheck.linalg import (
 from orthocheck.serialize import load_gram, relation_from_json
 
 from oracles import first_conflict_pairwise, grouping_verdict
+from strategies import rationals, spelled
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -97,7 +101,8 @@ def test_equal_points_and_keys_by_different_routes_hash_equal():
     for p in built:
         assert p == canonical and p.frame is not canonical.frame
         assert hash(p) == hash(canonical)
-        assert p.point_hash == hash(canonical.point)
+        assert p.point_hash == _vector_hash((3, 4))
+        assert p.frame.slot_hashes == (_vector_hash((1, 0)), _vector_hash((1, 2)))
         for i in (1, 2):
             key = project(p, i)
             direct = ProjectionKey(i, canonical.frame[i - 1], canonical.point)
@@ -105,6 +110,27 @@ def test_equal_points_and_keys_by_different_routes_hash_equal():
             assert hash(key) == hash(project(canonical, i)) == hash(direct)
     other_values = RelationPoint(canonical.frame, canonical.point, (F(0), F(2)))
     assert other_values != canonical
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_equal_points_and_keys_by_any_spelling_hash_equal(data):
+    vectors = data.draw(st.lists(st.tuples(rationals, rationals), min_size=2,
+                                 max_size=2))
+    assume(matrix_rank(vectors) == 2)
+    point = data.draw(st.tuples(rationals, rationals))
+    p = relation_point(frame_of(*map(data.draw, map(spelled, vectors))),
+                       data.draw(spelled(point)))
+    q = RelationPoint(frame_of(*map(data.draw, map(spelled, vectors))),
+                      data.draw(spelled(point)), data.draw(spelled(p.values)))
+    loaded = relation_from_json(relation_to_json(Relation((p,)))).points[0]
+    for other in (q, loaded):
+        assert other == p and hash(other) == hash(p)
+        assert other.point_hash == p.point_hash == _vector_hash(point)
+        assert other.frame.slot_hashes == tuple(map(_vector_hash, vectors))
+        for i in (1, 2):
+            direct = ProjectionKey(i, vectors[i - 1], point)
+            assert hash(project(other, i)) == hash(project(p, i)) == hash(direct)
 
 
 def test_hash_caches_stay_out_of_eq_and_repr():
@@ -125,15 +151,22 @@ def test_hash_caches_stay_out_of_eq_and_repr():
 
 def test_factor_check_hashes_each_entry_once(monkeypatch):
     """Building and scanning a relation hashes each distinct frame vector
-    and each point entry at most once."""
-    calls = [0]
-    fraction_hash = F.__hash__
+    and each point at most once, from integer ratios: no Fraction is
+    hashed."""
+    fraction_calls, vector_calls = [0], [0]
+    fraction_hash, vector_hash = F.__hash__, orthocheck.linalg._vector_hash
 
-    def counting_hash(self):
-        calls[0] += 1
+    def counting_fraction_hash(self):
+        fraction_calls[0] += 1
         return fraction_hash(self)
 
-    monkeypatch.setattr(F, "__hash__", counting_hash)
+    def counting_vector_hash(v):
+        vector_calls[0] += 1
+        return vector_hash(v)
+
+    monkeypatch.setattr(F, "__hash__", counting_fraction_hash)
+    for module in (orthocheck.linalg, orthocheck.dependence):
+        monkeypatch.setattr(module, "_vector_hash", counting_vector_hash)
     G = sample_inner_product(4, 3, seed=8)
     rel = build_orthogonal_relation(
         G, frame_count=3, points_per_frame=5, bound=4, seed=8
@@ -141,8 +174,8 @@ def test_factor_check_hashes_each_entry_once(monkeypatch):
     outcome = factor_check(rel)
     assert outcome.passed and len(rel) == 15
     frames = {id(p.frame): p.frame for p in rel}.values()
-    budget = sum(fr.size * fr.dim for fr in frames) + sum(len(p.point) for p in rel)
-    assert 0 < calls[0] <= budget
+    assert fraction_calls[0] == 0
+    assert 0 < vector_calls[0] <= sum(fr.size for fr in frames) + len(rel)
 
 
 # --- relation points ---

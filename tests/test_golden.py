@@ -86,6 +86,32 @@ def test_golden_payload_hash_in_a_fresh_interpreter(tmp_path, monkeypatch):
         entry.get("exit", 0), entry["sha256"])
 
 
+def test_hashes_only_pick_buckets(tmp_path, monkeypatch):
+    """With every vector hashing to one constant, the factor and chain
+    entries keep their exit codes and digests, and a repeated (frame,
+    point) pair is still found: equality, not the hash, decides."""
+    import orthocheck.dependence  # loads every module that binds the hash
+    from orthocheck import DuplicatePointError, Relation, relation_point
+    from orthocheck.linalg import frame_of
+
+    monkeypatch.chdir(ROOT)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orthocheck") and hasattr(module, "_vector_hash"):
+            monkeypatch.setattr(module, "_vector_hash", lambda v: 0)
+    entries = [e for e in GOLDEN if e["argv"][0] in ("factor", "chain")]
+    assert len(entries) == 7
+    for entry in entries:
+        assert run_digest(entry["argv"], tmp_path / "report.json") == (
+            entry.get("exit", 0), entry["sha256"]), " ".join(entry["argv"])
+    p = relation_point(frame_of((1, 0), (1, 2)), (3, 4))
+    copy = relation_point(frame_of(("2/2", 0), (1, "4/2")), ("6/2", 4))
+    try:
+        Relation((p, copy))
+    except DuplicatePointError:
+        return
+    raise AssertionError("a repeated (frame, point) pair was not found")
+
+
 def main(argv):
     """Print each entry's digest; with ``--check``, compare to the pins;
     with ``--fresh``, run each entry in a new interpreter."""

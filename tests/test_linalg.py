@@ -39,6 +39,8 @@ from orthocheck.linalg import (
     _cleared,
     _integer_rows,
     _solve_many,
+    _vector_hash,
+    as_vector,
     determinant,
     invert_matrix,
     is_independent,
@@ -55,6 +57,7 @@ from oracles import (
     sample_frame_fraction_draws,
     solve_2x2_cramer,
 )
+from strategies import spelled
 
 rationals = st.fractions(
     min_value=-6, max_value=6, max_denominator=4
@@ -418,12 +421,26 @@ def test_frame_accessors():
 def test_equal_frames_from_ints_fractions_and_strings_hash_equal():
     from_ints = frame_of((1, 2, 0), (0, -3, 4))
     from_fractions = Frame(((F(1), F(2), F(0)), (F(0), F(-3), F(4))))
-    from_strings = frame_of(("2/2", "4/2", "0"), ("0", "-6/2", "4"))
+    from_strings = frame_of(("2/2", "+4/2", "-0"), ("0/5", "-6/2", "+4/1"))
+    ratios = ((1, 2, 0), (0, -3, 4))  # int entries: ratios (n, 1)
     for other in (from_fractions, from_strings):
         assert other == from_ints and other is not from_ints
         assert hash(other) == hash(from_ints)
-        assert other.slot_hashes == tuple(hash(v) for v in from_ints)
+        assert other.slot_hashes == tuple(map(_vector_hash, ratios))
     assert frame_of((1, 2, 0), (0, -3, 5)) != from_ints
+
+
+@given(st.lists(rationals, min_size=1, max_size=5).flatmap(
+    lambda values: st.tuples(st.just(tuple(values)), spelled(values), spelled(values))))
+@example(((F(1, 2), F(0), F(3), F(-3, 2)), ("2/4", "-0", "+3/1", "-6/4"),
+          (F(1, 2), 0, 3, "-3/2")))
+def test_vector_hash_agrees_across_spellings(drawn):
+    values, a, b = drawn
+    assert as_vector(a) == as_vector(b) == values
+    hashes = {_vector_hash(as_vector(a)), _vector_hash(as_vector(b))}
+    assert hashes == {_vector_hash(values)}
+    if all(v.denominator == 1 for v in values):
+        assert _vector_hash(tuple(map(int, values))) == _vector_hash(values)
 
 
 def test_hash_cache_stays_out_of_eq_and_repr():
