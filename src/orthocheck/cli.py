@@ -43,6 +43,7 @@ from .inner_product import (
     is_orthogonal_tuple,
 )
 from .linalg import (
+    RATIONAL_PATTERN,
     Frame,
     Vector,
     _check_seed,
@@ -333,6 +334,21 @@ def parse_vector_literal(text: str) -> Vector:
     )
 
 
+def _integer(text: str) -> int:
+    """Read an integer flag or ``ORTHO_SEED``: RATIONAL_PATTERN without its
+    slash, so ASCII digits and a sign, where ``int()`` also reads ``1_0``,
+    surrounding spaces and non-ASCII digits.  Anything else raises
+    ArgumentTypeError, which argparse reports naming the flag."""
+    if "/" in text or not RATIONAL_PATTERN.match(text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # int() refuses more digits than the int/str limit
+        raise argparse.ArgumentTypeError(
+            f"{len(text.lstrip('+-'))} digits exceed the "
+            f"{sys.get_int_max_str_digits()}-digit integer limit") from None
+
+
 # Each subcommand and its help line, in the order ``--help`` lists them.
 _COMMANDS = {
     "equivalence": "check solver coordinates against the coefficient formula",
@@ -355,13 +371,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         # No parser defaults: RunConfig fills them in, so that an explicit
         # flag the command path ignores can be told from a default.
-        p.add_argument("--dim", type=int, help="ambient dimension")
-        p.add_argument("--m", type=int, help="vectors per frame")
-        p.add_argument("--frames", type=int, help="frame count")
-        p.add_argument("--points", type=int, help="span points per frame")
-        p.add_argument("--bound", type=int,
+        p.add_argument("--dim", type=_integer, help="ambient dimension")
+        p.add_argument("--m", type=_integer, help="vectors per frame")
+        p.add_argument("--frames", type=_integer, help="frame count")
+        p.add_argument("--points", type=_integer, help="span points per frame")
+        p.add_argument("--bound", type=_integer,
                        help="integer entry bound for sampling")
-        p.add_argument("--seed", type=int, help="master seed, in [0, 2^64)")
+        p.add_argument("--seed", type=_integer, help="master seed, in [0, 2^64)")
         p.add_argument("--gram", help="path to a Gram matrix JSON file "
                                       "(default: identity)")
         p.add_argument("--output",
@@ -384,9 +400,9 @@ def _run_config(args: argparse.Namespace) -> tuple[dict[str, Any], RunConfig]:
     env_seed = os.environ.get("ORTHO_SEED")
     if env_seed is not None:
         try:
-            given["seed"] = int(env_seed)
-        except ValueError:
-            raise UsageError(f"ORTHO_SEED is not an integer: {env_seed!r}") from None
+            given["seed"] = _integer(env_seed)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"ORTHO_SEED: {exc}") from None
     return given, RunConfig(**given)
 
 

@@ -9,9 +9,8 @@ finite data and, when factorization fails, returns the first colliding
 pair in a deterministic scan order, so reports and fixtures are stable.
 
 Factorizable relations are closed under unions of chains, so maximal
-factorizable supersets exist; a greedy pass over a finite pool stands in
-for the transfinite step, and a frame's witness pool lets the scan alone
-decide orthogonality (:func:`is_orthogonal_via_factorization`).
+factorizable supersets exist; :func:`chain_union_check` runs that closure
+on sampled chains.
 """
 
 from __future__ import annotations
@@ -29,25 +28,16 @@ from .errors import (
     SpanMembershipError,
     _shown,
 )
-from .inner_product import (
-    GramInnerProduct,
-    _full_dimensional,
-    _images,
-    _nonorthogonal_pairs,
-    _orthogonal_samples,
-    _witness,
-)
+from .inner_product import GramInnerProduct, _orthogonal_samples
 from .linalg import (
     Coordinates,
     Frame,
     Vector,
     _check_nonnegative,
     _check_seed,
-    _span_points,
     _Value,
     _vector_hash,
     as_vector,
-    derive_seed,
     solve_coordinates,
     span_contains,
 )
@@ -164,9 +154,6 @@ class Relation(_Value):
             raise IndexError(f"indices {picked[0]}..{picked[-1]} reach outside "
                              f"a relation of {len(self.points)} points")
         return Relation._trusted(self.points[i] for i in picked)
-
-    def union(self, other: "Relation") -> "Relation":
-        return Relation.from_points(self.points + other.points)
 
     @property
     def shape(self) -> tuple[int, int] | None:
@@ -293,12 +280,8 @@ def _scan_slot(
 
 
 def factor_check_points(points: Sequence[RelationPoint]) -> FactorizationOutcome:
-    """Factorization scan over a raw point sequence.
-
-    Same contract as :func:`factor_check` but without the Relation
-    no-duplicates invariant, which makes it usable for tentative
-    extensions (does adding this point break factorization?).
-    """
+    """:func:`factor_check`'s scan over a raw point sequence: the same
+    contract, without the Relation no-duplicates invariant."""
     if not points:
         return FactorizationOutcome(tables=(), counterexample=None)
     _check_one_shape(points)
@@ -376,85 +359,6 @@ def sample_chain(rel: Relation, depth: int, seed: int) -> Chain:
     sizes = sorted(rng.randint(0, count) for _ in range(depth))
     order = rng.sample(range(count), count) if count else []
     return Chain(tuple(rel.take(order[:size]) for size in sizes))
-
-
-def greedy_maximal_extension(base: Relation, pool: Relation) -> Relation:
-    """Grow ``base`` inside ``pool`` until no point can be added.
-
-    Scans the pool in insertion order, accepting a point eagerly whenever
-    it does not break factorization against what is accepted so far.  The
-    result contains the base, factors, and is maximal within the pool:
-    adding any leftover point makes factor_check fail.  Which maximal set
-    is reached depends on the scan order; membership soundness does not.
-    """
-    outcome = factor_check(base)
-    if not outcome.passed:
-        raise PreconditionError("base relation does not factor")
-    shapes = {base.shape, pool.shape} - {None}
-    if len(shapes) > 1:
-        raise ShapeError("base and pool have different (dim, size) shapes")
-    m = shapes.pop()[1] if shapes else 0
-    # The base's own factor tables, extended in place as points are taken.
-    tables = outcome.tables or tuple({} for _ in range(m))
-    accepted = dict.fromkeys(base.points)
-    for p in pool.points:
-        keys = [project(p, i) for i in range(1, m + 1)]
-        if all(
-            table.get(key, value) == value
-            for table, key, value in zip(tables, keys, p.values)
-        ):
-            accepted[p] = None
-            for table, key, value in zip(tables, keys, p.values):
-                table[key] = value
-    # A pool point equal to an accepted one is the same key of ``accepted``;
-    # one repeating an accepted (frame, point) pair with other values
-    # disagrees with some table.  So the accepted pairs are distinct.
-    return Relation._trusted(accepted)
-
-
-def is_orthogonal_via_factorization(
-    frame: Frame,
-    witness_pool: Relation,
-    points_per_frame: int = 4,
-    bound: int = 5,
-    seed: int = 0,
-) -> bool:
-    """Inner-product-free orthogonality of a frame, relative to witnesses.
-
-    Samples span points of the candidate frame, joins them with the
-    supplied witness pool, and passes iff factorization holds on the
-    union.  A frame alone can never collide with itself, so the pool
-    carries the burden of rejection: with the pool built by
-    :func:`canonical_witness_pool` the predicate accepts exactly
-    the frames orthogonal under the pool's inner product.
-    """
-    _check_nonnegative(points_per_frame=points_per_frame, bound=bound)
-    _check_seed(seed)
-    # Canonical entries: the drawn coefficients are the point's coordinates.
-    own = [RelationPoint._trusted(frame, x, c) for c, x in _span_points(
-        frame, bound, [derive_seed(seed, t) for t in range(points_per_frame)])]
-    rel = Relation.from_points((*own, *witness_pool.points))
-    return factor_check(rel).passed
-
-
-def canonical_witness_pool(frame: Frame, G: GramInnerProduct) -> Relation:
-    """Witness entries for every non-orthogonal slot pair of a frame.
-
-    For each pair (i, j) with ``<a_i, a_j> != 0`` the pool holds the
-    candidate's own entry at the collision point and the witness frame's
-    entry at the same point.  Joining this pool in
-    ``is_orthogonal_via_factorization`` makes the predicate complete:
-    orthogonal frames still pass, non-orthogonal ones are rejected.
-    Empty for frames already orthogonal under G.
-    """
-    images = _images(G, frame.vectors)
-    points = []
-    for i, j in _nonorthogonal_pairs(images):
-        _full_dimensional(frame, "witness construction")
-        witness, x = _witness(G, frame, images, i, j)
-        points.append(relation_point(frame, x))
-        points.append(relation_point(witness, x))
-    return Relation.from_points(points)
 
 
 def build_orthogonal_relation(

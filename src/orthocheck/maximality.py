@@ -7,8 +7,8 @@ collision point where the two frames disagree on that slot's coordinate.
 :func:`orthogonality_witness` constructs that certificate and
 :func:`verify_orthogonal_maximality` sweeps it over candidate frames,
 reading every value from the candidates' integer images.  The
-relation-level side of maximality (chain unions, the greedy extension and
-the witness pool) lives in :mod:`orthocheck.dependence`.
+relation-level side of maximality (chain unions) lives in
+:mod:`orthocheck.dependence`.
 """
 
 from __future__ import annotations

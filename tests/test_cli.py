@@ -516,6 +516,53 @@ def test_largest_seed_is_accepted(capsys, monkeypatch, source):
     assert report["config"]["seed"] == 2**64 - 1
 
 
+# Spellings of 2 that int() reads and the rational grammar does not.
+INT_ONLY = {"underscore": "0_2", "spaces": " 2 ", "arabic-indic": "\u0662",
+            "fullwidth": "\uff12"}
+INTEGER_FLAGS = ("dim", "m", "frames", "points", "bound", "seed")
+
+
+@pytest.mark.parametrize("spelling", INT_ONLY.values(), ids=INT_ONLY)
+@pytest.mark.parametrize("flag", INTEGER_FLAGS)
+def test_integer_flag_takes_ascii_digits_only(capsys, flag, spelling):
+    code, report, err = run_cli(capsys, "equivalence", f"--{flag}", spelling)
+    assert (code, report) == (2, None)
+    assert err.splitlines()[-1] == (
+        f"ortho equivalence: error: argument --{flag}: "
+        f"not an integer: {spelling!r}")
+
+
+@pytest.mark.parametrize("spelling", INT_ONLY.values(), ids=INT_ONLY)
+def test_env_seed_takes_ascii_digits_only(capsys, monkeypatch, spelling):
+    monkeypatch.setenv("ORTHO_SEED", spelling)
+    code, report, err = run_cli(capsys, "equivalence")
+    assert (code, report) == (2, None)
+    assert err == f"ortho: ORTHO_SEED: not an integer: {spelling!r}\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_integer_over_the_digit_limit_is_usage_error(capsys, monkeypatch, source):
+    limit = sys.get_int_max_str_digits()
+    message = f"{limit + 1} digits exceed the {limit}-digit integer limit"
+    if source == "flag":
+        code, report, err = run_cli(capsys, "equivalence", "--seed", "9" * (limit + 1))
+        expected = f"ortho equivalence: error: argument --seed: {message}"
+    else:
+        monkeypatch.setenv("ORTHO_SEED", "9" * (limit + 1))
+        code, report, err = run_cli(capsys, "equivalence")
+        expected = f"ortho: ORTHO_SEED: {message}"
+    assert (code, report) == (2, None)
+    assert err.splitlines()[-1] == expected
+
+
+def test_signed_integer_flags_still_parse(capsys, monkeypatch):
+    monkeypatch.setenv("ORTHO_SEED", "+7")
+    code, report, _ = run_cli(capsys, "equivalence", "--frames=+1", "--points=-0")
+    assert code == 0
+    assert (report["config"]["seed"], report["config"]["frames"],
+            report["config"]["points"]) == (7, 1, 0)
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, printed, _ = run_cli(capsys, "equivalence", "--output", str(out))

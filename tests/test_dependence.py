@@ -30,11 +30,9 @@ from orthocheck import (
 
 from orthocheck.dependence import (
     ProjectionKey,
-    canonical_witness_pool,
-    is_orthogonal_via_factorization,
     project,
 )
-from orthocheck.inner_product import first_nonorthogonal_pair, gram_schmidt
+from orthocheck.inner_product import gram_schmidt
 from orthocheck.linalg import (
     _vector_hash,
     derive_seed,
@@ -251,7 +249,7 @@ def test_take_and_union():
     rel = Relation(tuple(points))
     sub = rel.take([2, 0])
     assert sub.points == (points[0], points[2])
-    merged = sub.union(rel.take([3]))
+    merged = Relation.from_points(sub.points + rel.take([3]).points)
     assert len(merged) == 3
 
 
@@ -421,57 +419,10 @@ def test_factor_check_index_is_first_failing_slot():
             assert out.counterexample.index == failing[0]
 
 
-# --- the orthogonality predicate ---
-
-def test_orthogonal_frame_accepted():
-    pool = canonical_witness_pool(E2, I2)
-    assert is_orthogonal_via_factorization(E2, pool)
-
-
-def test_nonorthogonal_frame_rejected_via_witness_pool():
-    pool = canonical_witness_pool(SHEAR, I2)
-    assert not is_orthogonal_via_factorization(SHEAR, pool)
-
-
-def test_scaled_axes_accepted():
-    fr = frame_of((2, 0), (0, 3))
-    pool = canonical_witness_pool(fr, I2)
-    assert is_orthogonal_via_factorization(fr, pool)
-
-
-def test_predicate_agrees_with_gram_orthogonality():
-    rng = Random(21)
-    for _ in range(40):
-        a = (F(rng.randint(-3, 3)), F(rng.randint(-3, 3)))
-        b = (F(rng.randint(-3, 3)), F(rng.randint(-3, 3)))
-        if a[0] * b[1] - a[1] * b[0] == 0:
-            continue
-        fr = frame_of(a, b)
-        pool = canonical_witness_pool(fr, I2)
-        assert is_orthogonal_via_factorization(fr, pool) == is_orthogonal_tuple(I2, fr)
-
-
-
 def _form(name):
     if name.startswith("identity"):
         return identity_inner_product(int(name[len("identity"):]))
     return load_gram(str(FIXTURES / f"{name}.json"))
-
-
-@pytest.mark.parametrize("name", ["identity2", "identity3", "identity4",
-                                  "gram4"])
-def test_predicate_agrees_with_first_nonorthogonal_pair(name):
-    G = _form(name)
-    verdicts = set()
-    for seed in range(12):
-        raw = sample_frame(G.dim, G.dim, 2, seed)
-        for fr in (raw, gram_schmidt(G, raw)):
-            pool = canonical_witness_pool(fr, G)
-            expected = first_nonorthogonal_pair(G, fr) is None
-            got = is_orthogonal_via_factorization(fr, pool, seed=seed)
-            assert got == expected
-            verdicts.add(got)
-    assert verdicts == {True, False}
 
 
 # --- built entries carry their exact coordinates (oracle) ---
@@ -542,19 +493,13 @@ def test_builder_clears_each_frame_once(monkeypatch):
      "frame_count must be nonnegative, got -1"),
     (lambda: build_orthogonal_relation(I2, 3, -1, 2, 0),
      "points_per_frame must be nonnegative, got -1"),
-    (lambda: is_orthogonal_via_factorization(E2, Relation(()),
-                                             points_per_frame=-2),
-     "points_per_frame must be nonnegative, got -2"),
     (lambda: build_orthogonal_relation(I2, 0, 3, -4, 0),
      "bound must be nonnegative, got -4"),
-    (lambda: is_orthogonal_via_factorization(E2, Relation(()),
-                                             points_per_frame=0, bound=-3),
-     "bound must be nonnegative, got -3"),
     (lambda: sample_chain(Relation(()), -1, 0),
      "depth must be nonnegative, got -1"),
     (lambda: sample_coefficients(-1, 3, 0), "m must be nonnegative, got -1"),
-], ids=["frame_count", "points_per_frame", "predicate", "bound",
-        "predicate-bound", "chain-depth", "coefficients"])
+], ids=["frame_count", "points_per_frame", "bound", "chain-depth",
+        "coefficients"])
 def test_negative_counts_raise(call, message):
     with pytest.raises(ShapeError, match=f"^{message}$"):
         call()
@@ -568,7 +513,6 @@ def test_builder_rejects_a_frame_size_before_drawing(m):
 
 def test_zero_counts_stay_allowed():
     assert len(build_orthogonal_relation(I2, 2, 0, 2, 0)) == 0
-    assert is_orthogonal_via_factorization(E2, Relation(()), points_per_frame=0)
 
 
 # --- builders ---
@@ -591,8 +535,8 @@ def test_build_orthogonal_relation_empty_and_deterministic():
 
 def test_built_relation_with_planted_conflict_fails():
     rel = build_orthogonal_relation(I2, 3, 2, 3, seed=6)
-    planted = rel.union(
-        Relation((relation_point(E2, (3, 5)), relation_point(SHEAR, (3, 5))))
+    planted = Relation.from_points(
+        rel.points + (relation_point(E2, (3, 5)), relation_point(SHEAR, (3, 5)))
     )
     assert not factor_check(planted).passed
 

@@ -25,7 +25,7 @@ from orthocheck import (
     solve_coordinates,
     verify_projection_equivalence,
 )
-from orthocheck.dependence import Relation, canonical_witness_pool, relation_point
+from orthocheck.dependence import Relation, factor_check, relation_point
 from orthocheck.inner_product import (
     _projection_checks,
     coefficient_formula,
@@ -284,12 +284,6 @@ def test_projection_equivalence_rejects_missized_frame(G, fr):
         verify_projection_equivalence(G, fr, x)
 
 
-@pytest.mark.parametrize("G, fr", MISSIZED_FRAMES)
-def test_witness_pool_rejects_missized_frame(G, fr):
-    with pytest.raises(ShapeError):
-        canonical_witness_pool(fr, G)
-
-
 @pytest.mark.parametrize("x", [(3, 9), (3, 9, 0, 0), (3, 9, 0, 1), (3,)])
 def test_projection_equivalence_rejects_missized_point(x):
     fr = frame_of((1, 0, 0), (0, 3, 0))
@@ -404,8 +398,12 @@ def test_integer_inner_products_match_naive_oracle(case):
                 witness, point = orthogonality_witness(fr, i, j, G)
                 expected_points.append(relation_point(fr, point))
                 expected_points.append(relation_point(witness, point))
-            pool = canonical_witness_pool(fr, G)
-            assert pool.points == Relation.from_points(expected_points).points
+            # Slots before the first pair's i hold orthogonal vectors, so
+            # every entry there is <a,x>/<a,a>: the scan first fails at i.
+            out = factor_check(Relation.from_points(expected_points))
+            assert out.passed == (not pairs)
+            if pairs:
+                assert out.counterexample.index == pairs[0][0]
 
 
 def test_gram_schmidt_rejects_dependent_and_mismatched_input():

@@ -34,7 +34,6 @@ from orthocheck import (
     sample_span_point,
     solve_coordinates,
 )
-from orthocheck.dependence import is_orthogonal_via_factorization
 from orthocheck.linalg import (
     _cleared,
     _integer_rows,
@@ -611,9 +610,6 @@ SEEDED = {
         I2, 2, 2, 3, seed),
     "build_orthogonal_relation-empty": lambda seed: build_orthogonal_relation(
         I2, 0, 3, 3, seed),
-    "is_orthogonal_via_factorization-empty": lambda seed:
-        is_orthogonal_via_factorization(frame_of((1, 0), (0, 1)), Relation(()),
-                                        points_per_frame=0, seed=seed),
     "sample_chain": lambda seed: sample_chain(
         build_orthogonal_relation(I2, 2, 2, 3, 0), 3, seed),
     "sample_chain-empty": lambda seed: sample_chain(Relation(()), 0, seed),

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -17,13 +18,13 @@ from orthocheck import (
     PreconditionError,
     Relation,
     RelationParseError,
-    RelationPoint,
     ShapeError,
     build_orthogonal_relation,
     chain_union_check,
     evaluate,
     exhaustive_candidates_2d,
     factor_check,
+    frame_adapted_inner_product,
     frame_of,
     gram_schmidt,
     identity_inner_product,
@@ -35,19 +36,15 @@ from orthocheck import (
     solve_coordinates,
     verify_orthogonal_maximality,
 )
-from orthocheck.dependence import (
-    Chain,
-    canonical_witness_pool,
-    chain_union,
-    factor_check_points,
-    greedy_maximal_extension,
-)
+from orthocheck.dependence import Chain, chain_union
 from orthocheck.inner_product import first_nonorthogonal_pair
 from orthocheck.maximality import orthogonality_witness
-from orthocheck.serialize import frame_from_json
+from orthocheck.serialize import frame_from_json, load_gram
 
 from oracles import nonorthogonal_pairs, witness_by_solving
 from strategies import rational_forms_and_frames
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 I2 = identity_inner_product(2)
 E2 = frame_of((1, 0), (0, 1))
@@ -58,7 +55,7 @@ SHEAR = frame_of((1, 0), (1, 1))
 
 def test_chain_must_ascend():
     a = Relation((relation_point(E2, (1, 0)),))
-    b = a.union(Relation((relation_point(E2, (0, 1)),)))
+    b = Relation.from_points(a.points + (relation_point(E2, (0, 1)),))
     Chain((a, b))  # fine
     with pytest.raises(ValueError):
         Chain((b, a))
@@ -66,7 +63,7 @@ def test_chain_must_ascend():
 
 def test_chain_order_has_its_own_error_type():
     a = Relation((relation_point(E2, (1, 0)),))
-    b = a.union(Relation((relation_point(E2, (0, 1)),)))
+    b = Relation.from_points(a.points + (relation_point(E2, (0, 1)),))
     with pytest.raises(ChainOrderError) as err:
         Chain((b, a))
     assert isinstance(err.value, OrthoError)
@@ -108,96 +105,6 @@ def test_sample_chain_deterministic_and_nested():
     assert sizes == sorted(sizes)
     for earlier, later in zip(c1.relations, c1.relations[1:]):
         assert set(earlier.points) <= set(later.points)
-
-
-# --- greedy extension ---
-
-def test_greedy_extension_contains_base_and_factors():
-    base = build_orthogonal_relation(I2, 3, 2, 4, seed=4)
-    pool = build_orthogonal_relation(I2, 4, 3, 4, seed=5)
-    ext = greedy_maximal_extension(base, pool)
-    assert set(base.points) <= set(ext.points)
-    assert factor_check(ext).passed
-
-
-def test_greedy_extension_is_maximal_in_pool():
-    rng = Random(11)
-    for trial in range(25):
-        base = build_orthogonal_relation(I2, 2, 2, 3, seed=trial)
-        pool_pts = []
-        for _ in range(rng.randint(0, 6)):
-            fr = rng.choice((E2, SHEAR, frame_of((1, 1), (0, 1))))
-            x = (F(rng.randint(-2, 2)), F(rng.randint(-2, 2)))
-            pool_pts.append(relation_point(fr, x))
-        pool = Relation.from_points(pool_pts)
-        ext = greedy_maximal_extension(base, pool)
-        assert factor_check(ext).passed
-        leftovers = [p for p in pool.points if p not in set(ext.points)]
-        for p in leftovers:
-            grown = Relation(tuple(ext.points) + (p,))
-            assert not factor_check(grown).passed
-
-
-def test_greedy_extension_rejects_bad_base():
-    bad = Relation((relation_point(E2, (3, 5)), relation_point(SHEAR, (3, 5))))
-    with pytest.raises(PreconditionError):
-        greedy_maximal_extension(bad, Relation(()))
-
-
-def test_greedy_extension_shape_guard():
-    base = Relation((relation_point(E2, (1, 1)),))
-    e3 = frame_of((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    pool = Relation((relation_point(e3, (1, 0, 0)),))
-    with pytest.raises(ShapeError):
-        greedy_maximal_extension(base, pool)
-
-
-def test_greedy_extension_skips_colliding_witness_points():
-    base = Relation((relation_point(E2, (3, 5)),))
-    pool = Relation((
-        relation_point(SHEAR, (3, 5)),   # collides with base at slot 1
-        relation_point(E2, (2, 1)),      # compatible
-    ))
-    ext = greedy_maximal_extension(base, pool)
-    assert len(ext) == 2
-    assert relation_point(SHEAR, (3, 5)) not in set(ext.points)
-
-
-def greedy_oracle(base, pool):
-    """The definitional greedy pass: re-run the whole scan per pool point."""
-    accepted = list(base.points)
-    for p in pool.points:
-        if p not in accepted and factor_check_points(accepted + [p]).passed:
-            accepted.append(p)
-    return tuple(accepted)
-
-
-def test_greedy_extension_matches_definitional_oracle():
-    rng = Random(29)
-    # E2 and DIAG are orthogonal, so canonical points over them always
-    # factor; the pool mixes in frames sharing a slot vector with them.
-    diag = frame_of((2, 0), (0, 1))
-    frames = (E2, SHEAR, frame_of((1, 1), (0, 1)), diag)
-
-    def draw():
-        return (F(rng.randint(-1, 1)), F(rng.randint(-1, 1)))
-
-    for _ in range(80):
-        base = Relation.from_points(
-            relation_point(rng.choice((E2, diag)), draw())
-            for _ in range(rng.randint(0, 3))
-        )
-        pool_pts = list(rng.sample(base.points, rng.randint(0, len(base))))
-        for _ in range(rng.randint(0, 10)):
-            fr = rng.choice(frames)
-            if rng.random() < 0.5:
-                pool_pts.append(RelationPoint(fr, draw(), draw()))
-            else:
-                pool_pts.append(relation_point(fr, draw()))
-        rng.shuffle(pool_pts)
-        pool = Relation.from_points(pool_pts)
-        ext = greedy_maximal_extension(base, pool)
-        assert ext.points == greedy_oracle(base, pool)
 
 
 # --- witnesses ---
@@ -272,14 +179,41 @@ def test_sweep_fixture_reports():
     assert rejected.index == 1 and rejected.other_index == 2
 
 
-def test_rejection_reproduces_factor_conflict():
-    (report,) = verify_orthogonal_maximality(I2, [SHEAR])
-    x = report.collision_point
-    p = relation_point(report.candidate, x)
-    q = relation_point(report.orthogonal_witness, x)
-    out = factor_check(Relation((p, q)))
-    assert not out.passed
-    assert out.counterexample.index == report.index
+def _sampled_sweep(G):
+    """Frames drawn in G's dimension, each raw and made G-orthogonal."""
+    raw = [sample_frame(G.dim, G.dim, 2, seed) for seed in range(8)]
+    return G, raw + [gram_schmidt(G, fr) for fr in raw]
+
+
+SWEEPS = {
+    "shear": lambda: (I2, [SHEAR]),
+    "grid-I2": lambda: (I2, exhaustive_candidates_2d(1)),
+    "grid-adapted": lambda: (frame_adapted_inner_product(SHEAR),
+                             exhaustive_candidates_2d(1)),
+    "gram4": lambda: _sampled_sweep(load_gram(str(FIXTURES / "gram4.json"))),
+    "gram6": lambda: _sampled_sweep(load_gram(str(FIXTURES / "gram6.json"))),
+    "sampled-dim3": lambda: _sampled_sweep(sample_inner_product(3, 3, 12)),
+    "sampled-dim4": lambda: _sampled_sweep(sample_inner_product(4, 3, 5)),
+}
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_rejection_reproduces_factor_conflict(sweep):
+    """The paper's link, through public functions: a rejected frame and its
+    witness, each with its solved coordinates at the collision point, fail
+    to factor at the report's slot with the report's values."""
+    G, candidates = SWEEPS[sweep]()
+    rejected = [r for r in verify_orthogonal_maximality(G, candidates)
+                if not r.accepted]
+    assert rejected
+    for r in rejected:
+        x = r.collision_point
+        rel = Relation((relation_point(r.candidate, x),
+                        relation_point(r.orthogonal_witness, x)))
+        out = factor_check(rel)
+        assert not out.passed
+        assert out.counterexample.index == r.index
+        assert out.counterexample.values == r.values
 
 
 def test_accepted_report_has_no_collision():
@@ -304,8 +238,6 @@ def test_sweep_agrees_with_gram_check_on_grid():
 def test_sweep_under_adapted_form():
     # under the Gram matrix adapted to SHEAR, the shear frame is the
     # orthogonal one and the standard basis is rejected
-    from orthocheck import frame_adapted_inner_product
-
     G = frame_adapted_inner_product(SHEAR)
     reports = verify_orthogonal_maximality(G, [SHEAR, E2])
     assert [r.verdict for r in reports] == ["accepted", "rejected"]
@@ -363,8 +295,10 @@ def test_sweep_matches_the_solving_route(case):
             witness, x, _ = witness_by_solving(G, candidate, i, j)
             expected_points.append(relation_point(candidate, x))
             expected_points.append(relation_point(witness, x))
-        pool = canonical_witness_pool(candidate, G)
-        assert pool.points == Relation.from_points(expected_points).points
+        # Slots before report.index hold vectors orthogonal to the rest,
+        # so every entry there is <a,x>/<a,a>: the scan first fails there.
+        out = factor_check(Relation.from_points(expected_points))
+        assert out.counterexample.index == report.index
 
 
 def test_sweep_solves_and_evaluates_nothing(monkeypatch):
@@ -426,7 +360,7 @@ def test_sweep_over_a_one_shot_generator_matches_a_tuple(G, dim):
     assert {r.verdict for r in held} == {"accepted", "rejected"}
 
 
-# --- candidate grids and witness pools ---
+# --- candidate grids ---
 
 def test_exhaustive_candidates_bound_one():
     grid = exhaustive_candidates_2d(1)
@@ -460,16 +394,6 @@ def test_exhaustive_candidates_all_independent():
     for fr in exhaustive_candidates_2d(1):
         det = fr[0][0] * fr[1][1] - fr[0][1] * fr[1][0]
         assert det != 0
-
-
-def test_witness_pool_empty_for_orthogonal_frame():
-    assert len(canonical_witness_pool(E2, I2)) == 0
-
-
-def test_witness_pool_carries_the_collision():
-    pool = canonical_witness_pool(SHEAR, I2)
-    assert len(pool) == 2
-    assert not factor_check(pool).passed
 
 
 # --- frame validation counts ---
