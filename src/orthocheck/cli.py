@@ -31,7 +31,15 @@ import sys
 import time
 from typing import TYPE_CHECKING, Any, Collection, Sequence
 
-from .errors import DependentFrameError, OrthoError, ShapeError, UsageError, _shown
+from .errors import (
+    DependentFrameError,
+    OrthoError,
+    RationalError,
+    ShapeError,
+    UsageError,
+    _echoed,
+    _shown,
+)
 from .inner_product import (
     GramInnerProduct,
     _orthogonal_samples,
@@ -47,6 +55,7 @@ from .linalg import (
     Frame,
     Vector,
     _check_seed,
+    _rational,
     _Value,
     derive_seed,
     sample_frame,
@@ -198,13 +207,8 @@ def cmd_factor(config: RunConfig, input_path: str | None = None,
     """Factorization scan over a loaded relation or a fresh orthogonal one."""
     from .dependence import factor_check
 
-    if input_path is not None and config.gram is not None:
-        raise UsageError(
-            "--gram cannot be combined with --input: a loaded relation is "
-            "checked without an inner product"
-        )
     if input_path is not None:
-        _reject_unread(given, "factor --input", "frames", "points", "bound")
+        _reject_unread(given, "factor --input", "frames", "points", "bound", "gram")
         rel = load_relation(input_path)
         if rel.shape not in (None, (config.dim, config.m)):
             dim, m = rel.shape
@@ -296,11 +300,7 @@ def cmd_pair_ip(config: RunConfig, a_text: str, b_text: str,
             f"pair-ip runs in dimension 2 with m = 2, got --dim {config.dim} "
             f"and --m {config.m}"
         )
-    if config.gram is not None:
-        raise UsageError(
-            "pair-ip builds its own adapted inner product and takes no --gram"
-        )
-    _reject_unread(given, "pair-ip", "frames", "points")
+    _reject_unread(given, "pair-ip", "frames", "points", "gram")
     a, b = parse_vector_literal(a_text), parse_vector_literal(b_text)
     if len(a) != 2 or len(b) != 2:
         raise UsageError("pair-ip expects two 2-dimensional vectors")
@@ -325,11 +325,11 @@ def cmd_pair_ip(config: RunConfig, a_text: str, b_text: str,
 
 
 def parse_vector_literal(text: str) -> Vector:
-    """Comma-separated rationals, e.g. ``3,-1/2``.  Use ``--a=-1,2`` for a
+    """Comma-separated rationals, no spaces: ``3,-1/2``.  Use ``--a=-1,2`` for a
     leading minus so the shell parser does not read it as a flag."""
     parts = text.split(",")
     return tuple(
-        rational_from_json(part.strip(), f"component {k + 1}")
+        rational_from_json(part, f"component {k + 1}")
         for k, part in enumerate(parts)
     )
 
@@ -340,13 +340,11 @@ def _integer(text: str) -> int:
     surrounding spaces and non-ASCII digits.  Anything else raises
     ArgumentTypeError, which argparse reports naming the flag."""
     if "/" in text or not RATIONAL_PATTERN.match(text):
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        raise argparse.ArgumentTypeError(f"not an integer: {_echoed(text)}")
     try:
-        return int(text)
-    except ValueError:  # int() refuses more digits than the int/str limit
-        raise argparse.ArgumentTypeError(
-            f"{len(text.lstrip('+-'))} digits exceed the "
-            f"{sys.get_int_max_str_digits()}-digit integer limit") from None
+        return _rational(text).numerator
+    except RationalError as exc:  # more digits than the int/str limit
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # Each subcommand and its help line, in the order ``--help`` lists them.

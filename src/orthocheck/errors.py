@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the helpers their messages use."""
 
 import sys
 
@@ -10,6 +10,22 @@ def _shown(value: object) -> str:
         return str(value)
     except ValueError:
         return f"<a value over the {sys.get_int_max_str_digits()}-digit integer limit>"
+
+
+def _over_limit(what: str) -> str:
+    """The one message for ``what``, a value with more digits than the
+    interpreter's int/str limit lets ``int()`` or ``str()`` convert."""
+    return f"{what} exceeds the {sys.get_int_max_str_digits()}-digit integer limit"
+
+
+def _echoed(value: object) -> str:
+    """``repr(value)`` for a message that echoes rejected input; past 80
+    characters, its first 60 and the input's length, so that one long
+    argument cannot flood stderr."""
+    shown = repr(value)
+    if len(shown) <= 80:
+        return shown
+    return f"{shown[:60]}... ({len(str(value))} characters)"
 
 
 class OrthoError(Exception):

@@ -298,12 +298,8 @@ def gram_schmidt(G: GramInnerProduct, vectors: Frame | Sequence[Vector]) -> Fram
     once per output entry.
     """
     frame = vectors if isinstance(vectors, Frame) else Frame(tuple(vectors))
-    if frame.dim != G.dim:
-        raise ShapeError(
-            f"frame of dimension {frame.dim} against a {G.dim}x{G.dim} form"
-        )
     return Frame._trusted(tuple(_orthogonalize(
-        G, frame.vectors, [(*_cleared(v), None) for v in frame.vectors])))
+        G, frame.vectors, [(*_row(G, v), None) for v in frame.vectors])))
 
 
 def _orthogonal_samples(

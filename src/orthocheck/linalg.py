@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 import re
-import sys
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
@@ -33,6 +32,8 @@ from .errors import (
     RationalError,
     ShapeError,
     SpanMembershipError,
+    _echoed,
+    _over_limit,
     _shown,
 )
 
@@ -99,16 +100,14 @@ def _rational(e: object) -> Fraction:
         try:
             return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         except ZeroDivisionError:
-            raise RationalError(f"zero denominator: {e!r}") from None
+            raise RationalError(f"zero denominator: {_echoed(e)}") from None
         except ValueError:  # int() refuses more digits than the int/str limit
             digits = max(len(num.lstrip("+-")), len(den))
-            raise RationalError(
-                f"literal of {digits} digits exceeds the "
-                f"{sys.get_int_max_str_digits()}-digit integer limit") from None
+            raise RationalError(_over_limit(f"literal of {digits} digits")) from None
     # Strings first: an isinstance test against Fraction, an ABC, is slow.
     if isinstance(e, (int, Fraction)) and not isinstance(e, bool):
         return Fraction(e)
-    raise RationalError(f"not a rational literal: {e!r}")
+    raise RationalError(f"not a rational literal: {_echoed(e)}")
 
 
 def as_vector(entries: Iterable[RationalLike]) -> Vector:

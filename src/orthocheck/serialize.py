@@ -10,18 +10,18 @@ Parsers raise :class:`RelationParseError` with a dotted/indexed location
 ("points[3].frame[1][0]") for anything structurally wrong.  Semantic Gram
 failures (asymmetry, a non-positive minor) propagate as their own error
 types since they carry diagnostics a parse error would flatten.
-Only the relation parsers import ``dependence``, when they run, so a
-command that reads no relation does not load it.
+``relation_from_json`` is the one relation reader.  It imports
+``dependence`` when it runs, so a command that reads no relation does
+not load it.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from .errors import OrthoError, OutputLimitError, RationalError, RelationParseError
+from .errors import OrthoError, OutputLimitError, RelationParseError, _over_limit
 from .inner_product import GramInnerProduct
 from .linalg import Frame, Vector, _per_object, _rational
 
@@ -47,9 +47,7 @@ def rational_to_json(value: Fraction) -> str:
     except ValueError:
         # str() refuses more digits than the interpreter's int/str limit.
         raise OutputLimitError(
-            f"a result value exceeds the {sys.get_int_max_str_digits()}-digit "
-            "integer limit and cannot be written"
-        ) from None
+            _over_limit("a result value") + " and cannot be written") from None
 
 
 def rational_from_json(obj: Any, location: str = "rational") -> Fraction:
@@ -59,7 +57,7 @@ def rational_from_json(obj: Any, location: str = "rational") -> Fraction:
         )
     try:
         return _rational(obj)
-    except RationalError as exc:
+    except OrthoError as exc:
         raise RelationParseError(str(exc), location) from None
 
 
@@ -116,51 +114,42 @@ def relation_point_to_json(p: RelationPoint) -> dict[str, Any]:
     }
 
 
-def relation_point_from_json(
-    obj: Any, location: str = "point", frames: dict[str, Frame] | None = None
-) -> RelationPoint:
-    """Parse one relation point.
-
-    ``frames`` interns parsed frames by the text of their JSON value (its
-    ``repr``, a faithful literal for JSON values), so a frame repeated
-    across points is parsed and validated once and then shared.  Only
-    frames that parsed are stored: a malformed frame raises at its first
-    occurrence, with that occurrence's location.
-    """
-    from .dependence import RelationPoint
-
-    if not isinstance(obj, dict):
-        raise RelationParseError("expected an object", location)
-    missing = {"frame", "point", "values"} - obj.keys()
-    if missing:
-        raise RelationParseError(f"missing fields: {sorted(missing)}", location)
-    frames = {} if frames is None else frames
-    text = repr(obj["frame"])
-    frame = frames.get(text)
-    if frame is None:
-        frame = frames[text] = frame_from_json(obj["frame"], f"{location}.frame")
-    point = vector_from_json(obj["point"], f"{location}.point")
-    values = vector_from_json(obj["values"], f"{location}.values")
-    try:
-        return RelationPoint(frame, point, values)
-    except OrthoError as exc:
-        raise RelationParseError(str(exc), location) from exc
-
-
 def relation_to_json(rel: Relation) -> list[dict[str, Any]]:
     return [relation_point_to_json(p) for p in rel.points]
 
 
 def relation_from_json(obj: Any, location: str = "points") -> Relation:
-    from .dependence import Relation
+    """Parse a relation: an array of ``{frame, point, values}`` objects.
+
+    Frames are interned by the text of their JSON value (its ``repr``, a
+    faithful literal for JSON values), so a frame repeated across points
+    is parsed and validated once and then shared.  Only frames that parsed
+    are stored: a malformed frame raises at its first occurrence, with
+    that occurrence's location.
+    """
+    from .dependence import Relation, RelationPoint
 
     if not isinstance(obj, list):
         raise RelationParseError("expected an array of relation points", location)
     frames: dict[str, Frame] = {}
-    points = tuple(
-        relation_point_from_json(entry, f"{location}[{k}]", frames)
-        for k, entry in enumerate(obj)
-    )
+    points = []
+    for k, entry in enumerate(obj):
+        here = f"{location}[{k}]"
+        if not isinstance(entry, dict):
+            raise RelationParseError("expected an object", here)
+        missing = {"frame", "point", "values"} - entry.keys()
+        if missing:
+            raise RelationParseError(f"missing fields: {sorted(missing)}", here)
+        text = repr(entry["frame"])
+        frame = frames.get(text)
+        if frame is None:
+            frame = frames[text] = frame_from_json(entry["frame"], f"{here}.frame")
+        point = vector_from_json(entry["point"], f"{here}.point")
+        values = vector_from_json(entry["values"], f"{here}.values")
+        try:
+            points.append(RelationPoint(frame, point, values))
+        except OrthoError as exc:
+            raise RelationParseError(str(exc), here) from exc
     try:
         return Relation(points)
     except OrthoError as exc:
@@ -254,10 +243,7 @@ def _load_json(path: str) -> Any:
         ) from exc
     except ValueError:
         # The decoder's int() refuses a JSON number above the int/str limit.
-        raise RelationParseError(
-            f"a JSON number exceeds the {sys.get_int_max_str_digits()}-digit "
-            "integer limit", path
-        ) from None
+        raise RelationParseError(_over_limit("a JSON number"), path) from None
     except RecursionError:
         raise RelationParseError("JSON nested too deeply to parse", path) from None
 

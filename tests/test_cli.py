@@ -273,6 +273,17 @@ def test_pair_ip_over_long_literal_is_usage_error(capsys):
     assert LIMIT in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--a= 1,0", "--b=1,1"), "component 1: not a rational literal: ' 1'"),
+    (("--a=1,0", "--b=1, 1"), "component 2: not a rational literal: ' 1'"),
+], ids=["a", "b"])
+def test_vector_literal_takes_no_spaces(capsys, argv, message):
+    # As in a JSON rational and an integer flag, a space is no digit.
+    code, report, err = run_cli(capsys, "pair-ip", *argv)
+    assert (code, report) == (2, None)
+    assert err == f"ortho: {message}\n"
+
+
 def test_pair_ip_over_long_result_is_usage_error(capsys):
     # Inputs inside the limit whose adapted Gram matrix is not.
     code, report, err = run_cli(capsys, "pair-ip", "--a=1,0",
@@ -543,7 +554,7 @@ def test_env_seed_takes_ascii_digits_only(capsys, monkeypatch, spelling):
 @pytest.mark.parametrize("source", ["flag", "env"])
 def test_integer_over_the_digit_limit_is_usage_error(capsys, monkeypatch, source):
     limit = sys.get_int_max_str_digits()
-    message = f"{limit + 1} digits exceed the {limit}-digit integer limit"
+    message = f"literal of {limit + 1} digits exceeds the {limit}-digit integer limit"
     if source == "flag":
         code, report, err = run_cli(capsys, "equivalence", "--seed", "9" * (limit + 1))
         expected = f"ortho equivalence: error: argument --seed: {message}"
@@ -553,6 +564,40 @@ def test_integer_over_the_digit_limit_is_usage_error(capsys, monkeypatch, source
         expected = f"ortho: ORTHO_SEED: {message}"
     assert (code, report) == (2, None)
     assert err.splitlines()[-1] == expected
+
+
+LONG_TEXT = "9_" * 3000
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "vector"])
+def test_rejected_long_input_is_cut_short(capsys, monkeypatch, source):
+    argv = ["equivalence"]
+    if source == "flag":
+        argv.append(f"--seed={LONG_TEXT}")
+    elif source == "env":
+        monkeypatch.setenv("ORTHO_SEED", LONG_TEXT)
+    else:
+        argv = ["pair-ip", f"--a={LONG_TEXT},0", "--b=1,1"]
+    code, report, err = run_cli(capsys, *argv)
+    assert (code, report) == (2, None)
+    assert len(err.encode()) < 400
+    assert f"'{LONG_TEXT[:59]}... ({len(LONG_TEXT)} characters)" in err
+
+
+# Every value past the int/str digit limit is named in one wording, whether
+# it is read (a literal, an integer flag, a JSON number) or written.
+@pytest.mark.parametrize("argv", [
+    ("pair-ip", f"--a=1,{LONG}", "--b=1,0"),
+    ("equivalence", "--seed", LONG),
+    ("factor", "--input", "number.json"),
+    ("pair-ip", "--a=1,0", f"--b={'7' * 2500},1"),
+], ids=["literal", "integer-flag", "json-number", "result-value"])
+def test_digit_limit_has_one_wording(capsys, monkeypatch, tmp_path, argv):
+    (tmp_path / "number.json").write_text(f"[{LONG}]", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, report, err = run_cli(capsys, *argv)
+    assert (code, report) == (2, None)
+    assert LIMIT in err.splitlines()[-1]
 
 
 def test_signed_integer_flags_still_parse(capsys, monkeypatch):
@@ -678,16 +723,12 @@ def test_module_entry_point():
     (("equivalence", "--m", "5", "--dim", "3"), "2 <= m <= dim"),
     (("equivalence", "--points", "-1"), "counts must be >= 0"),
     (("equivalence", "--bound", "0"), "bound must be positive"),
-    (("factor", "--input", RELATION4, "--dim", "4", "--m", "4",
-      "--gram", "tests/fixtures/gram4.json"), "--gram cannot be combined"),
     (("maximality", "--dim", "3"), "m == dim"),
     (("pair-ip", "--a=1,0", "--b=1,1", "--dim", "5"), "--dim 5"),
-    (("pair-ip", "--a=1,0", "--b=1,1", "--gram", "x.json"), "takes no --gram"),
     (("pair-ip", "--a=1,0,0", "--b=0,1,0"), "2-dimensional"),
     (("pair-ip", "--a=1,0", "--b=2,0"), "dependent"),
-], ids=["config-m-dim", "config-counts", "config-bound", "factor-input-gram",
-        "maximality-square", "pair-ip-dim", "pair-ip-gram", "pair-ip-vectors",
-        "pair-ip-dependent"])
+], ids=["config-m-dim", "config-counts", "config-bound", "maximality-square",
+        "pair-ip-dim", "pair-ip-vectors", "pair-ip-dependent"])
 def test_usage_checks_exit_two(capsys, monkeypatch, argv, named):
     monkeypatch.chdir(ROOT)
     code, report, err = run_cli(capsys, *argv)
@@ -758,7 +799,7 @@ def test_maximality_rejects_unread_flags(capsys, argv, named):
     assert named in err
 
 
-@pytest.mark.parametrize("flag", ["--frames", "--points"])
+@pytest.mark.parametrize("flag", ["--frames", "--points", "--gram"])
 def test_pair_ip_rejects_unread_flags(capsys, flag):
     code, report, err = run_cli(capsys, "pair-ip", "--a=1,0", "--b=1,1",
                                 flag, "3")
@@ -767,7 +808,7 @@ def test_pair_ip_rejects_unread_flags(capsys, flag):
     assert f"pair-ip does not read {flag}" in err
 
 
-@pytest.mark.parametrize("flag", ["--frames", "--points", "--bound"])
+@pytest.mark.parametrize("flag", ["--frames", "--points", "--bound", "--gram"])
 def test_factor_input_rejects_unread_flags(capsys, monkeypatch, flag):
     monkeypatch.chdir(ROOT)
     code, report, err = run_cli(capsys, "factor", "--input", RELATION4,

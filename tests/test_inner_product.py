@@ -409,7 +409,7 @@ def test_integer_inner_products_match_naive_oracle(case):
 def test_gram_schmidt_rejects_dependent_and_mismatched_input():
     with pytest.raises(DependentFrameError):
         gram_schmidt(I3, [(1, 2, 3), (2, 4, 6)])
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="vector of dimension 2 against a 3x3 form"):
         gram_schmidt(I3, frame_of((1, 0), (0, 1)))
 
 
