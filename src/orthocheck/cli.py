@@ -15,6 +15,9 @@ the command, assembles the report (command, config echo, payload, verdict,
 ``duration_s``) and writes it, to stdout or ``--output``, as canonical
 JSON.  With a fixed config the payload is byte-identical across runs and
 platforms; only ``duration_s`` varies.
+``maximality`` passes only if every rejection survives a re-check that
+reads nothing the sweep computed: one pass over all rejections, with its
+own tables, clearing each vector once and solving both frames again.
 Exit codes: 0 verdict pass, 1 verdict fail, 2 usage or parse error, 3 an
 unexpected error inside the library (a bug; the traceback goes to stderr).
 A flag the chosen command path never reads is a usage error; ``--seed`` is
@@ -29,6 +32,7 @@ import argparse
 import os
 import sys
 import time
+from functools import partial
 from typing import TYPE_CHECKING, Any, Collection, Sequence
 
 from .errors import (
@@ -42,8 +46,11 @@ from .errors import (
 )
 from .inner_product import (
     GramInnerProduct,
+    _gn,
+    _nonorthogonal_pairs,
     _orthogonal_samples,
     _projection_checks,
+    _row,
     coefficient_formula,
     evaluate,
     frame_adapted_inner_product,
@@ -55,7 +62,9 @@ from .linalg import (
     Frame,
     Vector,
     _check_seed,
+    _per_object,
     _rational,
+    _solve_many,
     _Value,
     derive_seed,
     sample_frame,
@@ -222,19 +231,37 @@ def cmd_factor(config: RunConfig, input_path: str | None = None,
     return outcome_to_json(outcome), outcome.passed
 
 
-def _recheck_rejection(G: GramInnerProduct, report: MaximalityReport) -> bool:
-    """Reproduce a rejection from scratch: re-solve both frames at the
-    collision point and confirm the slot values disagree as reported."""
-    i = report.index
-    candidate_value = solve_coordinates(report.candidate, report.collision_point)[i - 1]
-    witness_value = solve_coordinates(report.orthogonal_witness,
-                                      report.collision_point)[i - 1]
-    return (
-        (candidate_value, witness_value) == report.values
-        and candidate_value != witness_value
-        and report.orthogonal_witness[i - 1] == report.candidate[i - 1]
-        and is_orthogonal_tuple(G, report.orthogonal_witness)
-    )
+def _recheck_rejections(G: GramInnerProduct,
+                        rejected: Sequence[MaximalityReport]) -> bool:
+    """Reproduce every rejection from scratch, reading nothing the sweep
+    computed but the reports themselves.  Both frames are re-solved at the collision point
+    (:func:`_solve_many`); slot i's two values must be the reported ones
+    and differ, and the witness must share slot i and be G-orthogonal.
+    False at the first rejection that fails a check.
+
+    One pass over all of them, with its own call-local tables
+    (:func:`_per_object`): each distinct vector object is cleared once, and
+    a witness's images are read from its cleared rows.  The values are
+    compared by their integer ratios, as normalized Fractions compare.
+    """
+    row = _per_object(partial(_row, G))
+    image = _per_object(lambda v: (*row(v), _gn(G, row(v)[0])))
+    for report in rejected:
+        i, x = report.index, [row(report.collision_point)]
+        candidate = report.candidate.vectors
+        witness = report.orthogonal_witness.vectors
+        got = [  # each frame as its rows and scales, read from the table
+            _solve_many(tuple(zip(*map(row, frame))), x)[0][i - 1].as_integer_ratio()
+            for frame in (candidate, witness)
+        ]
+        if not (
+            got == [value.as_integer_ratio() for value in report.values]
+            and got[0] != got[1]
+            and witness[i - 1] == candidate[i - 1]
+            and next(_nonorthogonal_pairs(list(map(image, witness))), None) is None
+        ):
+            return False
+    return True
 
 
 def cmd_maximality(config: RunConfig, given: Collection[str] = ()) -> Result:
@@ -264,7 +291,7 @@ def cmd_maximality(config: RunConfig, given: Collection[str] = ()) -> Result:
     rejected = [r for r in reports if not r.accepted]
     sound = all(
         is_orthogonal_tuple(G, r.candidate) for r in reports if r.accepted
-    ) and all(_recheck_rejection(G, r) for r in rejected)
+    ) and _recheck_rejections(G, rejected)
     payload = {
         "summary": {
             "total": len(reports),
@@ -307,7 +334,9 @@ def cmd_pair_ip(config: RunConfig, a_text: str, b_text: str,
     try:
         frame = Frame((a, b))
     except DependentFrameError:
-        raise UsageError(f"vectors {a_text} and {b_text} are dependent") from None
+        raise UsageError(
+            f"vectors {_echoed(a_text)} and {_echoed(b_text)} are dependent"
+        ) from None
     G = frame_adapted_inner_product(frame)
     x = sample_span_point(frame, config.bound, derive_seed(config.seed, 0))
     solver = solve_coordinates(frame, x)

@@ -21,8 +21,12 @@ def _over_limit(what: str) -> str:
 def _echoed(value: object) -> str:
     """``repr(value)`` for a message that echoes rejected input; past 80
     characters, its first 60 and the input's length, so that one long
-    argument cannot flood stderr."""
-    shown = repr(value)
+    argument cannot flood stderr.  Where ``repr()`` refuses an integer past
+    the int/str limit, :func:`_shown`'s placeholder."""
+    try:
+        shown = repr(value)
+    except ValueError:
+        return _shown(value)
     if len(shown) <= 80:
         return shown
     return f"{shown[:60]}... ({len(str(value))} characters)"

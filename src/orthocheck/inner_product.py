@@ -128,7 +128,12 @@ def _image(G: GramInnerProduct, v: Vector) -> _Image:
     products gd cancels.
     """
     U, s = _row(G, v)
-    return U, s, [sum(map(mul, row, U)) for row in G._numerators]
+    return U, s, _gn(G, U)
+
+
+def _gn(G: GramInnerProduct, U: list[int]) -> list[int]:
+    """``Gn U``: an integer row of G's dimension under G's numerator matrix."""
+    return [sum(map(mul, row, U)) for row in G._numerators]
 
 
 def _images(G: GramInnerProduct, vectors: Sequence[Vector]) -> list[_Image]:
@@ -207,15 +212,15 @@ def _projection_checks(
     The frame is cleared once to its :func:`_images`, which prove every
     pair orthogonal (even with no points) and give every formula value;
     one elimination (:func:`_solve_many`) gives the solved side of all
-    the points.
+    the points.  Each point is cleared once, for both sides.
     """
     images = _images(G, frame.vectors)
     if next(_nonorthogonal_pairs(images), None) is not None:
         raise PreconditionError("frame is not orthogonal under the given form")
     cleared = [U for U, _, _ in images], [s for _, s, _ in images]
+    rows = [_row(G, x) for x in points]
     checks = []
-    for x, solved in zip(points, _solve_many(cleared, points)):
-        xn, xd = _row(G, x)
+    for (xn, xd), solved in zip(rows, _solve_many(cleared, rows)):
         checks.append(solved == tuple(_coefficient(image, xn, xd)
                                       for image in images))
     return checks
@@ -239,7 +244,6 @@ def _orthogonalize(
     last keeps ``Gn W`` and ``<W,W>``, so every later inner product is one
     dot product; an input that is its own output reuses its given image.
     """
-    rows = G._numerators
     done: list[tuple[list[int], list[int], int]] = []  # W, Gn W, <W,W>
     out: list[Vector] = []
     for v, (U, s, GU) in zip(vectors, images):
@@ -257,7 +261,7 @@ def _orthogonalize(
         out.append(tuple(Fraction(a, s) for a in U) if projected else v)
         if len(out) < len(images):
             if projected or GU is None:
-                GU = [sum(map(mul, row, U)) for row in rows]
+                GU = _gn(G, U)
             done.append((U, GU, sum(map(mul, GU, U))))
     return out
 

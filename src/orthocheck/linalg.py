@@ -281,7 +281,7 @@ def invert_matrix(rows: Matrix) -> Matrix:
         raise ShapeError("inverse needs a square matrix")
     try:
         return tuple(zip(*_solve_many(_integer_rows(tuple(zip(*rows))), [
-            [int(i == j) for j in range(n)] for i in range(n)])))
+            ([int(i == j) for j in range(n)], 1) for i in range(n)])))
     except DependentFrameError:
         raise ShapeError("matrix is singular") from None
 
@@ -447,49 +447,51 @@ def solve_coordinates(frame: Frame, x: Vector) -> Coordinates:
     Returns ``(c_1, ..., c_m)`` with ``x == sum(c_k * a_k)``, exactly.
     Raises SpanMembershipError when ``x`` is outside the span.
     """
-    return _solve_many(_integer_rows(frame.vectors), [x])[0]
+    return _solve_many(_integer_rows(frame.vectors), [_cleared(x)])[0]
 
 
-def _solve_many(cleared: _Rows, points: Sequence[Vector]) -> list[Coordinates]:
+def _solve_many(
+    cleared: _Rows, points: Sequence[tuple[list[int], int]]
+) -> list[Coordinates]:
     """:func:`solve_coordinates` of each point over the vectors cleared to
-    ``cleared`` by :func:`_integer_rows`, from one elimination: the columns
-    are the vectors, each over its own scale d_k, augmented with every
-    point, each over its own d_x, and solve to ``c_k * d_x / d_k``.  The
-    first point outside the span raises SpanMembershipError.  With no
-    points nothing is eliminated.
+    ``cleared`` by :func:`_integer_rows`, from one elimination.  Each point
+    comes cleared by :func:`_cleared` to ``(numerators, d_x)``, so a caller
+    that also reads a point's integer row clears it once.  The columns are
+    the vectors, each over its own scale d_k, augmented with every point,
+    and solve to ``c_k * d_x / d_k``.  The first point outside the span
+    raises SpanMembershipError.  With no points nothing is eliminated.
     """
     if not points:
         return []
     columns, scales = cleared
     m, n = len(columns), len(columns[0])
-    numerators, denominators = [], []
-    for x in points:
-        xn, xd = _cleared(x)
+    for xn, _ in points:
         if len(xn) != n:
             raise ShapeError(f"point has dimension {len(xn)}, frame has {n}")
-        numerators.append(xn)
-        denominators.append(xd)
-    rows = [list(row) for row in zip(*columns, *numerators)]
+    rows = [list(row) for row in zip(*columns, *[xn for xn, _ in points])]
     pivots, _ = _bareiss(rows, pivot_limit=m)
     if len(pivots) < m:
         # Only a frame built with Frame._trusted, or a singular matrix that
         # invert_matrix was given, can get here.
         raise DependentFrameError("frame vectors are linearly dependent")
     det = rows[m - 1][m - 1]
+    below = rows[m:]  # zero in the frame's columns: a point must be too
     solved = []
-    for j, xd in enumerate(denominators, m):
-        for row in rows[m:]:
+    for j, (xn, xd) in enumerate(points, m):
+        for row in below:
             if row[j]:
-                x = _shown(as_vector(points[j - m]))
+                x = _shown(tuple([Fraction(a, xd) for a in xn]))
                 raise SpanMembershipError(f"{x} is not in the span of the frame")
         # Back substitution: out / det solves column j's scaled system.
         out = [0] * m
         for r in range(m - 1, -1, -1):
             row = rows[r]
-            s = det * row[j] - sum(row[c] * out[c] for c in range(r + 1, m))
+            s = det * row[j]
+            for c in range(r + 1, m):
+                s -= row[c] * out[c]
             out[r] = s // row[r]
         den = det * xd
-        solved.append(tuple(Fraction(num * d, den) for num, d in zip(out, scales)))
+        solved.append(tuple([Fraction(num * d, den) for num, d in zip(out, scales)]))
     return solved
 
 

@@ -105,6 +105,7 @@ def verify_orthogonal_maximality(
     (:func:`_per_object`): the grid's candidates share a few.
     """
     image = _per_object(partial(_image, G))
+    one = Fraction(1)  # slot i of x over every candidate, one object
     reports = []
     for candidate in candidates:
         _full_dimensional(candidate, "maximality sweep")
@@ -123,7 +124,7 @@ def verify_orthogonal_maximality(
         U_j, s_j, _ = images[j - 1]
         ii = sum(map(mul, GU_i, U_i))
         ij = sum(map(mul, GU_i, U_j))
-        values = (Fraction(1), Fraction(ii * s_j + ij * s_i, ii * s_j))
+        values = (one, Fraction(ii * s_j + ij * s_i, ii * s_j))
         reports.append(MaximalityReport(
             candidate, "rejected", orthogonal_witness=witness,
             collision_point=x, values=values, index=i, other_index=j,

@@ -395,6 +395,59 @@ def test_maximality_recheck_decides_the_verdict(capsys, monkeypatch, tamper):
     assert report["payload"]["summary"]["nonorthogonal_rejected"] == 32
 
 
+def test_maximality_recheck_clears_its_own_vectors(capsys, monkeypatch):
+    """The re-check reads nothing the sweep computed: with the sweep given
+    the image of 2v for v = (1, 1), which keeps every accept and reject
+    decision, the reported points and values are wrong, and the re-check's
+    own clearing turns the verdict to fail."""
+    import orthocheck.maximality as maximality
+
+    real = maximality._image
+
+    def doubled(G, v):
+        U, s, GU = real(G, v)
+        if v == (1, 1):
+            return [2 * a for a in U], s, [2 * a for a in GU]
+        return U, s, GU
+
+    monkeypatch.setattr(maximality, "_image", doubled)
+    code, report, _ = run_cli(capsys, "maximality", "--bound", "1")
+    assert code == 1 and report["verdict"] == "fail"
+    assert report["payload"]["summary"] == {
+        "total": 48, "orthogonal_accepted": 16, "nonorthogonal_rejected": 32}
+
+
+def test_maximality_recheck_clears_each_vector_once(capsys, monkeypatch):
+    """The benchmark's bound-3 grid: its re-check pass clears each distinct
+    vector object once, the 48 grid vectors, each witness's new vector and
+    each collision point, not once per solve."""
+    import orthocheck.cli as cli
+    import orthocheck.inner_product as inner_product
+    import orthocheck.linalg as linalg
+
+    cleared, rejections = [], []
+    real_cleared, real_recheck = linalg._cleared, cli._recheck_rejections
+
+    def counted(entries):
+        if rejections:
+            cleared.append(entries)
+        return real_cleared(entries)
+
+    def recheck(G, rejected):
+        rejections.extend(rejected)
+        return real_recheck(G, rejected)
+
+    for module in (linalg, inner_product):
+        monkeypatch.setattr(module, "_cleared", counted)
+    monkeypatch.setattr(cli, "_recheck_rejections", recheck)
+    code, report, _ = run_cli(capsys, "maximality", "--bound", "3")
+    assert code == 0 and len(rejections) == 1920
+    distinct = {id(v) for r in rejections
+                for v in (*r.candidate, *r.orthogonal_witness, r.collision_point)}
+    assert len(cleared) == len(distinct) == 48 + 2 * 1920
+    assert {id(v) for v in cleared} == distinct
+
+
 def test_maximality_requires_square_config(capsys):
     code, report, err = run_cli(capsys, "maximality", "--dim", "3")
     assert code == 2
@@ -429,6 +482,20 @@ def test_pair_ip_dependent_pair_is_usage_error(capsys):
     code, report, err = run_cli(capsys, "pair-ip", "--a=1,0", "--b=2,0")
     assert code == 2
     assert "dependent" in err
+
+
+def test_pair_ip_dependent_pair_echoes_both_vectors_briefly(capsys):
+    """Both vector texts are echoed as rejected input: whole when short, cut
+    to their first characters and length when long."""
+    code, report, err = run_cli(capsys, "pair-ip", "--a=1,0", "--b=2,0")
+    assert (code, report) == (2, None)
+    assert err == "ortho: vectors '1,0' and '2,0' are dependent\n"
+    long_b = "7" * 4000 + ",0"
+    code, report, err = run_cli(capsys, "pair-ip", "--a=1,0", f"--b={long_b}")
+    assert (code, report) == (2, None)
+    assert len(err.encode()) < 400
+    assert err.startswith("ortho: vectors '1,0' and '777")
+    assert err.endswith(f"... ({len(long_b)} characters) are dependent\n")
 
 
 def test_pair_ip_wrong_dimension(capsys):
@@ -874,7 +941,7 @@ def _golden_argvs():
 
 def test_golden_and_benchmark_configs_are_under_the_cap():
     argvs = _golden_argvs() + _benchmark_argvs()
-    assert len(argvs) == 17
+    assert len(argvs) == 19
     capped = 0
     for argv in argvs:
         args, config = _config_of(argv)
@@ -882,7 +949,7 @@ def test_golden_and_benchmark_configs_are_under_the_cap():
             continue  # no sampled or swept work to bound
         _cap_work(args.command, config)
         capped += 1
-    assert capped == 12
+    assert capped == 14
 
 
 def test_maximality_huge_bound_exits_two_at_once(capsys):

@@ -17,6 +17,7 @@ from orthocheck import (
     DependentFrameError,
     DuplicatePointError,
     GramInnerProduct,
+    RationalError,
     Relation,
     RelationPoint,
     SpanMembershipError,
@@ -24,6 +25,7 @@ from orthocheck import (
     frame_of,
     solve_coordinates,
 )
+from orthocheck.linalg import vec
 
 OVER = f"<a value over the {sys.get_int_max_str_digits()}-digit integer limit>"
 HUGE = 10 ** 5000
@@ -104,3 +106,12 @@ def test_message_past_the_limit_keeps_its_error(name):
     with pytest.raises(error) as raised:
         call()
     assert str(raised.value) == message
+
+
+def test_echoed_input_past_the_limit_keeps_its_error():
+    """Rejected input is echoed by ``repr()``, which refuses an integer past
+    the limit too: the placeholder is printed, and the error stays a
+    RationalError."""
+    with pytest.raises(RationalError) as raised:
+        vec(1, [HUGE])
+    assert str(raised.value) == f"not a rational literal: {OVER}"

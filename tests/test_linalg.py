@@ -320,7 +320,7 @@ def test_batched_solve_matches_solve_coordinates(frame, data):
         st.lists(rationals, min_size=frame.size, max_size=frame.size),
         max_size=4))
     points = [linear_combination(frame.vectors, c) for c in coeffs]
-    solved = _solve_many(_integer_rows(frame.vectors), points)
+    solved = _solve_many(_integer_rows(frame.vectors), list(map(_cleared, points)))
     assert solved == [solve_coordinates(frame, x) for x in points]
     assert solved == [tuple(c) for c in coeffs]
 
@@ -328,11 +328,39 @@ def test_batched_solve_matches_solve_coordinates(frame, data):
 def test_batched_solve_names_the_first_point_outside_the_span():
     fr = frame_of((1, 0, 0), (0, 2, 0))
     points = [(3, -2, 0), (F(1, 2), 5, 0), (1, 1, 7), (0, 0, 1)]
+    cleared = list(map(_cleared, points))
     with pytest.raises(SpanMembershipError,
                        match=f"^{re.escape(str(vec(1, 1, 7)))} is not in"):
-        _solve_many(_integer_rows(fr.vectors), points)
-    assert _solve_many(_integer_rows(fr.vectors), points[:2]) == [
+        _solve_many(_integer_rows(fr.vectors), cleared)
+    assert _solve_many(_integer_rows(fr.vectors), cleared[:2]) == [
         (F(3), F(-1)), (F(1, 2), F(5, 2))]
+
+
+@pytest.mark.parametrize("dim, m", [(12, 12), (14, 11), (16, 16), (16, 13)])
+def test_batched_solve_round_trips_big_entries(dim, m):
+    """At dim 12-16, with frame entries and coefficient terms up to 10**30,
+    one elimination gives back every point's coefficients.  Below full
+    size, a point moved off the span among them is named, not a later one
+    or one inside."""
+    rng = Random(dim * 100 + m)
+    big = 10 ** 30
+    frame = Frame(tuple(
+        tuple(F(rng.randint(-big, big), rng.randint(1, big)) for _ in range(dim))
+        for _ in range(m)))
+    coeffs = [tuple(F(rng.randint(-big, big), rng.randint(1, big)) for _ in range(m))
+              for _ in range(5)]
+    points = [linear_combination(frame.vectors, c) for c in coeffs]
+    rows = _integer_rows(frame.vectors)
+    assert _solve_many(rows, list(map(_cleared, points))) == coeffs
+    if m == dim:
+        return
+    off = [tuple(e + F(rng.randint(1, big), 7) * (k == t) for k, e in enumerate(x))
+           for t, x in enumerate(points)]
+    assert not any(span_contains(frame, x) for x in off)
+    tried = [points[0], off[1], points[2], off[3]]
+    with pytest.raises(SpanMembershipError,
+                       match=f"^{re.escape(str(off[1]))} is not in"):
+        _solve_many(rows, list(map(_cleared, tried)))
 
 
 @settings(max_examples=150, deadline=None)
