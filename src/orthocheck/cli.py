@@ -15,9 +15,10 @@ the command, assembles the report (command, config echo, payload, verdict,
 ``duration_s``) and writes it, to stdout or ``--output``, as canonical
 JSON.  With a fixed config the payload is byte-identical across runs and
 platforms; only ``duration_s`` varies.
-``maximality`` passes only if every rejection survives a re-check that
-reads nothing the sweep computed: one pass over all rejections, with its
-own tables, clearing each vector once and solving both frames again.
+``maximality`` passes only if every report survives a re-check that
+reads nothing the sweep computed: one pass over all reports, with its own
+tables, clearing each vector once, proving each accepted candidate
+orthogonal and solving both frames of each rejection again.
 Exit codes: 0 verdict pass, 1 verdict fail, 2 usage or parse error, 3 an
 unexpected error inside the library (a bug; the traceback goes to stderr).
 A flag the chosen command path never reads is a usage error; ``--seed`` is
@@ -55,7 +56,6 @@ from .inner_product import (
     evaluate,
     frame_adapted_inner_product,
     identity_inner_product,
-    is_orthogonal_tuple,
 )
 from .linalg import (
     RATIONAL_PATTERN,
@@ -231,35 +231,36 @@ def cmd_factor(config: RunConfig, input_path: str | None = None,
     return outcome_to_json(outcome), outcome.passed
 
 
-def _recheck_rejections(G: GramInnerProduct,
-                        rejected: Sequence[MaximalityReport]) -> bool:
-    """Reproduce every rejection from scratch, reading nothing the sweep
-    computed but the reports themselves.  Both frames are re-solved at the collision point
-    (:func:`_solve_many`); slot i's two values must be the reported ones
-    and differ, and the witness must share slot i and be G-orthogonal.
-    False at the first rejection that fails a check.
+def _recheck(G: GramInnerProduct, reports: Sequence[MaximalityReport]) -> bool:
+    """Reproduce every verdict from scratch, reading nothing the sweep
+    computed but the reports themselves.  An accepted candidate must be
+    G-orthogonal.  A rejection's two frames are re-solved at the collision
+    point (:func:`_solve_many`); slot i's two values must be the reported
+    ones and differ, and the witness must share slot i and be G-orthogonal.
+    False at the first report that fails a check.
 
     One pass over all of them, with its own call-local tables
     (:func:`_per_object`): each distinct vector object is cleared once, and
-    a witness's images are read from its cleared rows.  The values are
-    compared by their integer ratios, as normalized Fractions compare.
+    its image is read from its cleared row.  The values are compared by
+    their integer ratios, as normalized Fractions compare.
     """
     row = _per_object(partial(_row, G))
     image = _per_object(lambda v: (*row(v), _gn(G, row(v)[0])))
-    for report in rejected:
-        i, x = report.index, [row(report.collision_point)]
-        candidate = report.candidate.vectors
-        witness = report.orthogonal_witness.vectors
-        got = [  # each frame as its rows and scales, read from the table
-            _solve_many(tuple(zip(*map(row, frame))), x)[0][i - 1].as_integer_ratio()
-            for frame in (candidate, witness)
-        ]
-        if not (
-            got == [value.as_integer_ratio() for value in report.values]
-            and got[0] != got[1]
-            and witness[i - 1] == candidate[i - 1]
-            and next(_nonorthogonal_pairs(list(map(image, witness))), None) is None
-        ):
+    for report in reports:
+        frame = candidate = report.candidate.vectors
+        if not report.accepted:
+            i, x = report.index, [row(report.collision_point)]
+            frame = witness = report.orthogonal_witness.vectors
+            got = [_solve_many(list(map(row, vs)), x)[0][i - 1].as_integer_ratio()
+                   for vs in (candidate, witness)]
+            if not (
+                got == [value.as_integer_ratio() for value in report.values]
+                and got[0] != got[1]
+                and witness[i - 1] == candidate[i - 1]
+            ):
+                return False
+        # An accepted candidate, or a rejection's witness, must be G-orthogonal.
+        if next(_nonorthogonal_pairs(list(map(image, frame))), None) is not None:
             return False
     return True
 
@@ -287,15 +288,12 @@ def cmd_maximality(config: RunConfig, given: Collection[str] = ()) -> Result:
             for k in range(config.frames)
         )
     reports = verify_orthogonal_maximality(G, candidates)
-    accepted = sum(1 for r in reports if r.accepted)
+    sound = _recheck(G, reports)
     rejected = [r for r in reports if not r.accepted]
-    sound = all(
-        is_orthogonal_tuple(G, r.candidate) for r in reports if r.accepted
-    ) and _recheck_rejections(G, rejected)
     payload = {
         "summary": {
             "total": len(reports),
-            "orthogonal_accepted": accepted,
+            "orthogonal_accepted": len(reports) - len(rejected),
             "nonorthogonal_rejected": len(rejected),
         },
         "rejected": maximality_reports_to_json(rejected),

@@ -136,14 +136,9 @@ def _gn(G: GramInnerProduct, U: list[int]) -> list[int]:
     return [sum(map(mul, row, U)) for row in G._numerators]
 
 
-def _images(G: GramInnerProduct, vectors: Sequence[Vector]) -> list[_Image]:
-    """The :func:`_image` of each vector."""
-    return [_image(G, v) for v in vectors]
-
-
 def _nonorthogonal_pairs(images: list[_Image]) -> Iterator[tuple[int, int]]:
     """Every (i, j), 1-based with i < j, such that ``<a_i, a_j> != 0``, in
-    lexicographic order, read from the frame's :func:`_images`."""
+    lexicographic order, read from the :func:`_image` of each vector."""
     for i, (_, _, GU) in enumerate(images):
         for j in range(i + 1, len(images)):
             if sum(map(mul, GU, images[j][0])):
@@ -172,7 +167,7 @@ def first_nonorthogonal_pair(
     G: GramInnerProduct, frame: Frame
 ) -> tuple[int, int] | None:
     """Lexicographically smallest (i, j), 1-based, with ``<a_i, a_j> != 0``."""
-    return next(_nonorthogonal_pairs(_images(G, frame.vectors)), None)
+    return next(_nonorthogonal_pairs([_image(G, v) for v in frame.vectors]), None)
 
 
 def is_orthogonal_tuple(G: GramInnerProduct, frame: Frame) -> bool:
@@ -209,21 +204,19 @@ def _projection_checks(
 ) -> list[bool]:
     """:func:`verify_projection_equivalence` at each of a frame's points.
 
-    The frame is cleared once to its :func:`_images`, which prove every
-    pair orthogonal (even with no points) and give every formula value;
-    one elimination (:func:`_solve_many`) gives the solved side of all
-    the points.  Each point is cleared once, for both sides.
+    Each vector is cleared once to its :func:`_image`: the images prove
+    every pair orthogonal (even with no points) and give every formula
+    value, and one elimination (:func:`_solve_many`) over their rows gives
+    the solved side of all the points.  Each point is cleared once, for
+    both sides.
     """
-    images = _images(G, frame.vectors)
+    images = [_image(G, v) for v in frame.vectors]
     if next(_nonorthogonal_pairs(images), None) is not None:
         raise PreconditionError("frame is not orthogonal under the given form")
-    cleared = [U for U, _, _ in images], [s for _, s, _ in images]
     rows = [_row(G, x) for x in points]
-    checks = []
-    for (xn, xd), solved in zip(rows, _solve_many(cleared, rows)):
-        checks.append(solved == tuple(_coefficient(image, xn, xd)
-                                      for image in images))
-    return checks
+    solved = _solve_many([(U, s) for U, s, _ in images], rows)
+    return [coords == tuple(_coefficient(image, xn, xd) for image in images)
+            for (xn, xd), coords in zip(rows, solved)]
 
 
 def _orthogonalize(
@@ -232,7 +225,7 @@ def _orthogonalize(
     images: Sequence[tuple[list[int], int, list[int] | None]],
 ) -> list[Vector]:
     """Integer Gram-Schmidt over ``vectors``, in the given order, cleared
-    to ``(U, s, Gn U)`` as :func:`_images` gives them; ``Gn U`` may be None
+    to ``(U, s, Gn U)`` as :func:`_image` gives them; ``Gn U`` may be None
     where the caller has not computed it.
 
     Output k is input k itself when it is orthogonal to every earlier
@@ -270,8 +263,8 @@ def _witness(
     G: GramInnerProduct, candidate: Frame, images: list[_Image], i: int, j: int
 ) -> tuple[Frame, Vector]:
     """The orthogonal witness frame of a full-dimensional candidate, given
-    its :func:`_images` under G and a pair (i, j) that is not orthogonal,
-    with the collision point ``b_i + b_j``.
+    its vectors' :func:`_image` under G and a pair (i, j) that is not
+    orthogonal, with the collision point ``b_i + b_j``.
 
     Gram-Schmidt runs on the images with slot i first, so its first output
     is ``b_i`` itself and reuses that image; the outputs are then put back

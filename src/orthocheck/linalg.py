@@ -41,7 +41,6 @@ RationalLike = Fraction | int | str
 Vector = tuple[Fraction, ...]
 Coordinates = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
-_Rows = tuple[list[list[int]], list[int]]  # integer rows, and each one's scale
 _T, _R = TypeVar("_T"), TypeVar("_R")
 
 #: Rejection-sampling attempts before giving up.  Degenerate parameters
@@ -137,20 +136,22 @@ def linear_combination(
     if not vectors:
         raise ShapeError("empty combination has no dimension")
     _dimension(vectors)
-    return _combine(_integer_rows(vectors), coeffs)
+    return _combine(list(map(_cleared, vectors)), coeffs)
 
 
-def _combine(cleared: _Rows, coeffs: Sequence[RationalLike]) -> Vector:
-    """:func:`linear_combination` of vectors as :func:`_integer_rows` clears
-    them, with no shape checks: a caller combining one frame's vectors many
-    times clears them once."""
-    rows, scales = cleared
+def _combine(
+    cleared: Sequence[tuple[list[int], int]], coeffs: Sequence[RationalLike]
+) -> Vector:
+    """:func:`linear_combination` of vectors each cleared by :func:`_cleared`
+    to ``(U_k, d_k)``, with no shape checks: a caller combining one frame's
+    vectors many times clears them once."""
     numerators, e = _cleared(coeffs)
-    L = lcm(*scales)
-    weights = [c * (L // d) for c, d in zip(numerators, scales)]
+    L = lcm(*[d for _, d in cleared])
+    weights = [c * (L // d) for c, (_, d) in zip(numerators, cleared)]
     den = L * e
     return tuple(
-        Fraction(sum(map(mul, weights, column)), den) for column in zip(*rows)
+        Fraction(sum(map(mul, weights, column)), den)
+        for column in zip(*[U for U, _ in cleared])
     )
 
 
@@ -164,7 +165,10 @@ def _cleared(entries: Iterable[RationalLike]) -> tuple[list[int], int]:
     Returns ints ``(numerators, d)`` with ``entries[k] == numerators[k] / d``
     and ``d >= 1``; ``entries`` may be a generator.  Each int or Fraction is
     split once, by ``as_integer_ratio``; anything else goes through
-    :func:`_rational` first.
+    :func:`_rational` first.  A cleared vector is this pair, and a cleared
+    frame the list of its vectors' pairs.  Scaling a row by a positive
+    integer keeps its zero pattern, so the kernel picks the same pivots on
+    cleared rows as on the rational ones.
     """
     ratios = [(e if type(e) in _EXACT else _rational(e)).as_integer_ratio()
               for e in entries]
@@ -226,19 +230,9 @@ def _bareiss(
     return pivots, swaps
 
 
-def _integer_rows(vectors: Sequence[Sequence[RationalLike]]) -> _Rows:
-    """Clear denominators row by row: integer rows plus each row's scale.
-
-    Scaling a row by a positive integer keeps its zero pattern, so the
-    kernel picks the same pivots as it would on the rational rows.
-    """
-    cleared = [_cleared(v) for v in vectors]
-    return [row for row, _ in cleared], [d for _, d in cleared]
-
-
 def matrix_rank(vectors: Sequence[Sequence[RationalLike]]) -> int:
     """Exact rank of the matrix whose rows are ``vectors``."""
-    rows, _ = _integer_rows(vectors)
+    rows = [U for U, _ in map(_cleared, vectors)]
     if not rows:
         return 0
     _dimension(rows)
@@ -248,7 +242,8 @@ def matrix_rank(vectors: Sequence[Sequence[RationalLike]]) -> int:
 
 def determinant(rows: Sequence[Sequence[RationalLike]]) -> Fraction:
     """Exact determinant via integer-preserving elimination."""
-    work, scales = _integer_rows(rows)
+    cleared = list(map(_cleared, rows))
+    work = [U for U, _ in cleared]
     n = len(work)
     if any(len(r) != n for r in work):
         raise ShapeError("determinant needs a square matrix")
@@ -260,7 +255,7 @@ def determinant(rows: Sequence[Sequence[RationalLike]]) -> Fraction:
     # Bareiss: after full elimination the last pivot is the determinant of
     # the scaled rows, up to the sign of the row swaps.
     det = work[n - 1][n - 1]
-    return Fraction(-det if swaps % 2 else det, prod(scales))
+    return Fraction(-det if swaps % 2 else det, prod([d for _, d in cleared]))
 
 
 def _gram_of(vectors: Sequence[Vector]) -> Matrix:
@@ -280,7 +275,7 @@ def invert_matrix(rows: Matrix) -> Matrix:
     if any(len(r) != n for r in rows):
         raise ShapeError("inverse needs a square matrix")
     try:
-        return tuple(zip(*_solve_many(_integer_rows(tuple(zip(*rows))), [
+        return tuple(zip(*_solve_many(list(map(_cleared, zip(*rows))), [
             ([int(i == j) for j in range(n)], 1) for i in range(n)])))
     except DependentFrameError:
         raise ShapeError("matrix is singular") from None
@@ -447,28 +442,28 @@ def solve_coordinates(frame: Frame, x: Vector) -> Coordinates:
     Returns ``(c_1, ..., c_m)`` with ``x == sum(c_k * a_k)``, exactly.
     Raises SpanMembershipError when ``x`` is outside the span.
     """
-    return _solve_many(_integer_rows(frame.vectors), [_cleared(x)])[0]
+    return _solve_many(list(map(_cleared, frame.vectors)), [_cleared(x)])[0]
 
 
 def _solve_many(
-    cleared: _Rows, points: Sequence[tuple[list[int], int]]
+    cleared: Sequence[tuple[list[int], int]],
+    points: Sequence[tuple[list[int], int]],
 ) -> list[Coordinates]:
-    """:func:`solve_coordinates` of each point over the vectors cleared to
-    ``cleared`` by :func:`_integer_rows`, from one elimination.  Each point
-    comes cleared by :func:`_cleared` to ``(numerators, d_x)``, so a caller
-    that also reads a point's integer row clears it once.  The columns are
-    the vectors, each over its own scale d_k, augmented with every point,
-    and solve to ``c_k * d_x / d_k``.  The first point outside the span
-    raises SpanMembershipError.  With no points nothing is eliminated.
+    """:func:`solve_coordinates` of each point over a frame, from one
+    elimination.  The frame's vectors and the points all come in one form,
+    each cleared by :func:`_cleared` to ``(U, d)``, so a caller that also
+    reads a vector's or a point's integer row clears it once.  The columns
+    are the vectors' rows ``U_k``, augmented with every point's, and solve
+    to ``c_k * d_x / d_k``.  The first point outside the span raises
+    SpanMembershipError.  With no points nothing is eliminated.
     """
     if not points:
         return []
-    columns, scales = cleared
-    m, n = len(columns), len(columns[0])
+    m, n = len(cleared), len(cleared[0][0])
     for xn, _ in points:
         if len(xn) != n:
             raise ShapeError(f"point has dimension {len(xn)}, frame has {n}")
-    rows = [list(row) for row in zip(*columns, *[xn for xn, _ in points])]
+    rows = [list(row) for row in zip(*[U for U, _ in (*cleared, *points)])]
     pivots, _ = _bareiss(rows, pivot_limit=m)
     if len(pivots) < m:
         # Only a frame built with Frame._trusted, or a singular matrix that
@@ -491,7 +486,8 @@ def _solve_many(
                 s -= row[c] * out[c]
             out[r] = s // row[r]
         den = det * xd
-        solved.append(tuple([Fraction(num * d, den) for num, d in zip(out, scales)]))
+        solved.append(tuple([
+            Fraction(num * d, den) for num, (_, d) in zip(out, cleared)]))
     return solved
 
 
@@ -581,6 +577,6 @@ def _span_points(
     frame once for all of them.  The coefficients are the point's
     coordinates over the frame, which are unique as the frame is
     independent: a relation entry built from them is canonical."""
-    rows = _integer_rows(frame.vectors)
+    rows = list(map(_cleared, frame.vectors))
     return [(c, _combine(rows, c)) for c in
             (sample_coefficients(frame.size, bound, s) for s in seeds)]

@@ -23,7 +23,6 @@ from .inner_product import (
     GramInnerProduct,
     _full_dimensional,
     _image,
-    _images,
     _nonorthogonal_pairs,
     _witness,
     first_nonorthogonal_pair,  # noqa: F401  perfbench's traced run wraps it here
@@ -50,7 +49,7 @@ def orthogonality_witness(
     m = candidate.size
     if not 1 <= i <= m or not 1 <= j <= m or i == j:
         raise IndexError(f"need distinct slots in 1..{m}, got i={i}, j={j}")
-    images = _images(G, candidate.vectors)
+    images = [_image(G, v) for v in candidate.vectors]
     if not sum(map(mul, images[i - 1][2], images[j - 1][0])):
         raise NoViolationError(
             f"slots {i} and {j} are already orthogonal; no witness exists"

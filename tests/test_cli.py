@@ -362,6 +362,13 @@ def _nonorthogonal_witness(G, report):
     raise AssertionError("no non-orthogonal witness in the search range")
 
 
+def _falsely_accepted(G, report):
+    """The rejected candidate, reported as accepted."""
+    from orthocheck.maximality import MaximalityReport
+
+    return MaximalityReport(report.candidate, "accepted")
+
+
 def _with(report, witness, values):
     from orthocheck.maximality import MaximalityReport
 
@@ -370,11 +377,13 @@ def _with(report, witness, values):
                             report.other_index)
 
 
-@pytest.mark.parametrize("tamper", [_wrong_witness_value, _nonorthogonal_witness],
-                         ids=["wrong-value", "nonorthogonal-witness"])
+@pytest.mark.parametrize(
+    "tamper", [_wrong_witness_value, _nonorthogonal_witness, _falsely_accepted],
+    ids=["wrong-value", "nonorthogonal-witness", "falsely-accepted"])
 def test_maximality_recheck_decides_the_verdict(capsys, monkeypatch, tamper):
-    """Each rejection is re-checked from scratch: one tampered rejection
-    among 32 turns the verdict to fail."""
+    """Each report is re-checked from scratch: one tampered rejection among
+    32, or one rejected candidate reported as accepted, turns the verdict
+    to fail."""
     import orthocheck.maximality
 
     real = orthocheck.maximality.verify_orthogonal_maximality
@@ -392,7 +401,8 @@ def test_maximality_recheck_decides_the_verdict(capsys, monkeypatch, tamper):
     code, report, _ = run_cli(capsys, "maximality", "--bound", "1")
     assert len(tampered) == 1
     assert code == 1 and report["verdict"] == "fail"
-    assert report["payload"]["summary"]["nonorthogonal_rejected"] == 32
+    rejected = 31 if tamper is _falsely_accepted else 32
+    assert report["payload"]["summary"]["nonorthogonal_rejected"] == rejected
 
 
 def test_maximality_recheck_clears_its_own_vectors(capsys, monkeypatch):
@@ -418,30 +428,47 @@ def test_maximality_recheck_clears_its_own_vectors(capsys, monkeypatch):
 
 
 def test_maximality_recheck_clears_each_vector_once(capsys, monkeypatch):
-    """The benchmark's bound-3 grid: its re-check pass clears each distinct
-    vector object once, the 48 grid vectors, each witness's new vector and
-    each collision point, not once per solve."""
+    """The benchmark's bound-3 grid: from the sweep's return to the payload,
+    the verification clears each distinct vector object once, the 48 grid
+    vectors, each witness's new vector and each collision point, not once
+    per solve, and no accepted candidate again."""
     import orthocheck.cli as cli
     import orthocheck.inner_product as inner_product
     import orthocheck.linalg as linalg
+    import orthocheck.maximality as maximality
 
-    cleared, rejections = [], []
-    real_cleared, real_recheck = linalg._cleared, cli._recheck_rejections
+    cleared, swept, rechecked, counting = [], [], [], []
+    real_cleared, real_recheck = linalg._cleared, cli._recheck
+    real_sweep = maximality.verify_orthogonal_maximality
+    real_to_json = cli.maximality_reports_to_json
 
     def counted(entries):
-        if rejections:
+        if counting:
             cleared.append(entries)
         return real_cleared(entries)
 
-    def recheck(G, rejected):
-        rejections.extend(rejected)
-        return real_recheck(G, rejected)
+    def sweep(G, candidates):
+        swept.extend(real_sweep(G, candidates))
+        counting.append(True)
+        return tuple(swept)
+
+    def recheck(G, reports):
+        rechecked.extend(reports)
+        return real_recheck(G, reports)
+
+    def to_json(reports):
+        counting.clear()
+        return real_to_json(reports)
 
     for module in (linalg, inner_product):
         monkeypatch.setattr(module, "_cleared", counted)
-    monkeypatch.setattr(cli, "_recheck_rejections", recheck)
+    monkeypatch.setattr(maximality, "verify_orthogonal_maximality", sweep)
+    monkeypatch.setattr(cli, "_recheck", recheck)
+    monkeypatch.setattr(cli, "maximality_reports_to_json", to_json)
     code, report, _ = run_cli(capsys, "maximality", "--bound", "3")
-    assert code == 0 and len(rejections) == 1920
+    assert code == 0 and rechecked == swept and len(swept) == 2112
+    rejections = [r for r in swept if not r.accepted]
+    assert len(rejections) == 1920
     distinct = {id(v) for r in rejections
                 for v in (*r.candidate, *r.orthogonal_witness, r.collision_point)}
     assert len(cleared) == len(distinct) == 48 + 2 * 1920
@@ -941,7 +968,7 @@ def _golden_argvs():
 
 def test_golden_and_benchmark_configs_are_under_the_cap():
     argvs = _golden_argvs() + _benchmark_argvs()
-    assert len(argvs) == 19
+    assert len(argvs) == 21
     capped = 0
     for argv in argvs:
         args, config = _config_of(argv)
@@ -949,7 +976,7 @@ def test_golden_and_benchmark_configs_are_under_the_cap():
             continue  # no sampled or swept work to bound
         _cap_work(args.command, config)
         capped += 1
-    assert capped == 14
+    assert capped == 16
 
 
 def test_maximality_huge_bound_exits_two_at_once(capsys):

@@ -36,7 +36,6 @@ from orthocheck import (
 )
 from orthocheck.linalg import (
     _cleared,
-    _integer_rows,
     _solve_many,
     _vector_hash,
     as_vector,
@@ -320,7 +319,8 @@ def test_batched_solve_matches_solve_coordinates(frame, data):
         st.lists(rationals, min_size=frame.size, max_size=frame.size),
         max_size=4))
     points = [linear_combination(frame.vectors, c) for c in coeffs]
-    solved = _solve_many(_integer_rows(frame.vectors), list(map(_cleared, points)))
+    solved = _solve_many(list(map(_cleared, frame.vectors)),
+                         list(map(_cleared, points)))
     assert solved == [solve_coordinates(frame, x) for x in points]
     assert solved == [tuple(c) for c in coeffs]
 
@@ -331,8 +331,8 @@ def test_batched_solve_names_the_first_point_outside_the_span():
     cleared = list(map(_cleared, points))
     with pytest.raises(SpanMembershipError,
                        match=f"^{re.escape(str(vec(1, 1, 7)))} is not in"):
-        _solve_many(_integer_rows(fr.vectors), cleared)
-    assert _solve_many(_integer_rows(fr.vectors), cleared[:2]) == [
+        _solve_many(list(map(_cleared, fr.vectors)), cleared)
+    assert _solve_many(list(map(_cleared, fr.vectors)), cleared[:2]) == [
         (F(3), F(-1)), (F(1, 2), F(5, 2))]
 
 
@@ -350,7 +350,7 @@ def test_batched_solve_round_trips_big_entries(dim, m):
     coeffs = [tuple(F(rng.randint(-big, big), rng.randint(1, big)) for _ in range(m))
               for _ in range(5)]
     points = [linear_combination(frame.vectors, c) for c in coeffs]
-    rows = _integer_rows(frame.vectors)
+    rows = list(map(_cleared, frame.vectors))
     assert _solve_many(rows, list(map(_cleared, points))) == coeffs
     if m == dim:
         return
