@@ -1,10 +1,14 @@
 """Golden payload hashes: the canonical report bytes of fixed CLI runs.
 
-Each entry of ``golden_payloads.json`` names an ``ortho`` command line and
-the sha256 of its canonical report with ``duration_s`` removed, and
-optionally the expected ``exit`` code (default 0), so that failing verdicts
-are pinned too.  Running twice in one process (criterion 9) cannot catch a
-change that alters the bytes consistently; these pinned digests do.
+Each entry of ``golden_payloads.json`` names an ``ortho`` command line, two
+sha256 digests of the report it writes to ``--output``, and optionally the
+expected ``exit`` code (default 0), so that failing verdicts are pinned too.
+``sha256`` is the digest of the canonical report with ``duration_s``
+removed, so it pins the JSON values; ``bytes_sha256`` is the digest of the
+file's bytes with the ``duration_s`` number cut out as text, so it pins the
+spacing, key order and line end as written.  Running twice in one process
+(criterion 9) cannot catch a change that alters the bytes consistently;
+these pinned digests do.
 Commands run from the repository root so that a ``--gram`` or ``--input``
 path echoes the same in every checkout.
 
@@ -26,6 +30,7 @@ intended)::
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,12 +41,25 @@ from orthocheck.serialize import canonical_dumps
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = Path(__file__).resolve().parent / "golden_payloads.json"
 GOLDEN = json.loads(FIXTURE.read_text(encoding="utf-8"))
+# The duration_s number of a report as ``main`` writes it.
+DURATION = re.compile(rb'(?<="duration_s":)[^,]*(?=,"payload":)')
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def pinned(entry):
+    """What :func:`run_digest` returns for ``entry``'s command."""
+    return entry.get("exit", 0), entry["sha256"], entry["bytes_sha256"]
 
 
 def run_digest(argv, out_path, fresh=False):
     """Run one command, in this process or (``fresh``) in a new
-    ``python -m orthocheck``; return its exit code and the sha256 of its
-    report without ``duration_s`` (None when no report was written)."""
+    ``python -m orthocheck``; return its exit code, the sha256 of its
+    report without ``duration_s``, and the sha256 of the bytes written with
+    the ``duration_s`` number cut out (both None when no report was
+    written)."""
     out_path = Path(out_path)
     out_path.unlink(missing_ok=True)
     argv = list(argv) + ["--output", str(out_path)]
@@ -52,11 +70,12 @@ def run_digest(argv, out_path, fresh=False):
     else:
         code = cli_main(argv)
     if not out_path.exists():
-        return code, None
-    report = json.loads(out_path.read_text(encoding="utf-8"))
+        return code, None, None
+    written = out_path.read_bytes()
+    report = json.loads(written.decode("utf-8"))
     stripped = {k: v for k, v in report.items() if k != "duration_s"}
-    digest = hashlib.sha256(canonical_dumps(stripped).encode("utf-8")).hexdigest()
-    return code, digest
+    return (code, _sha256(canonical_dumps(stripped).encode("utf-8")),
+            _sha256(DURATION.sub(b"", written, count=1)))
 
 
 def pytest_generate_tests(metafunc):
@@ -68,12 +87,16 @@ def pytest_generate_tests(metafunc):
 
 def test_golden_payload_hash(entry, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
-    code, digest = run_digest(entry["argv"], tmp_path / "report.json")
+    code, digest, byte_digest = run_digest(entry["argv"], tmp_path / "report.json")
     command = " ".join(entry["argv"])
     assert code == entry.get("exit", 0), f"ortho {command} exited {code}"
     assert digest == entry["sha256"], (
         f"payload of `ortho {command}` changed: "
         f"sha256 {digest}, pinned {entry['sha256']}"
+    )
+    assert byte_digest == entry["bytes_sha256"], (
+        f"bytes written by `ortho {command}` changed: "
+        f"sha256 {byte_digest}, pinned {entry['bytes_sha256']}"
     )
 
 
@@ -83,7 +106,7 @@ def test_golden_payload_hash_in_a_fresh_interpreter(tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     entry = GOLDEN[0]
     assert run_digest(entry["argv"], tmp_path / "report.json", fresh=True) == (
-        entry.get("exit", 0), entry["sha256"])
+        pinned(entry))
 
 
 def test_hashes_only_pick_buckets(tmp_path, monkeypatch):
@@ -102,7 +125,7 @@ def test_hashes_only_pick_buckets(tmp_path, monkeypatch):
     assert len(entries) == 7
     for entry in entries:
         assert run_digest(entry["argv"], tmp_path / "report.json") == (
-            entry.get("exit", 0), entry["sha256"]), " ".join(entry["argv"])
+            pinned(entry)), " ".join(entry["argv"])
     p = relation_point(frame_of((1, 0), (1, 2)), (3, 4))
     copy = relation_point(frame_of(("2/2", 0), (1, "4/2")), ("6/2", 4))
     try:
@@ -124,23 +147,29 @@ def main(argv):
         print("usage: test_golden.py [--check] [--fresh]")
         return 2
     os.chdir(ROOT)
-    mismatches = 0
+    value_matches = byte_matches = 0
     with tempfile.TemporaryDirectory() as scratch:
         for entry in GOLDEN:
-            code, digest = run_digest(
+            code, digest, byte_digest = run_digest(
                 entry["argv"], Path(scratch) / "report.json", fresh
             )
             command = " ".join(entry["argv"])
             if not check:
-                print(digest, command)
+                print(digest, byte_digest, command)
                 continue
-            ok = code == entry.get("exit", 0) and digest == entry["sha256"]
-            mismatches += not ok
-            print("ok  " if ok else "FAIL", f"exit {code}", digest, command)
+            exit_code, pinned_digest, pinned_bytes = pinned(entry)
+            value_ok = (code, digest) == (exit_code, pinned_digest)
+            bytes_ok = (code, byte_digest) == (exit_code, pinned_bytes)
+            value_matches += value_ok
+            byte_matches += bytes_ok
+            print("ok  " if value_ok and bytes_ok else "FAIL", f"exit {code}",
+                  digest, byte_digest, command)
     if check:
         print(f"python {platform.python_version()}: "
-              f"{len(GOLDEN) - mismatches}/{len(GOLDEN)} digests match")
-    return 1 if mismatches else 0
+              f"{value_matches}/{len(GOLDEN)} value digests and "
+              f"{byte_matches}/{len(GOLDEN)} byte digests match")
+        return 0 if value_matches == byte_matches == len(GOLDEN) else 1
+    return 0
 
 
 if __name__ == "__main__":
