@@ -23,14 +23,12 @@ Exit codes: 0 verdict pass, 1 verdict fail, 2 usage or parse error, 3 an
 unexpected error inside the library (a bug; the traceback goes to stderr).
 A flag the chosen command path never reads is a usage error; ``--seed`` is
 accepted everywhere.  So are flags that ask for more work than the
-command's cap (see ``_cap_work``).  ``ORTHO_SEED`` in the environment
-overrides ``--seed``; a seed outside [0, 2^64) is a usage error.
+command's cap (see ``_cap_work``), and a seed outside [0, 2^64).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from functools import partial
@@ -211,8 +209,8 @@ def cmd_equivalence(config: RunConfig) -> Result:
     return {"trials": trials, "failures": failures}, failures == 0
 
 
-def cmd_factor(config: RunConfig, input_path: str | None = None,
-               given: Collection[str] = ()) -> Result:
+def cmd_factor(config: RunConfig, input_path: str | None,
+               given: Collection[str]) -> Result:
     """Factorization scan over a loaded relation or a fresh orthogonal one."""
     from .dependence import factor_check
 
@@ -265,7 +263,7 @@ def _recheck(G: GramInnerProduct, reports: Sequence[MaximalityReport]) -> bool:
     return True
 
 
-def cmd_maximality(config: RunConfig, given: Collection[str] = ()) -> Result:
+def cmd_maximality(config: RunConfig, given: Collection[str]) -> Result:
     """Candidate sweep: orthogonal frames accepted, the rest rejected with
     verified witnesses.  Exhaustive grid in dimension 2, sampled above."""
     from .maximality import exhaustive_candidates_2d, verify_orthogonal_maximality
@@ -317,7 +315,7 @@ def cmd_chain(config: RunConfig) -> Result:
 
 
 def cmd_pair_ip(config: RunConfig, a_text: str, b_text: str,
-                given: Collection[str] = ()) -> Result:
+                given: Collection[str]) -> Result:
     """Adapted inner product for one independent pair in dimension 2, given
     as vector literals (see ``parse_vector_literal``)."""
     if (config.dim, config.m) != (2, 2):
@@ -362,10 +360,10 @@ def parse_vector_literal(text: str) -> Vector:
 
 
 def _integer(text: str) -> int:
-    """Read an integer flag or ``ORTHO_SEED``: RATIONAL_PATTERN without its
-    slash, so ASCII digits and a sign, where ``int()`` also reads ``1_0``,
-    surrounding spaces and non-ASCII digits.  Anything else raises
-    ArgumentTypeError, which argparse reports naming the flag."""
+    """Read an integer flag: RATIONAL_PATTERN without its slash, so ASCII
+    digits and a sign, where ``int()`` also reads ``1_0``, surrounding
+    spaces and non-ASCII digits.  Anything else raises ArgumentTypeError,
+    which argparse reports naming the flag."""
     if "/" in text or not RATIONAL_PATTERN.match(text):
         raise argparse.ArgumentTypeError(f"not an integer: {_echoed(text)}")
     try:
@@ -419,15 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args: argparse.Namespace) -> tuple[dict[str, Any], RunConfig]:
-    """The config flags given, ``ORTHO_SEED`` over ``--seed``, and their RunConfig."""
+    """The config flags given, and the RunConfig built from them alone."""
     given = {name: getattr(args, name) for name in RunConfig._fields
              if getattr(args, name) is not None}
-    env_seed = os.environ.get("ORTHO_SEED")
-    if env_seed is not None:
-        try:
-            given["seed"] = _integer(env_seed)
-        except argparse.ArgumentTypeError as exc:
-            raise UsageError(f"ORTHO_SEED: {exc}") from None
     return given, RunConfig(**given)
 
 
@@ -462,7 +454,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.output is None:
             sys.stdout.write(text)
         else:
-            with open(args.output, "w", encoding="utf-8") as handle:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
     except (OrthoError, OSError) as exc:
         print(f"ortho: {exc}", file=sys.stderr)

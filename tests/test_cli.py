@@ -20,6 +20,8 @@ from orthocheck.cli import (
     main,
 )
 
+from test_golden import GOLDEN, pinned, run_digest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 COUNTEREXAMPLE_RELATION = [
@@ -582,40 +584,41 @@ def test_gram_dim_mismatch_is_usage_error(capsys, tmp_path, command):
     assert err == f"ortho: --gram {path} is 3x3 but --dim is 2\n"
 
 
-def test_env_seed_override(capsys, monkeypatch):
+def test_env_seed_is_not_read(capsys, monkeypatch, tmp_path):
+    """A seed comes from ``--seed`` or its default: an ``ORTHO_SEED`` left
+    in the environment changes no report, seeded or not."""
     monkeypatch.setenv("ORTHO_SEED", "123")
     code, report, _ = run_cli(capsys, "equivalence", "--seed", "7")
     assert code == 0
-    assert report["config"]["seed"] == 123
-    monkeypatch.setenv("ORTHO_SEED", "xyz")
-    code, report, err = run_cli(capsys, "equivalence")
-    assert code == 2
-    assert "ORTHO_SEED" in err
+    assert report["config"]["seed"] == 7
+    monkeypatch.chdir(ROOT)
+    seeded = next(e for e in GOLDEN if "--seed" in e["argv"])
+    unseeded = next(e for e in GOLDEN if "--seed" not in e["argv"])
+    for entry in seeded, unseeded:
+        assert run_digest(entry["argv"], tmp_path / "report.json") == (
+            pinned(entry)), " ".join(entry["argv"])
 
 
-@pytest.mark.parametrize("source", ["flag", "env"])
+def _seed_flag(source, seed):
+    """``--seed`` as one argument (``flag``) or as two (``split``)."""
+    return [f"--seed={seed}"] if source == "flag" else ["--seed", str(seed)]
+
+
+@pytest.mark.parametrize("source", ["flag", "split"])
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
-def test_seed_outside_64_bits_is_usage_error(capsys, monkeypatch, source, seed):
+def test_seed_outside_64_bits_is_usage_error(capsys, source, seed):
     # Read modulo 2^64 these would alias 2^64 - 1, 0 and 5 while echoing
     # themselves.
-    argv = ["factor", "--frames", "2", "--points", "2"]
-    if source == "flag":
-        argv.append(f"--seed={seed}")
-    else:
-        monkeypatch.setenv("ORTHO_SEED", str(seed))
+    argv = ["factor", "--frames", "2", "--points", "2", *_seed_flag(source, seed)]
     code, report, err = run_cli(capsys, *argv)
     assert code == 2
     assert report is None
     assert err == f"ortho: seed {seed} is outside [0, 2^64)\n"
 
 
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_largest_seed_is_accepted(capsys, monkeypatch, source):
-    argv = ["factor", "--frames", "2", "--points", "2"]
-    if source == "flag":
-        argv.append(f"--seed={2**64 - 1}")
-    else:
-        monkeypatch.setenv("ORTHO_SEED", str(2**64 - 1))
+@pytest.mark.parametrize("source", ["flag", "split"])
+def test_largest_seed_is_accepted(capsys, source):
+    argv = ["factor", "--frames", "2", "--points", "2", *_seed_flag(source, 2**64 - 1)]
     code, report, _ = run_cli(capsys, *argv)
     assert code == 0
     assert report["config"]["seed"] == 2**64 - 1
@@ -637,39 +640,24 @@ def test_integer_flag_takes_ascii_digits_only(capsys, flag, spelling):
         f"not an integer: {spelling!r}")
 
 
-@pytest.mark.parametrize("spelling", INT_ONLY.values(), ids=INT_ONLY)
-def test_env_seed_takes_ascii_digits_only(capsys, monkeypatch, spelling):
-    monkeypatch.setenv("ORTHO_SEED", spelling)
-    code, report, err = run_cli(capsys, "equivalence")
-    assert (code, report) == (2, None)
-    assert err == f"ortho: ORTHO_SEED: not an integer: {spelling!r}\n"
-
-
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_integer_over_the_digit_limit_is_usage_error(capsys, monkeypatch, source):
+@pytest.mark.parametrize("source", ["flag", "split"])
+def test_integer_over_the_digit_limit_is_usage_error(capsys, source):
     limit = sys.get_int_max_str_digits()
-    message = f"literal of {limit + 1} digits exceeds the {limit}-digit integer limit"
-    if source == "flag":
-        code, report, err = run_cli(capsys, "equivalence", "--seed", "9" * (limit + 1))
-        expected = f"ortho equivalence: error: argument --seed: {message}"
-    else:
-        monkeypatch.setenv("ORTHO_SEED", "9" * (limit + 1))
-        code, report, err = run_cli(capsys, "equivalence")
-        expected = f"ortho: ORTHO_SEED: {message}"
+    code, report, err = run_cli(capsys, "equivalence",
+                                *_seed_flag(source, "9" * (limit + 1)))
     assert (code, report) == (2, None)
-    assert err.splitlines()[-1] == expected
+    assert err.splitlines()[-1] == (
+        f"ortho equivalence: error: argument --seed: literal of {limit + 1} "
+        f"digits exceeds the {limit}-digit integer limit")
 
 
 LONG_TEXT = "9_" * 3000
 
 
-@pytest.mark.parametrize("source", ["flag", "env", "vector"])
-def test_rejected_long_input_is_cut_short(capsys, monkeypatch, source):
-    argv = ["equivalence"]
+@pytest.mark.parametrize("source", ["flag", "vector"])
+def test_rejected_long_input_is_cut_short(capsys, source):
     if source == "flag":
-        argv.append(f"--seed={LONG_TEXT}")
-    elif source == "env":
-        monkeypatch.setenv("ORTHO_SEED", LONG_TEXT)
+        argv = ["equivalence", f"--seed={LONG_TEXT}"]
     else:
         argv = ["pair-ip", f"--a={LONG_TEXT},0", "--b=1,1"]
     code, report, err = run_cli(capsys, *argv)
@@ -694,9 +682,9 @@ def test_digit_limit_has_one_wording(capsys, monkeypatch, tmp_path, argv):
     assert LIMIT in err.splitlines()[-1]
 
 
-def test_signed_integer_flags_still_parse(capsys, monkeypatch):
-    monkeypatch.setenv("ORTHO_SEED", "+7")
-    code, report, _ = run_cli(capsys, "equivalence", "--frames=+1", "--points=-0")
+def test_signed_integer_flags_still_parse(capsys):
+    code, report, _ = run_cli(capsys, "equivalence", "--seed=+7", "--frames=+1",
+                              "--points=-0")
     assert code == 0
     assert (report["config"]["seed"], report["config"]["frames"],
             report["config"]["points"]) == (7, 1, 0)
@@ -936,11 +924,10 @@ def _config_of(argv):
     return args, _run_config(args)[1]
 
 
-def test_config_of_reads_the_env_seed_as_main_does(capsys, monkeypatch):
-    monkeypatch.setenv("ORTHO_SEED", "99")
+def test_config_of_builds_the_config_main_echoes(capsys):
     argv = ("equivalence", "--frames", "1", "--points", "1", "--seed", "7")
     _, config = _config_of(argv)
-    assert config.seed == 99
+    assert (config.frames, config.points, config.seed) == (1, 1, 7)
     code, report, _ = run_cli(capsys, *argv)
     assert code == 0
     assert report["config"] == config.to_json()
