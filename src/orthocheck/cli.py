@@ -40,7 +40,6 @@ from .errors import (
     RationalError,
     ShapeError,
     UsageError,
-    _echoed,
     _shown,
 )
 from .inner_product import (
@@ -118,11 +117,12 @@ class RunConfig(_Value):
                  points: int = points, bound: int = bound, seed: int = seed,
                  gram: str | None = gram) -> None:
         if not 2 <= m <= dim <= 16:
-            raise UsageError(f"need 2 <= m <= dim <= 16, got m={m}, dim={dim}")
+            raise UsageError(
+                f"need 2 <= m <= dim <= 16, got m={_shown(m)}, dim={_shown(dim)}")
         if frames < 0 or points < 0:
             raise UsageError("frame and point counts must be >= 0")
         if bound < 1:
-            raise UsageError(f"bound must be positive, got {bound}")
+            raise UsageError(f"bound must be positive, got {_shown(bound)}")
         _check_seed(seed)
         self.__dict__.update(dim=dim, m=m, frames=frames, points=points,
                              bound=bound, seed=seed, gram=gram)
@@ -153,18 +153,18 @@ def _cap_work(command: str, config: RunConfig) -> None:
     Sampled entries are drawn up to ``--bound``, so there it is capped too.
     """
     if command == "maximality" and config.dim == 2:
-        flags, count = f"--bound {config.bound}", (2 * config.bound + 1) ** 4
+        flags, count = f"--bound {_shown(config.bound)}", (2 * config.bound + 1) ** 4
         unit, cap = "candidate pairs", GRID_CAP
     elif config.bound > BOUND_CAP:
         raise UsageError(
-            f"{command} --bound {config.bound} is above the cap of "
+            f"{command} --bound {_shown(config.bound)} is above the cap of "
             f"{BOUND_CAP} for sampled entries"
         )
     elif command == "maximality":
-        flags, count = f"--frames {config.frames}", config.frames
+        flags, count = f"--frames {_shown(config.frames)}", config.frames
         unit, cap = "candidate frames", SAMPLE_CAP
     else:
-        flags = f"--frames {config.frames} --points {config.points}"
+        flags = f"--frames {_shown(config.frames)} --points {_shown(config.points)}"
         count = config.frames * max(config.points, 1)
         unit, cap = "span points", SAMPLE_CAP
     if count > cap:
@@ -331,7 +331,7 @@ def cmd_pair_ip(config: RunConfig, a_text: str, b_text: str,
         frame = Frame((a, b))
     except DependentFrameError:
         raise UsageError(
-            f"vectors {_echoed(a_text)} and {_echoed(b_text)} are dependent"
+            f"vectors {_shown(a_text)} and {_shown(b_text)} are dependent"
         ) from None
     G = frame_adapted_inner_product(frame)
     x = sample_span_point(frame, config.bound, derive_seed(config.seed, 0))
@@ -365,7 +365,7 @@ def _integer(text: str) -> int:
     spaces and non-ASCII digits.  Anything else raises ArgumentTypeError,
     which argparse reports naming the flag."""
     if "/" in text or not RATIONAL_PATTERN.match(text):
-        raise argparse.ArgumentTypeError(f"not an integer: {_echoed(text)}")
+        raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)}")
     try:
         return _rational(text).numerator
     except RationalError as exc:  # more digits than the int/str limit
@@ -450,12 +450,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             "verdict": "pass" if passed else "fail",
             "duration_s": round(time.perf_counter() - started, 6),
         }
-        text = canonical_dumps(report) + "\n"
+        data = (canonical_dumps(report) + "\n").encode("utf-8")
         if args.output is None:
-            sys.stdout.write(text)
+            sys.stdout.buffer.write(data)
         else:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
+            with open(args.output, "wb") as handle:
+                handle.write(data)
     except (OrthoError, OSError) as exc:
         print(f"ortho: {exc}", file=sys.stderr)
         return 2

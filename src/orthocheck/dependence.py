@@ -25,7 +25,6 @@ from .errors import (
     DuplicatePointError,
     PreconditionError,
     ShapeError,
-    SpanMembershipError,
     _shown,
 )
 from .inner_product import GramInnerProduct, _orthogonal_samples
@@ -35,6 +34,7 @@ from .linalg import (
     Vector,
     _check_nonnegative,
     _check_seed,
+    _outside_span,
     _Value,
     _vector_hash,
     as_vector,
@@ -73,9 +73,7 @@ class RelationPoint(_Value):
                 f"{len(self.values)} values for a frame of {self.frame.size} vectors"
             )
         if not span_contains(self.frame, self.point):
-            raise SpanMembershipError(
-                f"point {_shown(self.point)} is outside the frame's span"
-            )
+            raise _outside_span(self.point)
 
     @classmethod
     def _trusted(
@@ -121,9 +119,11 @@ class Relation(_Value):
         _check_one_shape(self.points)
         _, repeat = _first_of_each_pair(self.points)
         if repeat is not None:
+            j, k = repeat
+            p = self.points[k]
             raise DuplicatePointError(
-                f"duplicate (frame, point) pair: {_shown((repeat.frame, repeat.point))}"
-            )
+                f"points[{k}] repeats the (frame, point) pair of points[{j}]: "
+                f"{_shown((p.frame.vectors, p.point))}")
 
     @classmethod
     def from_points(cls, points: Iterable[RelationPoint]) -> "Relation":
@@ -165,31 +165,34 @@ class Relation(_Value):
 
 
 def _check_one_shape(points: Sequence[RelationPoint]) -> None:
-    shapes = {(p.frame.dim, p.frame.size) for p in points}
-    if len(shapes) > 1:
-        raise ShapeError(f"mixed (dim, size) shapes: {sorted(shapes)}")
+    shapes = [(p.frame.dim, p.frame.size) for p in points]
+    for k, shape in enumerate(shapes):
+        if shape != shapes[0]:
+            raise ShapeError(
+                f"points[{k}] has (dim, size) {shape}, points[0] {shapes[0]}")
 
 
 def _first_of_each_pair(
     points: Iterable[RelationPoint],
-) -> tuple[list[RelationPoint], RelationPoint | None]:
-    """The first point of each (frame, point) pair in order, and the first
-    repeat of an earlier pair (None if there is none).
+) -> tuple[list[RelationPoint], tuple[int, int] | None]:
+    """The first point of each (frame, point) pair in order, and ``(j, k)``
+    where point k first repeats point j's pair (None if no pair repeats).
 
     Points are bucketed by their cached hashes; whether two points repeat
     a pair is decided by exact equality of frame and point.
     """
-    buckets: dict[int, list[RelationPoint]] = {}
+    buckets: dict[int, list[tuple[int, RelationPoint]]] = {}
     kept: list[RelationPoint] = []
     repeat = None
-    for p in points:
+    for k, p in enumerate(points):
         bucket = buckets.setdefault(hash(p), [])
-        if any(q.point == p.point and q.frame == p.frame for q in bucket):
-            if repeat is None:
-                repeat = p
-        else:
-            bucket.append(p)
+        j = next((j for j, q in bucket
+                  if q.point == p.point and q.frame == p.frame), None)
+        if j is None:
+            bucket.append((k, p))
             kept.append(p)
+        elif repeat is None:
+            repeat = j, k
     return kept, repeat
 
 
@@ -382,7 +385,7 @@ def build_orthogonal_relation(
     _check_seed(seed)
     m = G.dim if m is None else m
     if not 2 <= m <= G.dim:
-        raise ShapeError(f"need 2 <= m <= dim, got m={m}, dim={G.dim}")
+        raise ShapeError(f"need 2 <= m <= dim, got m={_shown(m)}, dim={G.dim}")
     return Relation.from_points(
         RelationPoint._trusted(frame, x, c) for frame, points in
         _orthogonal_samples(G, m, frame_count, points_per_frame, bound, seed)

@@ -3,33 +3,32 @@
 import sys
 
 
+def _text(value: object) -> str:
+    """A str's repr, a tuple's or list's entry texts in parentheses, or
+    ``str()``: an int or Fraction as its ``p/q`` text."""
+    if isinstance(value, (tuple, list)):
+        return f"({', '.join(map(_text, value))})"
+    return repr(value) if isinstance(value, str) else str(value)
+
+
 def _shown(value: object) -> str:
-    """``str(value)`` for an error message, or a placeholder where ``str()``
-    refuses an integer with more digits than the int/str limit."""
+    """The one text for a value in an error message, :func:`_text`; past 80
+    characters its first 60 and its length (a str's own), so that one long
+    value cannot flood stderr; past the int/str limit a placeholder."""
     try:
-        return str(value)
+        text = _text(value)
     except ValueError:
         return f"<a value over the {sys.get_int_max_str_digits()}-digit integer limit>"
+    if len(text) <= 80:
+        return text
+    size = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:60]}... ({size} characters)"
 
 
 def _over_limit(what: str) -> str:
     """The one message for ``what``, a value with more digits than the
     interpreter's int/str limit lets ``int()`` or ``str()`` convert."""
     return f"{what} exceeds the {sys.get_int_max_str_digits()}-digit integer limit"
-
-
-def _echoed(value: object) -> str:
-    """``repr(value)`` for a message that echoes rejected input; past 80
-    characters, its first 60 and the input's length, so that one long
-    argument cannot flood stderr.  Where ``repr()`` refuses an integer past
-    the int/str limit, :func:`_shown`'s placeholder."""
-    try:
-        shown = repr(value)
-    except ValueError:
-        return _shown(value)
-    if len(shown) <= 80:
-        return shown
-    return f"{shown[:60]}... ({len(str(value))} characters)"
 
 
 class OrthoError(Exception):

@@ -98,7 +98,7 @@ class GramInnerProduct(_Value):
 def identity_inner_product(dim: int) -> GramInnerProduct:
     """The standard dot product in the given dimension."""
     if dim < 1:
-        raise ShapeError(f"dimension must be positive, got {dim}")
+        raise ShapeError(f"dimension must be positive, got {_shown(dim)}")
     return GramInnerProduct([[int(i == j) for j in range(dim)] for i in range(dim)])
 
 

@@ -32,7 +32,6 @@ from .errors import (
     RationalError,
     ShapeError,
     SpanMembershipError,
-    _echoed,
     _over_limit,
     _shown,
 )
@@ -99,14 +98,14 @@ def _rational(e: object) -> Fraction:
         try:
             return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         except ZeroDivisionError:
-            raise RationalError(f"zero denominator: {_echoed(e)}") from None
+            raise RationalError(f"zero denominator: {_shown(e)}") from None
         except ValueError:  # int() refuses more digits than the int/str limit
             digits = max(len(num.lstrip("+-")), len(den))
             raise RationalError(_over_limit(f"literal of {digits} digits")) from None
     # Strings first: an isinstance test against Fraction, an ABC, is slow.
     if isinstance(e, (int, Fraction)) and not isinstance(e, bool):
         return Fraction(e)
-    raise RationalError(f"not a rational literal: {_echoed(e)}")
+    raise RationalError(f"not a rational literal: {_shown(e)}")
 
 
 def as_vector(entries: Iterable[RationalLike]) -> Vector:
@@ -178,9 +177,7 @@ def _cleared(entries: Iterable[RationalLike]) -> tuple[list[int], int]:
     return [p * (d // q) for p, q in ratios], d
 
 
-def _bareiss(
-    rows: list[list[int]], pivot_limit: int | None = None, swap: bool = True
-) -> tuple[list[int], int]:
+def _bareiss(rows: list[list[int]], swap: bool = True) -> tuple[list[int], int]:
     """Integer-preserving forward elimination (single-step Bareiss), in place.
 
     Every entry stays an integer: it is always a minor of the input, so
@@ -188,19 +185,15 @@ def _bareiss(
     column ``c`` at step ``r`` is the determinant of the rows and columns
     pivoted on so far; without swaps these are the leading principal
     minors.  Pivot selection is nonzero-first: the lowest row index with a
-    nonzero entry in the current column wins.  With ``swap=False``
-    elimination stops at the first zero pivot instead.  Columns at
-    ``pivot_limit`` and beyond are updated but never become pivots (used
-    for augmented solves).  Returns ``(pivot_columns, swap_count)``.
+    nonzero entry in the current column wins.  With ``swap=False`` it
+    stops at the first zero pivot.  Returns ``(pivot_columns, swap_count)``.
     """
     n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    limit = n_cols if pivot_limit is None else pivot_limit
     pivots: list[int] = []
     swaps = 0
     prev = 1
     r = 0
-    for c in range(limit):
+    for c in range(len(rows[0]) if rows else 0):
         if r == n_rows:
             break
         if rows[r][c] == 0:
@@ -421,6 +414,11 @@ def is_independent(vectors: Sequence[Sequence[RationalLike]]) -> bool:
     return len(vs) <= _dimension(vs) and matrix_rank(vs) == len(vs)
 
 
+def _outside_span(point: Sequence[Fraction]) -> SpanMembershipError:
+    """The one error for a point outside a frame's span."""
+    return SpanMembershipError(f"point {_shown(point)} is outside the frame's span")
+
+
 def span_contains(frame: Frame, x: Vector) -> bool:
     """True iff ``x`` lies in the span of the frame (exact rank test).
 
@@ -454,7 +452,8 @@ def _solve_many(
     each cleared by :func:`_cleared` to ``(U, d)``, so a caller that also
     reads a vector's or a point's integer row clears it once.  The columns
     are the vectors' rows ``U_k``, augmented with every point's, and solve
-    to ``c_k * d_x / d_k``.  The first point outside the span raises
+    to ``c_k * d_x / d_k``.  The frame is independent iff its m columns
+    are the first m pivots; the first point outside the span raises
     SpanMembershipError.  With no points nothing is eliminated.
     """
     if not points:
@@ -464,8 +463,8 @@ def _solve_many(
         if len(xn) != n:
             raise ShapeError(f"point has dimension {len(xn)}, frame has {n}")
     rows = [list(row) for row in zip(*[U for U, _ in (*cleared, *points)])]
-    pivots, _ = _bareiss(rows, pivot_limit=m)
-    if len(pivots) < m:
+    pivots, _ = _bareiss(rows)
+    if len(pivots) < m or pivots[m - 1] != m - 1:
         # Only a frame built with Frame._trusted, or a singular matrix that
         # invert_matrix was given, can get here.
         raise DependentFrameError("frame vectors are linearly dependent")
@@ -473,10 +472,8 @@ def _solve_many(
     below = rows[m:]  # zero in the frame's columns: a point must be too
     solved = []
     for j, (xn, xd) in enumerate(points, m):
-        for row in below:
-            if row[j]:
-                x = _shown(tuple([Fraction(a, xd) for a in xn]))
-                raise SpanMembershipError(f"{x} is not in the span of the frame")
+        if below and any(row[j] for row in below):
+            raise _outside_span([Fraction(a, xd) for a in xn])
         # Back substitution: out / det solves column j's scaled system.
         out = [0] * m
         for r in range(m - 1, -1, -1):
@@ -500,14 +497,14 @@ def _check_seed(seed: int) -> None:
     ``derive_seed`` works modulo 2^64, and ``random.Random`` reads a seed
     by its absolute value."""
     if not 0 <= seed <= _MASK64:
-        raise PreconditionError(f"seed {seed} is outside [0, 2^64)")
+        raise PreconditionError(f"seed {_shown(seed)} is outside [0, 2^64)")
 
 
 def _check_nonnegative(**counts: int) -> None:
     """A negative count or bound would give a vacuous result: ShapeError."""
     for name, count in counts.items():
         if count < 0:
-            raise ShapeError(f"{name} must be nonnegative, got {count}")
+            raise ShapeError(f"{name} must be nonnegative, got {_shown(count)}")
 
 
 def _mix64(z: int) -> int:
@@ -538,7 +535,7 @@ def sample_frame(dim: int, m: int, bound: int, seed: int) -> Frame:
     Each draw is ranked as ints; Fractions are built for the accepted one.
     """
     if not 2 <= m <= dim:
-        raise ShapeError(f"need 2 <= m <= dim, got m={m}, dim={dim}")
+        raise ShapeError(f"need 2 <= m <= dim, got m={_shown(m)}, dim={_shown(dim)}")
     _check_nonnegative(bound=bound)
     _check_seed(seed)
     rng = random.Random(seed)

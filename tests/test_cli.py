@@ -86,21 +86,20 @@ def test_equivalence_points_are_the_sampled_span_points(capsys, monkeypatch):
 
 def test_equivalence_runs_one_elimination_per_frame(capsys, monkeypatch):
     """``--frames 3 --points 4`` solves all of a frame's points in one
-    augmented elimination: 3 of them, not 12."""
-    import orthocheck.linalg as linalg
+    augmented elimination (one ``_solve_many`` call): 3 of them, not 12."""
+    import orthocheck.inner_product as inner_product
 
     solves = []
-    real = linalg._bareiss
+    real = inner_product._solve_many
 
-    def counted(rows, pivot_limit=None, swap=True):
-        if pivot_limit is not None:
-            solves.append(len(rows[0]) - pivot_limit)
-        return real(rows, pivot_limit, swap)
+    def counted(cleared, points):
+        solves.append(len(points))
+        return real(cleared, points)
 
-    monkeypatch.setattr(linalg, "_bareiss", counted)
+    monkeypatch.setattr(inner_product, "_solve_many", counted)
     code, report, _ = run_cli(capsys, *EQUIVALENCE_SWEEP)
     assert (code, report["payload"]) == (0, {"failures": 0, "trials": 12})
-    assert solves == [4, 4, 4]  # right-hand columns per elimination
+    assert solves == [4, 4, 4]  # points per elimination
 
 
 def test_equivalence_counts_a_wrong_solved_coordinate(capsys, monkeypatch):
@@ -666,6 +665,60 @@ def test_rejected_long_input_is_cut_short(capsys, source):
     assert f"'{LONG_TEXT[:59]}... ({len(LONG_TEXT)} characters)" in err
 
 
+SEVENS = "7" * 4000  # a literal inside the int/str limit
+
+
+def _long_relation(dim, dependent):
+    """A one-point relation over a frame of ``dim`` vectors whose entries
+    all have 4,000 digits; ``dependent`` makes row 1 a copy of row 0."""
+    rows = [[f"{SEVENS[:-4]}{i:02d}{j:02d}" for j in range(dim)] for i in range(dim)]
+    if dependent:
+        rows[1] = rows[0]
+    return [{"frame": rows, "point": rows[0], "values": ["1"] + ["0"] * (dim - 1)}]
+
+
+@pytest.mark.parametrize("case", [
+    "dependent-frame", "duplicate-point", "grid-cap", "span-cap", "asymmetric-gram",
+    "dim-flag", "bound-flag", "seed-flag"])
+def test_message_over_a_long_value_is_one_short_line(capsys, tmp_path, case):
+    """Every error that names a long value shows it cut short: exit 2 and
+    one ``ortho:`` line of under 400 bytes."""
+    path = tmp_path / "input.json"
+    if case == "dependent-frame":
+        path.write_text(json.dumps(_long_relation(16, True)), encoding="utf-8")
+        argv = ["factor", "--input", str(path), "--dim", "16", "--m", "16"]
+        named = "points[0].frame: frame vectors are linearly dependent: "
+    elif case == "duplicate-point":
+        path.write_text(json.dumps(_long_relation(2, False) * 2), encoding="utf-8")
+        argv = ["factor", "--input", str(path)]
+        named = "points: points[1] repeats the (frame, point) pair of points[0]: "
+    elif case == "grid-cap":
+        argv = ["maximality", "--bound", "9" * 1000]
+        named = f"--bound {'9' * 60}... (1000 characters) asks for "
+    elif case == "span-cap":
+        argv = ["equivalence", "--frames", "9" * 2000, "--points", "9" * 2000]
+        named = f"asks for {'9' * 60}... (4000 characters) span points"
+    elif case == "asymmetric-gram":
+        path.write_text(json.dumps([["1", SEVENS], ["0", "1"]]), encoding="utf-8")
+        argv = ["equivalence", "--gram", str(path)]
+        named = f"not symmetric at (0, 1): {'7' * 60}... (4000 characters) vs 0"
+    elif case == "dim-flag":
+        argv = ["equivalence", "--dim", SEVENS]
+        named = f"got m=2, dim={'7' * 60}... (4000 characters)"
+    elif case == "bound-flag":
+        argv = ["equivalence", f"--bound=-{SEVENS}"]
+        named = f"bound must be positive, got -{'7' * 59}... (4001 characters)"
+    else:
+        argv = ["equivalence", "--seed", SEVENS]
+        named = f"seed {'7' * 60}... (4000 characters) is outside [0, 2^64)"
+    code, report, err = run_cli(capsys, *argv)
+    assert (code, report) == (2, None)
+    assert len(err.encode()) < 400
+    assert len(err.splitlines()) == 1 and err.startswith("ortho: ")
+    assert named in err
+    assert "Fraction(" not in err and "Frame(" not in err
+
+
 # Every value past the int/str digit limit is named in one wording, whether
 # it is read (a literal, an integer flag, a JSON number) or written.
 @pytest.mark.parametrize("argv", [
@@ -978,20 +1031,25 @@ def test_maximality_huge_bound_exits_two_at_once(capsys):
 
 
 SPAN_FLAGS = ("--frames", "9" * 2200, "--points", "9" * 2200)
+NINES_2000, NINES_2200 = (f"{'9' * 60}... ({n} characters)" for n in (2000, 2200))
+SPAN_SHOWN = f"--frames {NINES_2200} --points {NINES_2200}"
 
 
-@pytest.mark.parametrize("argv, unit, cap", [
-    (("maximality", "--bound", "9" * 2000), "candidate pairs", GRID_CAP),
-    (("equivalence", *SPAN_FLAGS), "span points", SAMPLE_CAP),
-    (("factor", *SPAN_FLAGS), "span points", SAMPLE_CAP),
-    (("chain", *SPAN_FLAGS), "span points", SAMPLE_CAP),
+@pytest.mark.parametrize("argv, flags, unit, cap", [
+    (("maximality", "--bound", "9" * 2000), f"--bound {NINES_2000}",
+     "candidate pairs", GRID_CAP),
+    (("equivalence", *SPAN_FLAGS), SPAN_SHOWN, "span points", SAMPLE_CAP),
+    (("factor", *SPAN_FLAGS), SPAN_SHOWN, "span points", SAMPLE_CAP),
+    (("chain", *SPAN_FLAGS), SPAN_SHOWN, "span points", SAMPLE_CAP),
 ], ids=["grid", "equivalence", "factor", "chain"])
-def test_work_count_over_the_digit_limit_is_usage_error(capsys, argv, unit, cap):
-    # Every flag is inside the int/str limit; the work count is not.
+def test_work_count_over_the_digit_limit_is_usage_error(capsys, argv, flags,
+                                                         unit, cap):
+    # Every flag is inside the int/str limit and shown cut short; the work
+    # count is past the limit.
     code, report, err = run_cli(capsys, *argv)
     assert (code, report) == (2, None)
     assert err.splitlines() == [
-        f"ortho: {' '.join(argv)} asks for <a value over the "
+        f"ortho: {argv[0]} {flags} asks for <a value over the "
         f"{sys.get_int_max_str_digits()}-digit integer limit> {unit}, "
         f"above the cap of {cap}"]
 

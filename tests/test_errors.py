@@ -1,11 +1,15 @@
-"""Error messages name their values, and a value too long to print does not
-turn the error into another one.
+"""Error messages name their values in one form, a value too long to
+print is cut short, and one past the int/str limit does not turn the error
+into another one.
 
-``str()`` refuses an integer with more digits than the interpreter's
-int/str limit by raising ValueError.  A message that names such a value
-prints a placeholder naming the limit instead, so the error keeps its own
-type: the CLI exits 2 for it, not 3 as for a bug.  A message over values
-inside the limit prints them as ``str()`` does.
+Every message shows a value through ``errors._shown``: a str by its repr,
+an int or Fraction as its ``p/q`` text, a tuple or list as its entries'
+texts in parentheses.  Past 80 characters it prints the first 60 and the
+length, so one long value cannot flood stderr.  ``str()`` refuses an
+integer with more digits than the interpreter's int/str limit by raising
+ValueError.  A message that names such a value prints a placeholder naming
+the limit instead, so the error keeps its own type: the CLI exits 2 for
+it, not 3 as for a bug.
 """
 
 import sys
@@ -40,15 +44,17 @@ def _duplicated(x):
 
 
 # (error, a call over small values and its message, the same call over a
-# value past the limit and its message)
+# value past the limit and its message, and over a 4,000-digit value inside
+# the limit and its message, cut short)
 CASES = {
     "dependent-frame": (
         DependentFrameError,
         lambda: frame_of((3, 0), (6, 0)),
-        "frame vectors are linearly dependent: ((Fraction(3, 1), "
-        "Fraction(0, 1)), (Fraction(6, 1), Fraction(0, 1)))",
+        "frame vectors are linearly dependent: ((3, 0), (6, 0))",
         lambda: frame_of((HUGE, 0), (HUGE, 0)),
         f"frame vectors are linearly dependent: {OVER}",
+        lambda: frame_of((SEVENS, 0), (SEVENS, 0)),
+        f"frame vectors are linearly dependent: (({'7' * 58}... (8014 characters)",
     ),
     "symmetry": (
         SymmetryError,
@@ -56,6 +62,8 @@ CASES = {
         "matrix is not symmetric at (0, 1): 1/2 vs 0",
         lambda: GramInnerProduct(((1, HUGE), (0, 1))),
         f"matrix is not symmetric at (0, 1): {OVER} vs 0",
+        lambda: GramInnerProduct(((1, SEVENS), (0, 1))),
+        f"matrix is not symmetric at (0, 1): {'7' * 60}... (4000 characters) vs 0",
     ),
     "definiteness": (
         DefinitenessError,
@@ -63,38 +71,54 @@ CASES = {
         "leading principal minor 2 is -3, not positive",
         lambda: GramInnerProduct(((SEVENS, 0), (0, -SEVENS))),
         f"leading principal minor 2 is {OVER}, not positive",
+        lambda: GramInnerProduct(((-SEVENS, 0), (0, 1))),
+        f"leading principal minor 1 is -{'7' * 59}... (4001 characters), "
+        "not positive",
     ),
     "solve-outside-span": (
         SpanMembershipError,
         lambda: solve_coordinates(E3, (0, 0, "5/3")),
-        "(Fraction(0, 1), Fraction(0, 1), Fraction(5, 3)) is not in the "
-        "span of the frame",
+        "point (0, 0, 5/3) is outside the frame's span",
         lambda: solve_coordinates(E3, (0, 0, HUGE)),
-        f"{OVER} is not in the span of the frame",
+        f"point {OVER} is outside the frame's span",
+        lambda: solve_coordinates(E3, (0, 0, SEVENS)),
+        f"point (0, 0, {'7' * 53}... (4008 characters) is outside the frame's span",
     ),
     "relation-point-outside-span": (
         SpanMembershipError,
         lambda: RelationPoint(E3, (0, 0, 7), (0, 0)),
-        "point (Fraction(0, 1), Fraction(0, 1), Fraction(7, 1)) is outside "
-        "the frame's span",
+        "point (0, 0, 7) is outside the frame's span",
         lambda: RelationPoint(E3, (0, 0, HUGE), (0, 0)),
         f"point {OVER} is outside the frame's span",
+        lambda: RelationPoint(E3, (0, 0, SEVENS), (0, 0)),
+        f"point (0, 0, {'7' * 53}... (4008 characters) is outside the frame's span",
     ),
     "duplicate-point": (
         DuplicatePointError,
         lambda: _duplicated(2),
-        "duplicate (frame, point) pair: (Frame(vectors=((Fraction(1, 1), "
-        "Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 1)))), "
-        "(Fraction(2, 1), Fraction(0, 1)))",
+        "points[1] repeats the (frame, point) pair of points[0]: "
+        "(((1, 0), (0, 1)), (2, 0))",
         lambda: _duplicated(HUGE),
-        f"duplicate (frame, point) pair: {OVER}",
+        f"points[1] repeats the (frame, point) pair of points[0]: {OVER}",
+        lambda: _duplicated(SEVENS),
+        "points[1] repeats the (frame, point) pair of points[0]: "
+        f"(((1, 0), (0, 1)), ({'7' * 40}... (4025 characters)",
+    ),
+    "rational-literal": (
+        RationalError,
+        lambda: vec(1, "x"),
+        "not a rational literal: 'x'",
+        lambda: vec(1, [HUGE]),
+        f"not a rational literal: {OVER}",
+        lambda: vec(1, "7" * 4000 + "x"),
+        f"not a rational literal: '{'7' * 59}... (4001 characters)",
     ),
 }
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_message_inside_the_limit_prints_the_value(name):
-    error, call, message, _, _ = CASES[name]
+    error, call, message, *_ = CASES[name]
     with pytest.raises(error) as raised:
         call()
     assert str(raised.value) == message
@@ -102,16 +126,27 @@ def test_message_inside_the_limit_prints_the_value(name):
 
 @pytest.mark.parametrize("name", CASES)
 def test_message_past_the_limit_keeps_its_error(name):
-    error, _, _, call, message = CASES[name]
+    error, _, _, call, message, *_ = CASES[name]
     with pytest.raises(error) as raised:
         call()
     assert str(raised.value) == message
 
 
 def test_echoed_input_past_the_limit_keeps_its_error():
-    """Rejected input is echoed by ``repr()``, which refuses an integer past
-    the limit too: the placeholder is printed, and the error stays a
-    RationalError."""
+    """Rejected input is shown as its entries' texts, and ``str()`` refuses
+    an integer past the limit: the placeholder is printed, and the error
+    stays a RationalError."""
     with pytest.raises(RationalError) as raised:
         vec(1, [HUGE])
     assert str(raised.value) == f"not a rational literal: {OVER}"
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_message_over_a_long_value_is_cut_short(name):
+    """A 4,000-digit value inside the limit is shown as its first 60
+    characters and its length, with no ``Fraction(`` or ``Frame(`` repr."""
+    error, *_, call, message = CASES[name]
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
+    assert len(message) < 200

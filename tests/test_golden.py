@@ -1,12 +1,13 @@
 """Golden payload hashes: the canonical report bytes of fixed CLI runs.
 
 Each entry of ``golden_payloads.json`` names an ``ortho`` command line, two
-sha256 digests of the report it writes to ``--output``, and optionally the
-expected ``exit`` code (default 0), so that failing verdicts are pinned too.
+sha256 digests of the report it writes, and optionally the expected
+``exit`` code (default 0), so that failing verdicts are pinned too.
 ``sha256`` is the digest of the canonical report with ``duration_s``
 removed, so it pins the JSON values; ``bytes_sha256`` is the digest of the
-file's bytes with the ``duration_s`` number cut out as text, so it pins the
-spacing, key order and line end as written.  Running twice in one process
+bytes written with the ``duration_s`` number cut out as text, so it pins
+the spacing, key order and line end as written.  Both digests hold for the
+report written to ``--output`` and for the one written to stdout.  Running twice in one process
 (criterion 9) cannot catch a change that alters the bytes consistently;
 these pinned digests do.
 Commands run from the repository root so that a ``--gram`` or ``--input``
@@ -18,7 +19,8 @@ pinned digests can be checked under any interpreter without pytest::
 
     PYTHONPATH=src python tests/test_golden.py --check
 
-which prints one line per entry and exits 1 on any digest or exit-code
+which runs each entry twice, once with ``--output`` and once to stdout,
+prints one line per entry and exits 1 on any digest or exit-code
 mismatch.  With ``--fresh`` each entry runs in a new interpreter through
 ``python -m orthocheck``, the entry path a user (and the benchmark) runs,
 instead of calling ``main`` in this process.  Without ``--check`` it
@@ -28,7 +30,9 @@ intended)::
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 import subprocess
@@ -54,24 +58,33 @@ def pinned(entry):
     return entry.get("exit", 0), entry["sha256"], entry["bytes_sha256"]
 
 
-def run_digest(argv, out_path, fresh=False):
+def run_digest(argv, out_path=None, fresh=False):
     """Run one command, in this process or (``fresh``) in a new
-    ``python -m orthocheck``; return its exit code, the sha256 of its
-    report without ``duration_s``, and the sha256 of the bytes written with
-    the ``duration_s`` number cut out (both None when no report was
-    written)."""
-    out_path = Path(out_path)
-    out_path.unlink(missing_ok=True)
-    argv = list(argv) + ["--output", str(out_path)]
+    ``python -m orthocheck``, writing its report to ``--output out_path``
+    or, with no ``out_path``, to stdout; return its exit code, the sha256
+    of its report without ``duration_s``, and the sha256 of the bytes
+    written with the ``duration_s`` number cut out (both None when no
+    report was written)."""
+    argv = list(argv)
+    if out_path is not None:
+        out_path = Path(out_path)
+        out_path.unlink(missing_ok=True)
+        argv += ["--output", str(out_path)]
     if fresh:
-        code = subprocess.run(
-            [sys.executable, "-m", "orthocheck", *argv], timeout=600
-        ).returncode
+        done = subprocess.run([sys.executable, "-m", "orthocheck", *argv],
+                              stdout=subprocess.PIPE, timeout=600)
+        code, written = done.returncode, done.stdout
     else:
-        code = cli_main(argv)
-    if not out_path.exists():
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(stdout):
+            code = cli_main(argv)
+        stdout.flush()
+        written = stdout.buffer.getvalue()
+    if out_path is not None:
+        assert not written, "a report written to --output was printed too"
+        written = out_path.read_bytes() if out_path.exists() else b""
+    if not written:
         return code, None, None
-    written = out_path.read_bytes()
     report = json.loads(written.decode("utf-8"))
     stripped = {k: v for k, v in report.items() if k != "duration_s"}
     return (code, _sha256(canonical_dumps(stripped).encode("utf-8")),
@@ -100,13 +113,19 @@ def test_golden_payload_hash(entry, tmp_path, monkeypatch):
     )
 
 
+def test_golden_payload_hash_on_stdout(entry, monkeypatch):
+    """Stdout gets the same bytes as ``--output``: both digests hold."""
+    monkeypatch.chdir(ROOT)
+    assert run_digest(entry["argv"]) == pinned(entry), " ".join(entry["argv"])
+
+
 def test_golden_payload_hash_in_a_fresh_interpreter(tmp_path, monkeypatch):
-    """The first entry through ``python -m orthocheck``, as ``--fresh``
-    runs every entry."""
+    """The first entry through ``python -m orthocheck``, to ``--output`` and
+    to stdout, as ``--fresh`` runs every entry."""
     monkeypatch.chdir(ROOT)
     entry = GOLDEN[0]
-    assert run_digest(entry["argv"], tmp_path / "report.json", fresh=True) == (
-        pinned(entry))
+    for out_path in (tmp_path / "report.json", None):
+        assert run_digest(entry["argv"], out_path, fresh=True) == pinned(entry)
 
 
 def test_hashes_only_pick_buckets(tmp_path, monkeypatch):
@@ -136,8 +155,9 @@ def test_hashes_only_pick_buckets(tmp_path, monkeypatch):
 
 
 def main(argv):
-    """Print each entry's digest; with ``--check``, compare to the pins;
-    with ``--fresh``, run each entry in a new interpreter."""
+    """Print each entry's digests; with ``--check``, compare to the pins
+    the digests of the report written to ``--output`` and to stdout; with
+    ``--fresh``, run each entry in a new interpreter."""
     import os
     import platform
     import tempfile
@@ -147,7 +167,7 @@ def main(argv):
         print("usage: test_golden.py [--check] [--fresh]")
         return 2
     os.chdir(ROOT)
-    value_matches = byte_matches = 0
+    value_matches = byte_matches = stdout_matches = 0
     with tempfile.TemporaryDirectory() as scratch:
         for entry in GOLDEN:
             code, digest, byte_digest = run_digest(
@@ -160,15 +180,18 @@ def main(argv):
             exit_code, pinned_digest, pinned_bytes = pinned(entry)
             value_ok = (code, digest) == (exit_code, pinned_digest)
             bytes_ok = (code, byte_digest) == (exit_code, pinned_bytes)
+            stdout_ok = run_digest(entry["argv"], fresh=fresh) == pinned(entry)
             value_matches += value_ok
             byte_matches += bytes_ok
-            print("ok  " if value_ok and bytes_ok else "FAIL", f"exit {code}",
-                  digest, byte_digest, command)
+            stdout_matches += stdout_ok
+            print("ok  " if value_ok and bytes_ok and stdout_ok else "FAIL",
+                  f"exit {code}", digest, byte_digest, command)
     if check:
         print(f"python {platform.python_version()}: "
-              f"{value_matches}/{len(GOLDEN)} value digests and "
-              f"{byte_matches}/{len(GOLDEN)} byte digests match")
-        return 0 if value_matches == byte_matches == len(GOLDEN) else 1
+              f"{value_matches}/{len(GOLDEN)} value digests, "
+              f"{byte_matches}/{len(GOLDEN)} byte digests and "
+              f"{stdout_matches}/{len(GOLDEN)} stdout digests match")
+        return 0 if value_matches == byte_matches == stdout_matches == len(GOLDEN) else 1
     return 0
 
 

@@ -272,6 +272,19 @@ def test_relation_parse_rejects_duplicates():
     with pytest.raises(RelationParseError) as err:
         relation_from_json([entry, dict(entry)])
     assert err.value.location == "points"
+    assert str(err.value) == (
+        "points: points[1] repeats the (frame, point) pair of points[0]: "
+        "(((1, 0), (0, 1)), (1, 1))")
+
+
+def test_relation_parse_names_the_first_entry_of_another_shape():
+    plane = {"frame": [["1", "0"], ["0", "1"]], "point": ["1", "1"],
+             "values": ["1", "1"]}
+    space = {"frame": [["1", "0", "0"], ["0", "1", "0"]],
+             "point": ["1", "1", "0"], "values": ["1", "1"]}
+    with pytest.raises(RelationParseError) as err:
+        relation_from_json([plane, dict(plane, point=["2", "1"]), space, space])
+    assert str(err.value) == "points: points[2] has (dim, size) (3, 2), points[0] (2, 2)"
 
 
 # --- outcomes and reports ---
