@@ -10,8 +10,10 @@ Each command imports the modules it runs when it is dispatched:
 ``factor`` and ``chain`` load ``dependence``, ``maximality`` loads
 ``maximality``, and ``equivalence`` and ``pair-ip`` load neither.  That
 import is part of the command's ``duration_s``.
-Each ``cmd_*`` returns its payload and whether it passed; ``main`` times
-the command, assembles the report (command, config echo, payload, verdict,
+Every command is ``cmd_<name>(config, args)``, ``-`` read as ``_``: the
+RunConfig and the parsed flags, from which it reads its own.  It returns
+its payload and whether it passed; ``main`` looks it up by name, times
+it, assembles the report (command, config echo, payload, verdict,
 ``duration_s``) and writes it, to stdout or ``--output``, as canonical
 JSON.  With a fixed config the payload is byte-identical across runs and
 platforms; only ``duration_s`` varies.
@@ -32,7 +34,7 @@ import argparse
 import sys
 import time
 from functools import partial
-from typing import TYPE_CHECKING, Any, Collection, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import (
     DependentFrameError,
@@ -173,10 +175,10 @@ def _cap_work(command: str, config: RunConfig) -> None:
         )
 
 
-def _reject_unread(given: Collection[str], path: str, *unread: str) -> None:
-    """Raise UsageError if ``given``, the config flags passed explicitly on
-    the command line, holds one that this command path never reads."""
-    flags = [f"--{name}" for name in unread if name in given]
+def _reject_unread(args: argparse.Namespace, path: str, *unread: str) -> None:
+    """Raise UsageError if ``args`` holds a config flag, passed explicitly on
+    the command line, that this command path never reads."""
+    flags = [f"--{name}" for name in unread if getattr(args, name) is not None]
     if flags:
         raise UsageError(f"{path} does not read {' or '.join(flags)}")
 
@@ -196,7 +198,7 @@ def _built_relation(command: str, config: RunConfig) -> Relation:
     )
 
 
-def cmd_equivalence(config: RunConfig) -> Result:
+def cmd_equivalence(config: RunConfig, args: argparse.Namespace) -> Result:
     """Solver coordinates vs the coefficient formula on orthogonal frames."""
     G = config.load_inner_product()
     _cap_work("equivalence", config)
@@ -209,18 +211,17 @@ def cmd_equivalence(config: RunConfig) -> Result:
     return {"trials": trials, "failures": failures}, failures == 0
 
 
-def cmd_factor(config: RunConfig, input_path: str | None,
-               given: Collection[str]) -> Result:
+def cmd_factor(config: RunConfig, args: argparse.Namespace) -> Result:
     """Factorization scan over a loaded relation or a fresh orthogonal one."""
     from .dependence import factor_check
 
-    if input_path is not None:
-        _reject_unread(given, "factor --input", "frames", "points", "bound", "gram")
-        rel = load_relation(input_path)
+    if args.input is not None:
+        _reject_unread(args, "factor --input", "frames", "points", "bound", "gram")
+        rel = load_relation(args.input)
         if rel.shape not in (None, (config.dim, config.m)):
             dim, m = rel.shape
             raise ShapeError(
-                f"--input {input_path} holds a relation with dim={dim}, m={m} "
+                f"--input {args.input} holds a relation with dim={dim}, m={m} "
                 f"but --dim is {config.dim} and --m is {config.m}"
             )
     else:
@@ -263,7 +264,7 @@ def _recheck(G: GramInnerProduct, reports: Sequence[MaximalityReport]) -> bool:
     return True
 
 
-def cmd_maximality(config: RunConfig, given: Collection[str]) -> Result:
+def cmd_maximality(config: RunConfig, args: argparse.Namespace) -> Result:
     """Candidate sweep: orthogonal frames accepted, the rest rejected with
     verified witnesses.  Exhaustive grid in dimension 2, sampled above."""
     from .maximality import exhaustive_candidates_2d, verify_orthogonal_maximality
@@ -274,11 +275,11 @@ def cmd_maximality(config: RunConfig, given: Collection[str]) -> Result:
         )
     G = config.load_inner_product()
     if config.dim == 2:
-        _reject_unread(given, "maximality in dimension 2", "frames", "points")
+        _reject_unread(args, "maximality in dimension 2", "frames", "points")
         _cap_work("maximality", config)
         candidates: tuple[Frame, ...] = exhaustive_candidates_2d(config.bound)
     else:
-        _reject_unread(given, "maximality", "points")
+        _reject_unread(args, "maximality", "points")
         _cap_work("maximality", config)
         candidates = tuple(
             sample_frame(config.dim, config.dim, config.bound,
@@ -299,7 +300,7 @@ def cmd_maximality(config: RunConfig, given: Collection[str]) -> Result:
     return payload, sound
 
 
-def cmd_chain(config: RunConfig) -> Result:
+def cmd_chain(config: RunConfig, args: argparse.Namespace) -> Result:
     """Nested chain inside a built orthogonal relation; union must factor."""
     from .dependence import chain_union_check, sample_chain
 
@@ -314,8 +315,7 @@ def cmd_chain(config: RunConfig) -> Result:
     return payload, union_passes
 
 
-def cmd_pair_ip(config: RunConfig, a_text: str, b_text: str,
-                given: Collection[str]) -> Result:
+def cmd_pair_ip(config: RunConfig, args: argparse.Namespace) -> Result:
     """Adapted inner product for one independent pair in dimension 2, given
     as vector literals (see ``parse_vector_literal``)."""
     if (config.dim, config.m) != (2, 2):
@@ -323,15 +323,15 @@ def cmd_pair_ip(config: RunConfig, a_text: str, b_text: str,
             f"pair-ip runs in dimension 2 with m = 2, got --dim {config.dim} "
             f"and --m {config.m}"
         )
-    _reject_unread(given, "pair-ip", "frames", "points", "gram")
-    a, b = parse_vector_literal(a_text), parse_vector_literal(b_text)
+    _reject_unread(args, "pair-ip", "frames", "points", "gram")
+    a, b = parse_vector_literal(args.a), parse_vector_literal(args.b)
     if len(a) != 2 or len(b) != 2:
         raise UsageError("pair-ip expects two 2-dimensional vectors")
     try:
         frame = Frame((a, b))
     except DependentFrameError:
         raise UsageError(
-            f"vectors {_shown(a_text)} and {_shown(b_text)} are dependent"
+            f"vectors {_shown(args.a)} and {_shown(args.b)} are dependent"
         ) from None
     G = frame_adapted_inner_product(frame)
     x = sample_span_point(frame, config.bound, derive_seed(config.seed, 0))
@@ -416,11 +416,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args: argparse.Namespace) -> tuple[dict[str, Any], RunConfig]:
-    """The config flags given, and the RunConfig built from them alone."""
-    given = {name: getattr(args, name) for name in RunConfig._fields
-             if getattr(args, name) is not None}
-    return given, RunConfig(**given)
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The RunConfig built from the config flags given alone."""
+    return RunConfig(**{name: getattr(args, name) for name in RunConfig._fields
+                        if getattr(args, name) is not None})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -431,18 +430,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        given, config = _run_config(args)
+        config = _run_config(args)
+        # Looked up when main runs, so a rebound ``cmd_*`` is the one called.
+        command = globals()["cmd_" + args.command.replace("-", "_")]
         started = time.perf_counter()
-        if args.command == "equivalence":
-            payload, passed = cmd_equivalence(config)
-        elif args.command == "factor":
-            payload, passed = cmd_factor(config, args.input, given)
-        elif args.command == "maximality":
-            payload, passed = cmd_maximality(config, given)
-        elif args.command == "chain":
-            payload, passed = cmd_chain(config)
-        else:
-            payload, passed = cmd_pair_ip(config, args.a, args.b, given)
+        payload, passed = command(config, args)
         report = {
             "command": args.command,
             "config": config.to_json(),

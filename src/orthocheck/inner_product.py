@@ -259,17 +259,24 @@ def _orthogonalize(
     return out
 
 
+_ONE = Fraction(1)  # slot i's value over every candidate, one object
+
+
 def _witness(
     G: GramInnerProduct, candidate: Frame, images: list[_Image], i: int, j: int
-) -> tuple[Frame, Vector]:
+) -> tuple[Frame, Vector, tuple[Fraction, Fraction]]:
     """The orthogonal witness frame of a full-dimensional candidate, given
-    its vectors' :func:`_image` under G and a pair (i, j) that is not
-    orthogonal, with the collision point ``b_i + b_j``.
+    its vectors' :func:`_image` under G and slots (i, j), with the collision
+    point ``x = b_i + b_j`` and slot i's values of x over both frames.
 
     Gram-Schmidt runs on the images with slot i first, so its first output
     is ``b_i`` itself and reuses that image; the outputs are then put back
-    in the candidate's slot order.  With ``b = U / s``, the collision point
-    is ``(U_i s_j + U_j s_i) / (s_i s_j)``, one Fraction per entry.
+    in the candidate's slot order.  With ``b = U / s``, x is
+    ``(U_i s_j + U_j s_i) / (s_i s_j)``, one Fraction per entry.  Slot i's
+    value is 1 over the candidate, where x is ``e_i + e_j``, and
+    ``<b_i, x> / <b_i, b_i> = 1 + ij s_i / (ii s_j)`` over the witness,
+    with ``ii = Gn U_i . U_i`` and ``ij = Gn U_i . U_j``: the two agree
+    exactly when ``<b_i, b_j> = 0``.
     """
     vectors = candidate.vectors
     order = [i - 1] + [k for k in range(len(vectors)) if k != i - 1]
@@ -277,9 +284,12 @@ def _witness(
     outputs.insert(i - 1, outputs.pop(0))
     # Gram-Schmidt keeps prefix spans: the witness is independent too.
     witness = Frame._trusted(tuple(outputs))
-    (U_i, s_i, _), (U_j, s_j, _) = images[i - 1], images[j - 1]
+    (U_i, s_i, GU_i), (U_j, s_j, _) = images[i - 1], images[j - 1]
     den = s_i * s_j
-    return witness, tuple(Fraction(a * s_j + b * s_i, den) for a, b in zip(U_i, U_j))
+    x = tuple(Fraction(a * s_j + b * s_i, den) for a, b in zip(U_i, U_j))
+    ii_s_j = sum(map(mul, GU_i, U_i)) * s_j
+    values = (_ONE, Fraction(ii_s_j + sum(map(mul, GU_i, U_j)) * s_i, ii_s_j))
+    return witness, x, values
 
 
 def gram_schmidt(G: GramInnerProduct, vectors: Frame | Sequence[Vector]) -> Frame:

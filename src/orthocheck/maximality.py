@@ -5,8 +5,8 @@ maximally so: every non-orthogonal frame can be rejected by an explicit
 witness, an orthogonal frame sharing the offending slot vector plus one
 collision point where the two frames disagree on that slot's coordinate.
 :func:`orthogonality_witness` constructs that certificate and
-:func:`verify_orthogonal_maximality` sweeps it over candidate frames,
-reading every value from the candidates' integer images.  The
+:func:`verify_orthogonal_maximality` sweeps its builder over candidate
+frames, which also gives each rejection's two slot values.  The
 relation-level side of maximality (chain unions) lives in
 :mod:`orthocheck.dependence`.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from operator import mul
 from typing import Iterable
 
 from .errors import NoViolationError
@@ -34,27 +33,24 @@ def orthogonality_witness(
     candidate: Frame, i: int, j: int, G: GramInnerProduct
 ) -> tuple[Frame, Vector]:
     """A certificate that slot i of a non-orthogonal frame is key-determined
-    by nothing: an orthogonal frame sharing slot i, plus a collision point.
-
-    The witness frame comes from Gram-Schmidt under G run with slot i
-    first, then reindexed so the candidate's own ``b_i`` stays in slot i.
-    The collision point is ``x = b_i + b_j``.  Slot i's coordinate of x is
-    1 over the candidate but ``1 + <b_i, b_j> / <b_i, b_i>`` over the
-    witness, so the two entries share the projection key (i, b_i, x) and
-    disagree in value exactly when ``<b_i, b_j> != 0``.
-
-    Only full-dimensional candidates (m == dim) are supported.
+    by nothing: an orthogonal frame sharing slot i, plus the collision point
+    ``x = b_i + b_j``.  Slot i's coordinate of x differs over the two frames
+    (see ``inner_product._witness``), so their entries share the projection
+    key (i, b_i, x) and disagree in value; NoViolationError if
+    ``<b_i, b_j> = 0``.  Only full-dimensional candidates (m == dim) are
+    supported.
     """
     _full_dimensional(candidate, "witness construction")
     m = candidate.size
     if not 1 <= i <= m or not 1 <= j <= m or i == j:
         raise IndexError(f"need distinct slots in 1..{m}, got i={i}, j={j}")
     images = [_image(G, v) for v in candidate.vectors]
-    if not sum(map(mul, images[i - 1][2], images[j - 1][0])):
+    witness, x, (value, other) = _witness(G, candidate, images, i, j)
+    if value == other:
         raise NoViolationError(
             f"slots {i} and {j} are already orthogonal; no witness exists"
         )
-    return _witness(G, candidate, images, i, j)
+    return witness, x
 
 
 class MaximalityReport(_Value):
@@ -104,7 +100,6 @@ def verify_orthogonal_maximality(
     (:func:`_per_object`): the grid's candidates share a few.
     """
     image = _per_object(partial(_image, G))
-    one = Fraction(1)  # slot i of x over every candidate, one object
     reports = []
     for candidate in candidates:
         _full_dimensional(candidate, "maximality sweep")
@@ -114,16 +109,7 @@ def verify_orthogonal_maximality(
             reports.append(MaximalityReport(candidate, "accepted"))
             continue
         i, j = pair
-        witness, x = _witness(G, candidate, images, i, j)
-        # Over the candidate, x = b_i + b_j has coordinates e_i + e_j.  The
-        # witness is orthogonal with b_i in slot i, so slot i's coordinate
-        # is <b_i, x> / <b_i, b_i> = 1 + ij s_i / (ii s_j), with
-        # ii = Gn U_i . U_i and ij = Gn U_i . U_j.
-        U_i, s_i, GU_i = images[i - 1]
-        U_j, s_j, _ = images[j - 1]
-        ii = sum(map(mul, GU_i, U_i))
-        ij = sum(map(mul, GU_i, U_j))
-        values = (one, Fraction(ii * s_j + ij * s_i, ii * s_j))
+        witness, x, values = _witness(G, candidate, images, i, j)
         reports.append(MaximalityReport(
             candidate, "rejected", orthogonal_witness=witness,
             collision_point=x, values=values, index=i, other_index=j,

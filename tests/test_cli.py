@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import re
@@ -35,6 +36,31 @@ def run_cli(capsys, *argv):
     captured = capsys.readouterr()
     report = json.loads(captured.out) if captured.out.strip() else None
     return code, report, captured.err
+
+
+def test_main_calls_each_command_by_name_with_config_and_args(capsys,
+                                                              monkeypatch):
+    import orthocheck.cli as cli
+
+    calls = {}
+
+    def recorder(name):
+        def cmd(*args):
+            calls.setdefault(name, []).append(args)
+            return {}, True
+        return cmd
+
+    for name in ("equivalence", "factor", "maximality", "chain", "pair-ip"):
+        monkeypatch.setattr(cli, f"cmd_{name.replace('-', '_')}", recorder(name))
+    for argv in (["equivalence"], ["factor"], ["maximality"], ["chain"],
+                 ["pair-ip", "--a=1,0", "--b=0,1"]):
+        code, report, _ = run_cli(capsys, *argv)
+        assert (code, report["command"], report["payload"]) == (0, argv[0], {})
+        [(config, args)] = calls[argv[0]]
+        assert isinstance(config, RunConfig)
+        assert isinstance(args, argparse.Namespace)
+        assert args.command == argv[0]
+    assert len(calls) == 5
 
 
 def test_equivalence_defaults(capsys):
@@ -227,6 +253,19 @@ def test_factor_parse_error_carries_location(capsys, tmp_path):
     code, _, err = run_cli(capsys, "factor", "--input", str(path))
     assert code == 2
     assert "points[0].frame" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{}", "points: expected an array of relation points"),
+    ("[1]", "points[0]: expected an object"),
+], ids=["not-an-array", "entry-not-an-object"])
+def test_factor_input_of_the_wrong_shape_is_usage_error(capsys, tmp_path, text,
+                                                        message):
+    path = tmp_path / "shape.json"
+    path.write_text(text, encoding="utf-8")
+    code, report, err = run_cli(capsys, "factor", "--input", str(path))
+    assert (code, report) == (2, None)
+    assert err == f"ortho: {message}\n"
 
 
 LONG = "1" * (sys.get_int_max_str_digits() + 1)
@@ -974,7 +1013,7 @@ def test_read_flags_and_seed_stay_accepted(capsys, monkeypatch, argv):
 def _config_of(argv):
     """The parsed ``argv`` and the RunConfig that ``main`` builds for it."""
     args = _build_parser().parse_args(list(argv))
-    return args, _run_config(args)[1]
+    return args, _run_config(args)
 
 
 def test_config_of_builds_the_config_main_echoes(capsys):

@@ -54,6 +54,11 @@ def test_identity_is_valid():
     assert G.matrix[0] == (F(1), F(0), F(0))
 
 
+def test_identity_needs_a_positive_dimension():
+    with pytest.raises(ShapeError, match="^dimension must be positive, got 0$"):
+        identity_inner_product(0)
+
+
 def test_rejects_asymmetric():
     with pytest.raises(SymmetryError):
         GramInnerProduct([[1, 2], [3, 1]])

@@ -416,6 +416,12 @@ def test_invert_matrix_round_trip():
     assert invert_matrix([]) == ()
     with pytest.raises(ShapeError):
         invert_matrix([[1, 2], [2, 4]])
+    with pytest.raises(ShapeError, match="^inverse needs a square matrix$"):
+        invert_matrix(((1, 2),))
+
+
+def test_rank_of_no_rows_is_zero():
+    assert matrix_rank([]) == 0
 
 
 # --- frames ---

@@ -94,6 +94,7 @@ def test_empty_and_singleton_chains():
     assert chain_union_check(Chain(()))
     rel = build_orthogonal_relation(I2, 2, 2, 3, seed=0)
     assert chain_union_check(Chain((rel,)))
+    assert (len(Chain(())), len(Chain((rel,))), len(Chain((rel, rel)))) == (0, 1, 2)
 
 
 def test_sample_chain_deterministic_and_nested():
