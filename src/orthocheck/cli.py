@@ -20,7 +20,8 @@ platforms; only ``duration_s`` varies.
 ``maximality`` passes only if every report survives a re-check that
 reads nothing the sweep computed: one pass over all reports, with its own
 tables, clearing each vector once, proving each accepted candidate
-orthogonal and solving both frames of each rejection again.
+orthogonal and solving both frames of each rejection again, to integers
+``(N, D)`` that it compares with the reported values by cross-multiplying.
 Exit codes: 0 verdict pass, 1 verdict fail, 2 usage or parse error, 3 an
 unexpected error inside the library (a bug; the traceback goes to stderr).
 A flag the chosen command path never reads is a usage error; ``--seed`` is
@@ -34,7 +35,7 @@ import argparse
 import sys
 import time
 from functools import partial
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 
 from .errors import (
     DependentFrameError,
@@ -240,21 +241,27 @@ def _recheck(G: GramInnerProduct, reports: Sequence[MaximalityReport]) -> bool:
 
     One pass over all of them, with its own call-local tables
     (:func:`_per_object`): each distinct vector object is cleared once, and
-    its image is read from its cleared row.  The values are compared by
-    their integer ratios, as normalized Fractions compare.
+    its image is read from its cleared row; each collision point, a new
+    object, is cleared directly.  A solved ``N / D`` and a reported
+    ``p / q`` are compared as ``N q == p D``: no Fraction is built.
     """
     row = _per_object(partial(_row, G))
-    image = _per_object(lambda v: (*row(v), _gn(G, row(v)[0])))
+
+    def imaged(v: Vector) -> tuple[list[int], int, list[int]]:
+        U, s = row(v)
+        return U, s, _gn(G, U)
+    image = _per_object(imaged)
     for report in reports:
         frame = candidate = report.candidate.vectors
         if not report.accepted:
-            i, x = report.index, [row(report.collision_point)]
+            i, x = report.index, [_row(G, report.collision_point)]
             frame = witness = report.orthogonal_witness.vectors
-            got = [_solve_many(list(map(row, vs)), x)[0][i - 1].as_integer_ratio()
-                   for vs in (candidate, witness)]
+            (nc, dc), (nw, dw) = [(N[i - 1], D) for N, D in (
+                _solve_many(list(map(row, vs)), x)[0] for vs in (candidate, witness))]
+            (pc, qc), (pw, qw) = [v.as_integer_ratio() for v in report.values]
             if not (
-                got == [value.as_integer_ratio() for value in report.values]
-                and got[0] != got[1]
+                nc * qc == pc * dc and nw * qw == pw * dw
+                and nc * dw != nw * dc
                 and witness[i - 1] == candidate[i - 1]
             ):
                 return False
@@ -382,8 +389,23 @@ _COMMANDS = {
 }
 
 
+def _ends(text: str) -> str:
+    """``text``, or past 160 characters its first and last 80 around its
+    length: both ends of a long path or argparse message survive."""
+    if len(text) <= 160:
+        return text
+    return f"{text[:80]}... ({len(text)} characters) ...{text[-80:]}"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Cuts each error message, which may quote an argument, by :func:`_ends`."""
+
+    def error(self, message: str) -> NoReturn:
+        super().error(_ends(message))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ortho",
         description="Exact-arithmetic orthogonality checks: coordinate "
                     "functionals, factorization through projections, and "
@@ -449,6 +471,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             with open(args.output, "wb") as handle:
                 handle.write(data)
     except (OrthoError, OSError) as exc:
+        if isinstance(exc, OSError) and isinstance(exc.filename, str):
+            exc.filename = _ends(exc.filename)  # a long path would flood stderr
         print(f"ortho: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -188,12 +188,12 @@ def _bareiss(rows: list[list[int]], swap: bool = True) -> tuple[list[int], int]:
     nonzero entry in the current column wins.  With ``swap=False`` it
     stops at the first zero pivot.  Returns ``(pivot_columns, swap_count)``.
     """
-    n_rows = len(rows)
+    n_rows, width = len(rows), len(rows[0]) if rows else 0
     pivots: list[int] = []
     swaps = 0
     prev = 1
     r = 0
-    for c in range(len(rows[0]) if rows else 0):
+    for c in range(width):
         if r == n_rows:
             break
         if rows[r][c] == 0:
@@ -206,16 +206,15 @@ def _bareiss(rows: list[list[int]], swap: bool = True) -> tuple[list[int], int]:
             swaps += 1
         top = rows[r]
         pivot = top[c]
-        for i in range(r + 1, n_rows):
-            row = rows[i]
+        cols = range(c + 1, width)
+        for row in rows[r + 1:]:
             factor = row[c]
             if factor:
-                row[c + 1:] = [
-                    (pivot * a - factor * b) // prev
-                    for a, b in zip(row[c + 1:], top[c + 1:])
-                ]
+                for k in cols:
+                    row[k] = (pivot * row[k] - factor * top[k]) // prev
             elif pivot != prev:
-                row[c + 1:] = [pivot * a // prev for a in row[c + 1:]]
+                for k in cols:
+                    row[k] = pivot * row[k] // prev
             row[c] = 0
         prev = pivot
         pivots.append(c)
@@ -268,8 +267,9 @@ def invert_matrix(rows: Matrix) -> Matrix:
     if any(len(r) != n for r in rows):
         raise ShapeError("inverse needs a square matrix")
     try:
-        return tuple(zip(*_solve_many(list(map(_cleared, zip(*rows))), [
-            ([int(i == j) for j in range(n)], 1) for i in range(n)])))
+        columns = _solve_many(list(map(_cleared, zip(*rows))), [
+            ([int(i == j) for j in range(n)], 1) for i in range(n)])
+        return tuple(zip(*[[Fraction(a, D) for a in N] for N, D in columns]))
     except DependentFrameError:
         raise ShapeError("matrix is singular") from None
 
@@ -440,15 +440,17 @@ def solve_coordinates(frame: Frame, x: Vector) -> Coordinates:
     Returns ``(c_1, ..., c_m)`` with ``x == sum(c_k * a_k)``, exactly.
     Raises SpanMembershipError when ``x`` is outside the span.
     """
-    return _solve_many(list(map(_cleared, frame.vectors)), [_cleared(x)])[0]
+    N, D = _solve_many(list(map(_cleared, frame.vectors)), [_cleared(x)])[0]
+    return tuple([Fraction(n, D) for n in N])
 
 
 def _solve_many(
     cleared: Sequence[tuple[list[int], int]],
     points: Sequence[tuple[list[int], int]],
-) -> list[Coordinates]:
+) -> list[tuple[list[int], int]]:
     """:func:`solve_coordinates` of each point over a frame, from one
-    elimination.  The frame's vectors and the points all come in one form,
+    elimination, as ints ``(N, D)``: ``c_k == N[k] / D``, ``D != 0``, not
+    reduced.  The frame's vectors and the points all come in one form,
     each cleared by :func:`_cleared` to ``(U, d)``, so a caller that also
     reads a vector's or a point's integer row clears it once.  The columns
     are the vectors' rows ``U_k``, augmented with every point's, and solve
@@ -482,9 +484,7 @@ def _solve_many(
             for c in range(r + 1, m):
                 s -= row[c] * out[c]
             out[r] = s // row[r]
-        den = det * xd
-        solved.append(tuple([
-            Fraction(num * d, den) for num, (_, d) in zip(out, cleared)]))
+        solved.append(([a * d for a, (_, d) in zip(out, cleared)], det * xd))
     return solved
 
 

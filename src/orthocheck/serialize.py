@@ -62,7 +62,10 @@ def rational_from_json(obj: Any, location: str = "rational") -> Fraction:
 
 
 def vector_to_json(v: Vector) -> list[str]:
-    return [rational_to_json(entry) for entry in v]
+    try:
+        return [str(entry) for entry in v]
+    except ValueError:  # an entry over the int/str limit: its error is raised
+        return [rational_to_json(entry) for entry in v]
 
 
 def _array(obj: Any, location: str, what: str,

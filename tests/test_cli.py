@@ -1,6 +1,8 @@
 import argparse
+import errno
 import itertools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -139,9 +141,9 @@ def test_equivalence_counts_a_wrong_solved_coordinate(capsys, monkeypatch):
     def perturbed(cleared, points):
         solved = real(cleared, points)
         calls.append(len(points))
-        if len(calls) == 2:  # frame 1, point 2, coordinate 1
-            c = solved[2]
-            solved[2] = (c[0], c[1] + 1, *c[2:])
+        if len(calls) == 2:  # frame 1, point 2, the numerator of coordinate 1
+            N, D = solved[2]
+            solved[2] = ([N[0], N[1] + 1, *N[2:]], D)
         return solved
 
     monkeypatch.setattr(inner_product, "_solve_many", perturbed)
@@ -513,6 +515,34 @@ def test_maximality_recheck_clears_each_vector_once(capsys, monkeypatch):
                 for v in (*r.candidate, *r.orthogonal_witness, r.collision_point)}
     assert len(cleared) == len(distinct) == 48 + 2 * 1920
     assert {id(v) for v in cleared} == distinct
+
+
+def test_maximality_recheck_builds_no_fraction(capsys, monkeypatch):
+    """The re-check compares solved and reported values as integers: on
+    the benchmark's bound-3 grid it builds no Fraction at all."""
+    import orthocheck.cli as cli
+
+    real_new, real_recheck = F.__new__, cli._recheck
+    built, rechecked, inside = [], [], []
+
+    def counted(cls, *args, **kwargs):
+        if inside:
+            built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    def recheck(G, reports):
+        rechecked.append(len(reports))
+        inside.append(True)
+        try:
+            return real_recheck(G, reports)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counted))
+    monkeypatch.setattr(cli, "_recheck", recheck)
+    code, _, _ = run_cli(capsys, "maximality", "--bound", "3")
+    assert code == 0 and rechecked == [2112]
+    assert len(built) == 0
 
 
 def test_maximality_requires_square_config(capsys):
@@ -954,6 +984,45 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path):
                                 "--output", str(out))
     assert code == 2
     assert "missing-dir" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("equivalence", "--gram"), ("factor", "--input"), ("equivalence", "--output")])
+def test_long_path_is_shown_by_both_ends(capsys, tmp_path, command, flag):
+    """An OSError names its file by both ends, the directory and the file
+    name, around its length: exit 2 and one line of under 400 bytes."""
+    path = str(tmp_path / ("a" * 5000 + ".json"))
+    code, report, err = run_cli(capsys, command, flag, path)
+    assert (code, report) == (2, None)
+    assert len(err.encode()) < 400 and len(err.splitlines()) == 1
+    assert err.startswith("ortho: [Errno ")
+    assert f"'{path[:80]}... ({len(path)} characters) ...{path[-80:]}'" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_to_a_full_device_keeps_its_message(capsys):
+    code, report, err = run_cli(capsys, "equivalence", "--frames", "1",
+                                "--output", "/dev/full")
+    assert (code, report) == (2, None)
+    assert err == f"ortho: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("equivalence", "--a=" + "7" * 5000), ("x" + "7" * 5000,),
+    ("equivalence", "7" * 5000)], ids=["unknown-flag", "command", "positional"])
+def test_long_stray_argument_is_cut_short(capsys, argv):
+    """argparse names a stray argument in its message; the message is cut
+    by both ends, so the list of choices survives."""
+    code, report, err = run_cli(capsys, *argv)
+    assert (code, report) == (2, None)
+    assert len(err.encode()) < 400
+    last = err.splitlines()[-1]
+    assert last.startswith("ortho: error: ") and " characters) ..." in last
+    if argv[0].startswith("x"):  # the tail still lists every command
+        choices = last.rpartition("(choose from ")[2]
+        assert choices.endswith(")") and all(
+            name in choices
+            for name in ("equivalence", "factor", "maximality", "chain", "pair-ip"))
 
 
 # --- flags a command path never reads ---

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction as F
+from functools import partial
 from math import lcm
 from random import Random
 
@@ -313,6 +314,11 @@ def test_solve_round_trip_on_rational_frames(frame, data):
     assert solve_coordinates(frame, x) == coeffs
 
 
+def _fractions(solved):
+    """Each ``(N, D)`` solution of ``_solve_many`` as its Fraction tuple."""
+    return [tuple(F(n, D) for n in N) for N, D in solved]
+
+
 @settings(max_examples=100, deadline=None)
 @given(rational_frames(max_dim=5), st.data())
 def test_batched_solve_matches_solve_coordinates(frame, data):
@@ -320,10 +326,26 @@ def test_batched_solve_matches_solve_coordinates(frame, data):
         st.lists(rationals, min_size=frame.size, max_size=frame.size),
         max_size=4))
     points = [linear_combination(frame.vectors, c) for c in coeffs]
-    solved = _solve_many(list(map(_cleared, frame.vectors)),
-                         list(map(_cleared, points)))
+    solved = _fractions(_solve_many(list(map(_cleared, frame.vectors)),
+                                    list(map(_cleared, points))))
     assert solved == [solve_coordinates(frame, x) for x in points]
     assert solved == [tuple(c) for c in coeffs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_frames(max_dim=6), st.data())
+def test_batched_solve_gives_integers_over_one_nonzero_denominator(frame, data):
+    """Each point's solution is ``(N, D)``: m integers over one nonzero int,
+    and ``N[k] / D`` is coordinate k as :func:`solve_coordinates` gives it."""
+    points = data.draw(st.lists(st.builds(
+        partial(linear_combination, frame.vectors),
+        st.lists(rationals, min_size=frame.size, max_size=frame.size)),
+        min_size=1, max_size=3))
+    for x, (N, D) in zip(points, _solve_many(list(map(_cleared, frame.vectors)),
+                                             list(map(_cleared, points)))):
+        assert type(D) is int and D != 0
+        assert len(N) == frame.size and all(type(n) is int for n in N)
+        assert tuple(F(n, D) for n in N) == solve_coordinates(frame, x)
 
 
 def test_batched_solve_names_the_first_point_outside_the_span():
@@ -333,7 +355,7 @@ def test_batched_solve_names_the_first_point_outside_the_span():
     with pytest.raises(SpanMembershipError,
                        match=r"^point \(1, 1, 7\) is outside the frame's span$"):
         _solve_many(list(map(_cleared, fr.vectors)), cleared)
-    assert _solve_many(list(map(_cleared, fr.vectors)), cleared[:2]) == [
+    assert _fractions(_solve_many(list(map(_cleared, fr.vectors)), cleared[:2])) == [
         (F(3), F(-1)), (F(1, 2), F(5, 2))]
 
 
@@ -352,7 +374,7 @@ def test_batched_solve_round_trips_big_entries(dim, m):
               for _ in range(5)]
     points = [linear_combination(frame.vectors, c) for c in coeffs]
     rows = list(map(_cleared, frame.vectors))
-    assert _solve_many(rows, list(map(_cleared, points))) == coeffs
+    assert _fractions(_solve_many(rows, list(map(_cleared, points)))) == coeffs
     if m == dim:
         return
     off = [tuple(e + F(rng.randint(1, big), 7) * (k == t) for k, e in enumerate(x))
