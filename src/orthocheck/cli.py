@@ -19,7 +19,7 @@ JSON.  With a fixed config the payload is byte-identical across runs and
 platforms; only ``duration_s`` varies.
 ``maximality`` passes only if every report survives a re-check that
 reads nothing the sweep computed: one pass over all reports, with its own
-tables, clearing each vector once, proving each accepted candidate
+table, clearing each vector once, proving each accepted candidate
 orthogonal and solving both frames of each rejection again, to integers
 ``(N, D)`` that it compares with the reported values by cross-multiplying.
 Exit codes: 0 verdict pass, 1 verdict fail, 2 usage or parse error, 3 an
@@ -43,12 +43,13 @@ from .errors import (
     RationalError,
     ShapeError,
     UsageError,
+    _ends,
     _shown,
 )
 from .inner_product import (
     GramInnerProduct,
-    _gn,
-    _nonorthogonal_pairs,
+    _first_nonorthogonal,
+    _image,
     _orthogonal_samples,
     _projection_checks,
     _row,
@@ -140,7 +141,7 @@ class RunConfig(_Value):
         G = load_gram(self.gram)
         if G.dim != self.dim:
             raise ShapeError(
-                f"--gram {self.gram} is {G.dim}x{G.dim} but --dim is {self.dim}"
+                f"--gram {_ends(self.gram)} is {G.dim}x{G.dim} but --dim is {self.dim}"
             )
         return G
 
@@ -222,7 +223,7 @@ def cmd_factor(config: RunConfig, args: argparse.Namespace) -> Result:
         if rel.shape not in (None, (config.dim, config.m)):
             dim, m = rel.shape
             raise ShapeError(
-                f"--input {args.input} holds a relation with dim={dim}, m={m} "
+                f"--input {_ends(args.input)} holds a relation with dim={dim}, m={m} "
                 f"but --dim is {config.dim} and --m is {config.m}"
             )
     else:
@@ -239,25 +240,22 @@ def _recheck(G: GramInnerProduct, reports: Sequence[MaximalityReport]) -> bool:
     ones and differ, and the witness must share slot i and be G-orthogonal.
     False at the first report that fails a check.
 
-    One pass over all of them, with its own call-local tables
-    (:func:`_per_object`): each distinct vector object is cleared once, and
-    its image is read from its cleared row; each collision point, a new
-    object, is cleared directly.  A solved ``N / D`` and a reported
-    ``p / q`` are compared as ``N q == p D``: no Fraction is built.
+    One pass over all of them, with one call-local table of its own
+    (:func:`_per_object` over :func:`_image`): each distinct vector object
+    is cleared once to its image ``(U, s, Gn U)``, whose ``(U, s)`` the
+    solves read; each collision point, a new object, is cleared directly.
+    A solved ``N / D`` and a reported ``p / q`` are compared as
+    ``N q == p D``: no Fraction is built.
     """
-    row = _per_object(partial(_row, G))
-
-    def imaged(v: Vector) -> tuple[list[int], int, list[int]]:
-        U, s = row(v)
-        return U, s, _gn(G, U)
-    image = _per_object(imaged)
+    image = _per_object(partial(_image, G))
     for report in reports:
         frame = candidate = report.candidate.vectors
         if not report.accepted:
             i, x = report.index, [_row(G, report.collision_point)]
             frame = witness = report.orthogonal_witness.vectors
             (nc, dc), (nw, dw) = [(N[i - 1], D) for N, D in (
-                _solve_many(list(map(row, vs)), x)[0] for vs in (candidate, witness))]
+                _solve_many([(U, s) for U, s, _ in map(image, vs)], x)[0]
+                for vs in (candidate, witness))]
             (pc, qc), (pw, qw) = [v.as_integer_ratio() for v in report.values]
             if not (
                 nc * qc == pc * dc and nw * qw == pw * dw
@@ -266,7 +264,7 @@ def _recheck(G: GramInnerProduct, reports: Sequence[MaximalityReport]) -> bool:
             ):
                 return False
         # An accepted candidate, or a rejection's witness, must be G-orthogonal.
-        if next(_nonorthogonal_pairs(list(map(image, frame))), None) is not None:
+        if _first_nonorthogonal(list(map(image, frame))) is not None:
             return False
     return True
 
@@ -387,14 +385,6 @@ _COMMANDS = {
     "chain": "nested chain of sub-relations; union must factor",
     "pair-ip": "adapted inner product for one vector pair",
 }
-
-
-def _ends(text: str) -> str:
-    """``text``, or past 160 characters its first and last 80 around its
-    length: both ends of a long path or argparse message survive."""
-    if len(text) <= 160:
-        return text
-    return f"{text[:80]}... ({len(text)} characters) ...{text[-80:]}"
 
 
 class _Parser(argparse.ArgumentParser):

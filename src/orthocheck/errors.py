@@ -25,6 +25,14 @@ def _shown(value: object) -> str:
     return f"{text[:60]}... ({size} characters)"
 
 
+def _ends(text: str) -> str:
+    """``text``, or past 160 characters its first and last 80 around its
+    length: both ends of a long path, argparse message or list survive."""
+    if len(text) <= 160:
+        return text
+    return f"{text[:80]}... ({len(text)} characters) ...{text[-80:]}"
+
+
 def _over_limit(what: str) -> str:
     """The one message for ``what``, a value with more digits than the
     interpreter's int/str limit lets ``int()`` or ``str()`` convert."""

@@ -136,13 +136,15 @@ def _gn(G: GramInnerProduct, U: list[int]) -> list[int]:
     return [sum(map(mul, row, U)) for row in G._numerators]
 
 
-def _nonorthogonal_pairs(images: list[_Image]) -> Iterator[tuple[int, int]]:
-    """Every (i, j), 1-based with i < j, such that ``<a_i, a_j> != 0``, in
-    lexicographic order, read from the :func:`_image` of each vector."""
+def _first_nonorthogonal(images: list[_Image]) -> tuple[int, int] | None:
+    """The lexicographically first (i, j), 1-based with i < j, such that
+    ``<a_i, a_j> != 0``, read from the :func:`_image` of each vector; None
+    when the vectors are pairwise orthogonal.  The one orthogonality scan."""
     for i, (_, _, GU) in enumerate(images):
         for j in range(i + 1, len(images)):
             if sum(map(mul, GU, images[j][0])):
-                yield (i + 1, j + 1)
+                return (i + 1, j + 1)
+    return None
 
 
 def _coefficient(image: _Image, xn: list[int], xd: int) -> Fraction:
@@ -167,7 +169,7 @@ def first_nonorthogonal_pair(
     G: GramInnerProduct, frame: Frame
 ) -> tuple[int, int] | None:
     """Lexicographically smallest (i, j), 1-based, with ``<a_i, a_j> != 0``."""
-    return next(_nonorthogonal_pairs([_image(G, v) for v in frame.vectors]), None)
+    return _first_nonorthogonal([_image(G, v) for v in frame.vectors])
 
 
 def is_orthogonal_tuple(G: GramInnerProduct, frame: Frame) -> bool:
@@ -212,7 +214,7 @@ def _projection_checks(
     timed faster than cross-multiplying the unreduced solved integers.
     """
     images = [_image(G, v) for v in frame.vectors]
-    if next(_nonorthogonal_pairs(images), None) is not None:
+    if _first_nonorthogonal(images) is not None:
         raise PreconditionError("frame is not orthogonal under the given form")
     rows = [_row(G, x) for x in points]
     solved = _solve_many([(U, s) for U, s, _ in images], rows)
@@ -221,13 +223,10 @@ def _projection_checks(
 
 
 def _orthogonalize(
-    G: GramInnerProduct,
-    vectors: Sequence[Vector],
-    images: Sequence[tuple[list[int], int, list[int] | None]],
+    G: GramInnerProduct, vectors: Sequence[Vector], images: Sequence[_Image]
 ) -> list[Vector]:
-    """Integer Gram-Schmidt over ``vectors``, in the given order, cleared
-    to ``(U, s, Gn U)`` as :func:`_image` gives them; ``Gn U`` may be None
-    where the caller has not computed it.
+    """Integer Gram-Schmidt over ``vectors``, in the given order, each read
+    in its one cleared form ``(U, s, Gn U)``, its :func:`_image`.
 
     Output k is input k itself when it is orthogonal to every earlier
     output, and otherwise its projected ``U / s`` as Fractions.  The common
@@ -254,7 +253,7 @@ def _orthogonalize(
                 projected = True
         out.append(tuple(Fraction(a, s) for a in U) if projected else v)
         if len(out) < len(images):
-            if projected or GU is None:
+            if projected:
                 GU = _gn(G, U)
             done.append((U, GU, sum(map(mul, GU, U))))
     return out
@@ -307,7 +306,7 @@ def gram_schmidt(G: GramInnerProduct, vectors: Frame | Sequence[Vector]) -> Fram
     """
     frame = vectors if isinstance(vectors, Frame) else Frame(tuple(vectors))
     return Frame._trusted(tuple(_orthogonalize(
-        G, frame.vectors, [(*_row(G, v), None) for v in frame.vectors])))
+        G, frame.vectors, [_image(G, v) for v in frame.vectors])))
 
 
 def _orthogonal_samples(

@@ -32,6 +32,7 @@ from .errors import (
     RationalError,
     ShapeError,
     SpanMembershipError,
+    _ends,
     _over_limit,
     _shown,
 )
@@ -85,7 +86,7 @@ def _dimension(vectors: Sequence[Sequence[object]]) -> int:
     """The one length n that every vector has; ShapeError if they differ."""
     dims = {len(v) for v in vectors}
     if len(dims) != 1:
-        raise ShapeError(f"mixed vector dimensions: {sorted(dims)}")
+        raise ShapeError(f"mixed vector dimensions: {_ends(str(sorted(dims)))}")
     return dims.pop()
 
 

@@ -20,9 +20,9 @@ from typing import Iterable
 from .errors import NoViolationError
 from .inner_product import (
     GramInnerProduct,
+    _first_nonorthogonal,
     _full_dimensional,
     _image,
-    _nonorthogonal_pairs,
     _witness,
     first_nonorthogonal_pair,  # noqa: F401  perfbench's traced run wraps it here
 )
@@ -104,7 +104,7 @@ def verify_orthogonal_maximality(
     for candidate in candidates:
         _full_dimensional(candidate, "maximality sweep")
         images = [image(v) for v in candidate.vectors]
-        pair = next(_nonorthogonal_pairs(images), None)
+        pair = _first_nonorthogonal(images)
         if pair is None:
             reports.append(MaximalityReport(candidate, "accepted"))
             continue

@@ -21,7 +21,7 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from .errors import OrthoError, OutputLimitError, RelationParseError, _over_limit
+from .errors import OrthoError, OutputLimitError, RelationParseError, _ends, _over_limit
 from .inner_product import GramInnerProduct
 from .linalg import Frame, Vector, _per_object, _rational
 
@@ -204,15 +204,12 @@ def maximality_report_to_json(report: MaximalityReport,
                               to_json=vector_to_json) -> dict[str, Any]:
     """Accepted reports carry candidate and verdict; rejected ones add the
     witness frame, collision point, and the two disagreeing values.
-    ``to_json`` converts each candidate vector.
+    ``to_json`` converts each candidate and witness vector.
     """
     candidate = [to_json(v) for v in report.candidate]
     payload: dict[str, Any] = {"candidate": candidate, "verdict": report.verdict}
     if not report.accepted:
-        # The witness keeps the candidate's vector object in slot i, and in
-        # any slot Gram-Schmidt left as it was: that slot shares its list.
-        pairs = zip(report.orthogonal_witness, report.candidate, candidate)
-        payload["witness"] = [c if w is v else vector_to_json(w) for w, v, c in pairs]
+        payload["witness"] = [to_json(w) for w in report.orthogonal_witness]
         payload["x"] = vector_to_json(report.collision_point)
         payload["value_candidate"] = rational_to_json(report.values[0])
         payload["value_witness"] = rational_to_json(report.values[1])
@@ -231,24 +228,25 @@ def maximality_reports_to_json(reports: Iterable[MaximalityReport]
 def _load_json(path: str) -> Any:
     """Parse a UTF-8 JSON file; undecodable bytes, malformed JSON and
     nesting deeper than the decoder recurses raise RelationParseError
-    naming the file."""
+    naming the file as :func:`_ends` shows it."""
     with open(path, "rb") as handle:
         data = handle.read()
+    shown = _ends(path)
     try:
         return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise RelationParseError(
-            f"not UTF-8 text ({exc.reason})", f"{path} byte {exc.start}"
+            f"not UTF-8 text ({exc.reason})", f"{shown} byte {exc.start}"
         ) from exc
     except json.JSONDecodeError as exc:
         raise RelationParseError(
-            str(exc), f"{path} line {exc.lineno} column {exc.colno}"
+            str(exc), f"{shown} line {exc.lineno} column {exc.colno}"
         ) from exc
     except ValueError:
         # The decoder's int() refuses a JSON number above the int/str limit.
-        raise RelationParseError(_over_limit("a JSON number"), path) from None
+        raise RelationParseError(_over_limit("a JSON number"), shown) from None
     except RecursionError:
-        raise RelationParseError("JSON nested too deeply to parse", path) from None
+        raise RelationParseError("JSON nested too deeply to parse", shown) from None
 
 
 def load_relation(path: str) -> Relation:

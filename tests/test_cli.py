@@ -748,7 +748,7 @@ def _long_relation(dim, dependent):
 
 @pytest.mark.parametrize("case", [
     "dependent-frame", "duplicate-point", "grid-cap", "span-cap", "asymmetric-gram",
-    "dim-flag", "bound-flag", "seed-flag"])
+    "dim-flag", "bound-flag", "seed-flag", "mixed-dimensions"])
 def test_message_over_a_long_value_is_one_short_line(capsys, tmp_path, case):
     """Every error that names a long value shows it cut short: exit 2 and
     one ``ortho:`` line of under 400 bytes."""
@@ -777,6 +777,15 @@ def test_message_over_a_long_value_is_one_short_line(capsys, tmp_path, case):
     elif case == "bound-flag":
         argv = ["equivalence", f"--bound=-{SEVENS}"]
         named = f"bound must be positive, got -{'7' * 59}... (4001 characters)"
+    elif case == "mixed-dimensions":
+        # One frame of 400 vectors, of lengths 1 to 400: every length differs.
+        frame = [["1"] * k for k in range(1, 401)]
+        path.write_text(json.dumps([{"frame": frame, "point": ["1"], "values": ["1"]}]),
+                        encoding="utf-8")
+        argv = ["factor", "--input", str(path)]
+        dims = str(list(range(1, 401)))
+        named = (f"points[0].frame: mixed vector dimensions: {dims[:80]}... "
+                 f"({len(dims)} characters) ...{dims[-80:]}")
     else:
         argv = ["equivalence", "--seed", SEVENS]
         named = f"seed {'7' * 60}... (4000 characters) is outside [0, 2^64)"
@@ -997,6 +1006,30 @@ def test_long_path_is_shown_by_both_ends(capsys, tmp_path, command, flag):
     assert len(err.encode()) < 400 and len(err.splitlines()) == 1
     assert err.startswith("ortho: [Errno ")
     assert f"'{path[:80]}... ({len(path)} characters) ...{path[-80:]}'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("factor", "--input", "bad.json"),
+    ("equivalence", "--gram", "bad.json"),
+    ("equivalence", "--gram", "gram2.json", "--dim", "3"),
+    ("factor", "--input", "relation4.json", "--dim", "3", "--m", "3"),
+], ids=["input-malformed", "gram-malformed", "gram-shape", "input-shape"])
+def test_long_readable_path_is_shown_by_both_ends(capsys, tmp_path, argv):
+    """A file that opens but is malformed, or does not fit the flags, is
+    named by both ends of its path too: five 200-character directories
+    deep, exit 2 and one ``ortho:`` line of under 400 bytes."""
+    folder = tmp_path.joinpath(*(c * 200 for c in "abcde"))
+    folder.mkdir(parents=True)
+    (folder / "bad.json").write_text("[1,", encoding="utf-8")
+    (folder / "gram2.json").write_text('[["1", "0"], ["0", "1"]]', encoding="utf-8")
+    (folder / "relation4.json").write_bytes(
+        (ROOT / "tests" / "fixtures" / "relation4.json").read_bytes())
+    path = str(folder / argv[2])
+    code, report, err = run_cli(capsys, *argv[:2], path, *argv[3:])
+    assert (code, report) == (2, None)
+    assert len(err.encode()) < 400 and len(err.splitlines()) == 1
+    assert err.startswith("ortho: ")
+    assert f"{path[:80]}... ({len(path)} characters) ...{path[-80:]}" in err
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
