@@ -1,10 +1,11 @@
 """Command-line harness: seeded experiment suites with JSON reports.
 
-Five subcommands cover the library surface: ``equivalence`` (solver vs
-coefficient formula on orthogonal frames), ``factor`` (factorization scan
-over a built or loaded relation), ``maximality`` (candidate sweep with
-witness rejections, exhaustive in dimension 2), ``chain`` (nested chain
-unions), and ``pair-ip`` (adapted inner product for one vector pair).
+Five subcommands cover the library surface: ``equivalence`` (drawn
+coordinates vs coefficient formula on orthogonal frames), ``factor``
+(factorization scan over a built or loaded relation), ``maximality``
+(candidate sweep with witness rejections, exhaustive in dimension 2),
+``chain`` (nested chain unions), and ``pair-ip`` (adapted inner product
+for one vector pair).
 
 Each command imports the modules it runs when it is dispatched:
 ``factor`` and ``chain`` load ``dependence``, ``maximality`` loads
@@ -96,7 +97,10 @@ _CHAIN_STREAM = 0x434E
 # reach: the dimension-2 grid up to --bound 11 (279,841 pairs at about
 # 0.11 ms each, the median of ten runs at --bound 7), and SAMPLE_CAP
 # sampled frames or points at dim 16 with entries up to BOUND_CAP, which
-# sets their bit length (about 12 ms per unit; 5,000 points ran 56 s).
+# sets their bit length.  Under the dense gram16.json form a unit costs
+# about 12 ms for a built factor with one frame per point and 11 ms for a
+# maximality frame, the dearest; 6 ms for an equivalence frame, and
+# 0.7 ms for each further point of it.
 GRID_CAP = 300_000
 SAMPLE_CAP = 5_000
 BOUND_CAP = 100
@@ -201,13 +205,15 @@ def _built_relation(command: str, config: RunConfig) -> Relation:
 
 
 def cmd_equivalence(config: RunConfig, args: argparse.Namespace) -> Result:
-    """Solver coordinates vs the coefficient formula on orthogonal frames."""
+    """Drawn coordinates vs the coefficient formula on orthogonal frames:
+    each point combines its frame's vectors with drawn integer coefficients,
+    its coordinates, which the formula must give back.  No solve runs."""
     G = config.load_inner_product()
     _cap_work("equivalence", config)
     trials = failures = 0
     for frame, points in _orthogonal_samples(
             G, config.m, config.frames, config.points, config.bound, config.seed):
-        checks = _projection_checks(G, frame, [x for _, x in points])
+        checks = _projection_checks(G, frame, points)
         trials += len(checks)
         failures += checks.count(False)
     return {"trials": trials, "failures": failures}, failures == 0
@@ -379,7 +385,7 @@ def _integer(text: str) -> int:
 
 # Each subcommand and its help line, in the order ``--help`` lists them.
 _COMMANDS = {
-    "equivalence": "check solver coordinates against the coefficient formula",
+    "equivalence": "check drawn coordinates against the coefficient formula",
     "factor": "run the factorization scan over a relation",
     "maximality": "sweep candidate frames; non-orthogonal ones get witnesses",
     "chain": "nested chain of sub-relations; union must factor",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ChainOrderError,
@@ -376,9 +376,11 @@ def build_orthogonal_relation(
 
     Frames are drawn with integer entries, made G-orthogonal by exact
     Gram-Schmidt, then paired with sampled span points carrying canonical
-    values.  Because every value then equals ``<a_i, x> / <a_i, a_i>``, a
-    function of the projection key alone, the result always passes
-    :func:`factor_check`.  Deterministic for a fixed seed.
+    values: the drawn coefficients, which are the points' coordinates.
+    Because every value then equals ``<a_i, x> / <a_i, a_i>``, a function
+    of the projection key alone, the result always passes
+    :func:`factor_check`.  Deterministic for a fixed seed.  Sampling runs
+    in ints; each frame is built once as a Frame its entries share.
     """
     _check_nonnegative(frame_count=frame_count,
                        points_per_frame=points_per_frame, bound=bound)
@@ -386,7 +388,15 @@ def build_orthogonal_relation(
     m = G.dim if m is None else m
     if not 2 <= m <= G.dim:
         raise ShapeError(f"need 2 <= m <= dim, got m={_shown(m)}, dim={G.dim}")
-    return Relation.from_points(
-        RelationPoint._trusted(frame, x, c) for frame, points in
-        _orthogonal_samples(G, m, frame_count, points_per_frame, bound, seed)
-        for c, x in points)
+
+    def entries() -> Iterator[RelationPoint]:
+        for cleared, points in _orthogonal_samples(
+                G, m, frame_count, points_per_frame, bound, seed):
+            frame = Frame._trusted(tuple(
+                tuple([Fraction(a, s) for a in U]) for U, s in cleared))
+            for c, (xn, xd) in points:
+                yield RelationPoint._trusted(
+                    frame, tuple([Fraction(a, xd) for a in xn]),
+                    tuple(map(Fraction, c)))
+
+    return Relation.from_points(entries())

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DefinitenessError,
@@ -23,20 +23,21 @@ from .errors import (
     _shown,
 )
 from .linalg import (
-    Coordinates,
     Frame,
     Matrix,
     Vector,
     _Value,
     _bareiss,
     _cleared,
+    _combine,
+    _draw_coefficients,
+    _draw_frame,
     _gram_of,
-    _solve_many,
-    _span_points,
     as_vector,
     derive_seed,
     invert_matrix,
     sample_frame,
+    solve_coordinates,
 )
 
 
@@ -102,10 +103,11 @@ def identity_inner_product(dim: int) -> GramInnerProduct:
     return GramInnerProduct([[int(i == j) for j in range(dim)] for i in range(dim)])
 
 
+_Cleared = tuple[list[int], int]  # (U, s): a vector U / s, as _cleared gives
 _Image = tuple[list[int], int, list[int]]
 
 
-def _row(G: GramInnerProduct, v: Vector) -> tuple[list[int], int]:
+def _row(G: GramInnerProduct, v: Vector) -> _Cleared:
     """``v`` cleared to an integer row over a scale, as :func:`_cleared`
     does, after checking its dimension against the form's: the integer dot
     products would silently truncate a vector of another length."""
@@ -147,13 +149,6 @@ def _first_nonorthogonal(images: list[_Image]) -> tuple[int, int] | None:
     return None
 
 
-def _coefficient(image: _Image, xn: list[int], xd: int) -> Fraction:
-    """``<a, x> / <a, a>`` for the image of a nonzero ``a`` and ``x`` cleared
-    to ``xn / xd``: ``(Gn U . xn) s / ((Gn U . U) xd)``."""
-    U, s, GU = image
-    return Fraction(sum(map(mul, GU, xn)) * s, sum(map(mul, GU, U)) * xd)
-
-
 def evaluate(G: GramInnerProduct, x: Vector, y: Vector) -> Fraction:
     """Exact value of ``x^T G y``.
 
@@ -183,10 +178,12 @@ def coefficient_formula(G: GramInnerProduct, a: Vector, x: Vector) -> Fraction:
     This is the closed form for a coordinate over an orthogonal frame:
     the value depends only on ``a`` and ``x``.
     """
-    image = _image(G, a)
-    if not any(image[0]):
+    U, s, GU = _image(G, a)
+    if not any(U):
         raise ZeroVectorError("projection coefficient onto the zero vector")
-    return _coefficient(image, *_row(G, x))
+    # With a = U / s and x = xn / xd: (Gn U . xn) s / ((Gn U . U) xd).
+    xn, xd = _row(G, x)
+    return Fraction(sum(map(mul, GU, xn)) * s, sum(map(mul, GU, U)) * xd)
 
 
 def verify_projection_equivalence(
@@ -195,42 +192,50 @@ def verify_projection_equivalence(
     """Check that solved coordinates equal the projection formula, exactly.
 
     Requires the frame to be orthogonal under G (PreconditionError
-    otherwise) and ``x`` to lie in its span.  For such inputs the two
-    routes always agree; this computes both and compares.
+    otherwise, before anything is solved) and ``x`` to lie in its span
+    (:func:`solve_coordinates` raises SpanMembershipError).  For such
+    inputs the two routes always agree; :func:`_projection_checks` compares.
     """
-    return _projection_checks(G, frame, [x])[0]
+    def solved():  # read only once the frame is proved orthogonal
+        point = _row(G, x)
+        yield solve_coordinates(frame, x), point
+
+    return _projection_checks(G, [_row(G, v) for v in frame.vectors], solved())[0]
 
 
 def _projection_checks(
-    G: GramInnerProduct, frame: Frame, points: Sequence[Vector]
+    G: GramInnerProduct,
+    cleared: Sequence[_Cleared],
+    points: Iterable[tuple[Sequence[int | Fraction], _Cleared]],
 ) -> list[bool]:
-    """:func:`verify_projection_equivalence` at each of a frame's points.
-
-    Each vector is cleared once to its :func:`_image`: the images prove
-    every pair orthogonal (even with no points) and give every formula
-    value, and one elimination (:func:`_solve_many`) over their rows gives
-    the solved side of all the points.  Each point is cleared once, for
-    both sides.  The sides compare as reduced Fractions, which at dim 16
-    timed faster than cross-multiplying the unreduced solved integers.
+    """Whether each point ``(t, (xn, xd))`` of a frame cleared to
+    ``[(U_k, s_k)]`` has the formula's coordinates, ``t_k == <a_k, x> /
+    <a_k, a_k>`` with ``x = xn / xd``, as the integer compare
+    ``(Gn U_k . xn) s_k == t_k (Gn U_k . U_k) xd``.  ``Gn U_k`` is derived
+    from G here; it proves the frame orthogonal (PreconditionError, even
+    with no points) before ``points``, possibly an iterator, is read.  The
+    frame is independent, so for a point drawn as ``sum(t_k a_k)`` this
+    holds exactly when the formula's coordinates expand back to x.
     """
-    images = [_image(G, v) for v in frame.vectors]
+    images = [(U, s, _gn(G, U)) for U, s in cleared]
     if _first_nonorthogonal(images) is not None:
         raise PreconditionError("frame is not orthogonal under the given form")
-    rows = [_row(G, x) for x in points]
-    solved = _solve_many([(U, s) for U, s, _ in images], rows)
-    return [[Fraction(n, D) for n in N] == [_coefficient(im, xn, xd) for im in images]
-            for (xn, xd), (N, D) in zip(rows, solved)]
+    slots = [(s, GU, sum(map(mul, GU, U))) for U, s, GU in images]
+    return [all(sum(map(mul, GU, xn)) * s == c * UU * xd
+                for c, (s, GU, UU) in zip(t, slots))
+            for t, (xn, xd) in points]
 
 
 def _orthogonalize(
-    G: GramInnerProduct, vectors: Sequence[Vector], images: Sequence[_Image]
-) -> list[Vector]:
-    """Integer Gram-Schmidt over ``vectors``, in the given order, each read
-    in its one cleared form ``(U, s, Gn U)``, its :func:`_image`.
+    G: GramInnerProduct, images: Sequence[_Image]
+) -> list[_Cleared]:
+    """Integer Gram-Schmidt over vectors, in the given order, each read in
+    its one cleared form ``(U, s, Gn U)``, its :func:`_image`: the one
+    Gram-Schmidt loop.  Returns each output as ``(U, s)``.
 
-    Output k is input k itself when it is orthogonal to every earlier
-    output, and otherwise its projected ``U / s`` as Fractions.  The common
-    denominator of G cancels in every projection coefficient
+    Output k keeps input k's ``U``, the same list object, when it is
+    orthogonal to every earlier output (:func:`_as_vectors` reads this).  The
+    common denominator of G cancels in every projection coefficient
     ``<W, U> / <W, W>``, so projecting an earlier output W out of U is
     ``U <- <W,W> U - <W,U> W`` and ``s <- <W,W> s`` under G's numerator
     matrix, after which ``gcd(s, *U)`` is divided out.  Each output but the
@@ -238,8 +243,8 @@ def _orthogonalize(
     dot product; an input that is its own output reuses its given image.
     """
     done: list[tuple[list[int], list[int], int]] = []  # W, Gn W, <W,W>
-    out: list[Vector] = []
-    for v, (U, s, GU) in zip(vectors, images):
+    out: list[_Cleared] = []
+    for U, s, GU in images:
         projected = False
         for W, GW, WW in done:
             WU = sum(map(mul, GW, U))
@@ -251,12 +256,21 @@ def _orthogonalize(
                     U = [a // g for a in U]
                     s //= g
                 projected = True
-        out.append(tuple(Fraction(a, s) for a in U) if projected else v)
+        out.append((U, s))
         if len(out) < len(images):
             if projected:
                 GU = _gn(G, U)
             done.append((U, GU, sum(map(mul, GU, U))))
     return out
+
+
+def _as_vectors(vectors: Sequence[Vector], images: Sequence[_Image],
+                outputs: Sequence[_Cleared]) -> tuple[Vector, ...]:
+    """:func:`_orthogonalize`'s outputs over ``vectors`` as Fraction
+    vectors: an output that kept its input's ``U`` is that input vector,
+    the same object, and any other is ``U / s``, one Fraction per entry."""
+    return tuple([v if U is image[0] else tuple([Fraction(a, s) for a in U])
+                  for v, image, (U, s) in zip(vectors, images, outputs)])
 
 
 _ONE = Fraction(1)  # slot i's value over every candidate, one object
@@ -278,12 +292,11 @@ def _witness(
     with ``ii = Gn U_i . U_i`` and ``ij = Gn U_i . U_j``: the two agree
     exactly when ``<b_i, b_j> = 0``.
     """
-    vectors = candidate.vectors
-    order = [i - 1] + [k for k in range(len(vectors)) if k != i - 1]
-    outputs = _orthogonalize(G, [vectors[k] for k in order], [images[k] for k in order])
+    order = [i - 1] + [k for k in range(len(images)) if k != i - 1]
+    outputs = _orthogonalize(G, [images[k] for k in order])
     outputs.insert(i - 1, outputs.pop(0))
     # Gram-Schmidt keeps prefix spans: the witness is independent too.
-    witness = Frame._trusted(tuple(outputs))
+    witness = Frame._trusted(_as_vectors(candidate.vectors, images, outputs))
     (U_i, s_i, GU_i), (U_j, s_j, _) = images[i - 1], images[j - 1]
     den = s_i * s_j
     x = tuple(Fraction(a * s_j + b * s_i, den) for a, b in zip(U_i, U_j))
@@ -302,25 +315,28 @@ def gram_schmidt(G: GramInnerProduct, vectors: Frame | Sequence[Vector]) -> Fram
     DependentFrameError.
 
     Runs over integers (:func:`_orthogonalize`), and Fractions are built
-    once per output entry.
+    once per projected output entry.
     """
     frame = vectors if isinstance(vectors, Frame) else Frame(tuple(vectors))
-    return Frame._trusted(tuple(_orthogonalize(
-        G, frame.vectors, [_image(G, v) for v in frame.vectors])))
+    images = [_image(G, v) for v in frame.vectors]
+    return Frame._trusted(_as_vectors(frame.vectors, images, _orthogonalize(G, images)))
 
 
 def _orthogonal_samples(
     G: GramInnerProduct, m: int, frame_count: int, points_per_frame: int,
     bound: int, seed: int,
-) -> Iterator[tuple[Frame, list[tuple[Coordinates, Vector]]]]:
-    """The one seeded sampling layout: frame k, of m vectors, is drawn from
-    the seed derived for (k, 0) and made G-orthogonal, and its points, with
-    their coefficients (:func:`_span_points`), from the seeds derived for
-    (k, t + 1), for each t below ``points_per_frame``."""
+) -> Iterator[tuple[list[_Cleared], list[tuple[list[int], _Cleared]]]]:
+    """The one seeded sampling layout, in ints: frame k is the draw of
+    :func:`sample_frame` for the seed derived for (k, 0) made G-orthogonal,
+    as ``[(U, s)]``; point t is ``(c, (xn, xd))``, the coefficients
+    :func:`sample_coefficients` draws for the seed derived for (k, t + 1)
+    and their combination, the point :func:`sample_span_point` makes."""
     for k in range(frame_count):
-        frame = gram_schmidt(G, sample_frame(G.dim, m, bound, derive_seed(seed, k, 0)))
-        yield frame, _span_points(frame, bound, [
-            derive_seed(seed, k, t + 1) for t in range(points_per_frame)])
+        rows = _draw_frame(G.dim, m, bound, derive_seed(seed, k, 0))
+        frame = _orthogonalize(G, [(U, 1, _gn(G, U)) for U in rows])
+        yield frame, [(c, _combine(frame, c)) for c in (
+            _draw_coefficients(m, bound, derive_seed(seed, k, t + 1))
+            for t in range(points_per_frame))]
 
 
 def _full_dimensional(frame: Frame, what: str) -> None:

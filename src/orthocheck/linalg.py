@@ -124,10 +124,9 @@ def linear_combination(
 ) -> Vector:
     """Return ``sum(c_k * v_k)``, exactly.
 
-    Runs over ints: each vector is cleared to an integer row over its own
-    scale ``d_k``, and the coefficients to numerators over one denominator
-    ``e``.  With ``L`` the lcm of the ``d_k``, entry j of the result is
-    ``sum(c_k * (L / d_k) * row_k[j]) / (L * e)``, one Fraction per entry.
+    Runs over ints (:func:`_combine`): each vector is cleared to an integer
+    row over its own scale, and the coefficients to numerators over one
+    denominator ``e``; one Fraction is built per entry.
     """
     if len(vectors) != len(coeffs):
         raise ShapeError(
@@ -136,23 +135,24 @@ def linear_combination(
     if not vectors:
         raise ShapeError("empty combination has no dimension")
     _dimension(vectors)
-    return _combine(list(map(_cleared, vectors)), coeffs)
+    numerators, e = _cleared(coeffs)
+    N, L = _combine(list(map(_cleared, vectors)), numerators)
+    den = L * e
+    return tuple([Fraction(a, den) for a in N])
 
 
 def _combine(
-    cleared: Sequence[tuple[list[int], int]], coeffs: Sequence[RationalLike]
-) -> Vector:
-    """:func:`linear_combination` of vectors each cleared by :func:`_cleared`
-    to ``(U_k, d_k)``, with no shape checks: a caller combining one frame's
-    vectors many times clears them once."""
-    numerators, e = _cleared(coeffs)
+    cleared: Sequence[tuple[list[int], int]], coeffs: Sequence[int]
+) -> tuple[list[int], int]:
+    """``sum(c_k * U_k / d_k)`` for integer coefficients ``c_k`` and vectors
+    each cleared to ``(U_k, d_k)``, as ints ``(N, L)``: entry j is
+    ``N[j] / L``, with L the lcm of the ``d_k``, not reduced.  The one
+    combination loop; it checks no shape, so a caller combining one
+    frame's vectors many times clears them once."""
     L = lcm(*[d for _, d in cleared])
-    weights = [c * (L // d) for c, (_, d) in zip(numerators, cleared)]
-    den = L * e
-    return tuple(
-        Fraction(sum(map(mul, weights, column)), den)
-        for column in zip(*[U for U, _ in cleared])
-    )
+    weights = [c * (L // d) for c, (_, d) in zip(coeffs, cleared)]
+    return [sum(map(mul, weights, column))
+            for column in zip(*[U for U, _ in cleared])], L
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +533,15 @@ def sample_frame(dim: int, m: int, bound: int, seed: int) -> Frame:
 
     Deterministic for a fixed seed.  Resamples until the vectors are
     independent; after SAMPLING_CAP failed draws raises GenerationError.
-    Each draw is ranked as ints; Fractions are built for the accepted one.
+    Each draw is ranked as ints (:func:`_draw_frame`); Fractions are built
+    for the accepted one.
     """
+    return Frame._trusted(tuple(
+        tuple(map(Fraction, row)) for row in _draw_frame(dim, m, bound, seed)))
+
+
+def _draw_frame(dim: int, m: int, bound: int, seed: int) -> list[list[int]]:
+    """:func:`sample_frame`'s frame as integer rows: the one draw loop."""
     if not 2 <= m <= dim:
         raise ShapeError(f"need 2 <= m <= dim, got m={_shown(m)}, dim={_shown(dim)}")
     _check_nonnegative(bound=bound)
@@ -543,7 +550,7 @@ def sample_frame(dim: int, m: int, bound: int, seed: int) -> Frame:
     for _ in range(SAMPLING_CAP):
         draw = [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(m)]
         if matrix_rank(draw) == m:
-            return Frame._trusted(tuple(tuple(map(Fraction, row)) for row in draw))
+            return draw
     raise GenerationError(
         f"no independent frame after {SAMPLING_CAP} draws "
         f"(dim={dim}, m={m}, bound={bound})"
@@ -552,29 +559,25 @@ def sample_frame(dim: int, m: int, bound: int, seed: int) -> Frame:
 
 def sample_coefficients(m: int, bound: int, seed: int) -> Coordinates:
     """Draw m integer coefficients in [-bound, bound], deterministically."""
+    return tuple(map(Fraction, _draw_coefficients(m, bound, seed)))
+
+
+def _draw_coefficients(m: int, bound: int, seed: int) -> list[int]:
+    """:func:`sample_coefficients`'s coefficients as ints."""
     _check_nonnegative(m=m, bound=bound)
     _check_seed(seed)
     rng = random.Random(seed)
-    return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(m))
+    return [rng.randint(-bound, bound) for _ in range(m)]
 
 
 def sample_span_point(frame: Frame, bound: int, seed: int) -> Vector:
-    """Draw a point of the frame's span: an integer-coefficient combination.
+    """Draw a point of the frame's span: the combination of its vectors with
+    the coefficients :func:`sample_coefficients` draws for ``seed``.
 
     Deterministic for a fixed seed; ``span_contains(frame, result)`` holds
-    by construction.
+    by construction.  The coefficients are the point's coordinates over
+    the frame, unique as the frame is independent.
     """
-    return _span_points(frame, bound, [seed])[0][1]
-
-
-def _span_points(
-    frame: Frame, bound: int, seeds: Iterable[int]
-) -> list[tuple[Coordinates, Vector]]:
-    """For each seed, the coefficients :func:`sample_coefficients` draws
-    and the point :func:`sample_span_point` makes of them, clearing the
-    frame once for all of them.  The coefficients are the point's
-    coordinates over the frame, which are unique as the frame is
-    independent: a relation entry built from them is canonical."""
-    rows = list(map(_cleared, frame.vectors))
-    return [(c, _combine(rows, c)) for c in
-            (sample_coefficients(frame.size, bound, s) for s in seeds)]
+    N, L = _combine(list(map(_cleared, frame.vectors)),
+                    _draw_coefficients(frame.size, bound, seed))
+    return tuple([Fraction(a, L) for a in N])

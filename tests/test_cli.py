@@ -86,19 +86,25 @@ EQUIVALENCE_SWEEP = ("equivalence", "--dim", "4", "--m", "3", "--frames", "3",
 
 
 def test_equivalence_points_are_the_sampled_span_points(capsys, monkeypatch):
-    """Frame k's points are ``sample_span_point(frame_k, bound, s)``, with
-    ``s`` the seed derived for (k, t + 1), handed over in order."""
+    """Frame k is ``gram_schmidt`` of ``sample_frame``'s draw, and its points
+    are ``sample_span_point(frame_k, bound, s)`` with the coefficients
+    ``sample_coefficients(m, bound, s)``, ``s`` the seed derived for
+    (k, t + 1), handed over in order as integer forms."""
     import orthocheck.cli as cli
-    from orthocheck import (derive_seed, gram_schmidt, sample_frame,
-                            sample_span_point)
+    from orthocheck import (derive_seed, gram_schmidt, sample_coefficients,
+                            sample_frame, sample_span_point)
     from orthocheck.serialize import load_gram
 
     seen = []
     real = cli._projection_checks
 
-    def recorded(G, frame, points):
-        seen.append((frame, list(points)))
-        return real(G, frame, points)
+    def recorded(G, cleared, points):
+        points = list(points)
+        seen.append((
+            tuple(tuple(F(a, s) for a in U) for U, s in cleared),
+            [(tuple(map(F, c)), tuple(F(a, xd) for a in xn))
+             for c, (xn, xd) in points]))
+        return real(G, cleared, points)
 
     monkeypatch.setattr(cli, "_projection_checks", recorded)
     code, report, _ = run_cli(capsys, *EQUIVALENCE_SWEEP)
@@ -106,51 +112,124 @@ def test_equivalence_points_are_the_sampled_span_points(capsys, monkeypatch):
     G, expected = load_gram(GRAM4), []
     for k in range(3):
         frame = gram_schmidt(G, sample_frame(4, 3, 3, derive_seed(11, k, 0)))
-        expected.append((frame, [sample_span_point(frame, 3, derive_seed(11, k, t + 1))
-                                 for t in range(4)]))
+        seeds = [derive_seed(11, k, t + 1) for t in range(4)]
+        expected.append((frame.vectors, [
+            (sample_coefficients(3, 3, s), sample_span_point(frame, 3, s))
+            for s in seeds]))
     assert seen == expected
-    assert any(e.denominator > 1 for _, points in seen for x in points for e in x)
+    assert any(e.denominator > 1 for _, points in seen for _, x in points for e in x)
 
 
-def test_equivalence_runs_one_elimination_per_frame(capsys, monkeypatch):
-    """``--frames 3 --points 4`` solves all of a frame's points in one
-    augmented elimination (one ``_solve_many`` call): 3 of them, not 12."""
+def test_equivalence_runs_no_solve(capsys, monkeypatch):
+    """``--frames 3 --points 4`` checks every point against the coordinates
+    it was drawn with: no module's ``_solve_many`` is called."""
+    import orthocheck.cli as cli
     import orthocheck.inner_product as inner_product
+    import orthocheck.linalg as linalg
 
     solves = []
-    real = inner_product._solve_many
 
-    def counted(cleared, points):
-        solves.append(len(points))
-        return real(cleared, points)
+    def counted(real):
+        def solve(cleared, points):
+            solves.append(len(points))
+            return real(cleared, points)
+        return solve
 
-    monkeypatch.setattr(inner_product, "_solve_many", counted)
+    for module in (linalg, inner_product, cli):
+        if "_solve_many" in vars(module):
+            monkeypatch.setattr(module, "_solve_many", counted(module._solve_many))
     code, report, _ = run_cli(capsys, *EQUIVALENCE_SWEEP)
     assert (code, report["payload"]) == (0, {"failures": 0, "trials": 12})
-    assert solves == [4, 4, 4]  # points per elimination
+    assert solves == []
 
 
-def test_equivalence_counts_a_wrong_solved_coordinate(capsys, monkeypatch):
-    """The sweep compares every coordinate of every point: one perturbed
-    coordinate of one point of one frame is one failure in as many trials."""
-    import orthocheck.inner_product as inner_product
+def test_equivalence_counts_a_wrong_drawn_coordinate(capsys, monkeypatch):
+    """The sweep compares every coordinate of every point: one drawn
+    coordinate off by one, at one point of one frame, is one failure in
+    as many trials."""
+    import orthocheck.cli as cli
 
-    real = inner_product._solve_many
-    calls = []
+    real = cli._orthogonal_samples
 
-    def perturbed(cleared, points):
-        solved = real(cleared, points)
-        calls.append(len(points))
-        if len(calls) == 2:  # frame 1, point 2, the numerator of coordinate 1
-            N, D = solved[2]
-            solved[2] = ([N[0], N[1] + 1, *N[2:]], D)
-        return solved
+    def perturbed(*args):
+        for k, (frame, points) in enumerate(real(*args)):
+            if k == 1:  # frame 1, point 2, coordinate 2
+                c, x = points[2]
+                points[2] = ([c[0], c[1] + 1, *c[2:]], x)
+            yield frame, points
 
-    monkeypatch.setattr(inner_product, "_solve_many", perturbed)
+    monkeypatch.setattr(cli, "_orthogonal_samples", perturbed)
     code, report, _ = run_cli(capsys, *EQUIVALENCE_SWEEP)
-    assert calls == [4, 4, 4]
     assert code == 1 and report["verdict"] == "fail"
     assert report["payload"] == {"failures": 1, "trials": 12}
+
+
+def test_equivalence_counts_a_wrong_point_entry(capsys, monkeypatch):
+    """A combination kernel that puts one entry of one point off by one is
+    one failure in as many trials: the drawn coordinates no longer
+    expand to the point the formula reads."""
+    import orthocheck.inner_product as inner_product
+
+    real = inner_product._combine
+    calls = []
+
+    def perturbed(cleared, coeffs):
+        N, L = real(cleared, coeffs)
+        calls.append(len(coeffs))
+        if len(calls) == 7:  # frame 1, point 2, entry 1
+            N = [N[0] + 1, *N[1:]]
+        return N, L
+
+    monkeypatch.setattr(inner_product, "_combine", perturbed)
+    code, report, _ = run_cli(capsys, *EQUIVALENCE_SWEEP)
+    assert calls == [3] * 12
+    assert code == 1 and report["verdict"] == "fail"
+    assert report["payload"] == {"failures": 1, "trials": 12}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(EQUIVALENCE_SWEEP, id="gram4"),
+    pytest.param(("equivalence", "--dim", "5", "--m", "4"), id="identity5"),
+])
+def test_equivalence_builds_no_fraction_after_loading_the_form(capsys,
+                                                               monkeypatch, argv):
+    """From the draw to the verdict the sweep runs in integers: once the
+    form is loaded, ``cmd_equivalence`` builds no Fraction at all."""
+    import orthocheck.cli as cli
+
+    real_new, real_load = F.__new__, cli.RunConfig.load_inner_product
+    built, loaded = [], []
+
+    def counted(cls, *args, **kwargs):
+        if loaded:
+            built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    def load(config):
+        G = real_load(config)
+        loaded.append(G)
+        return G
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counted))
+    monkeypatch.setattr(cli.RunConfig, "load_inner_product", load)
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0 and report["payload"]["failures"] == 0
+    assert len(loaded) == 1 and report["payload"]["trials"] > 0
+    assert len(built) == 0
+
+
+def test_equivalence_over_a_non_orthogonal_frame_is_a_precondition_error(
+        capsys, monkeypatch):
+    """A Gram-Schmidt that returns its input leaves the frame non-orthogonal,
+    which the per-frame check refuses before reading any point."""
+    import orthocheck.inner_product as inner_product
+
+    monkeypatch.setattr(inner_product, "_orthogonalize",
+                        lambda G, images: [(U, s) for U, s, _ in images])
+    code, report, err = run_cli(capsys, "equivalence", "--dim", "3", "--m", "3",
+                                "--frames", "2", "--points", "2")
+    assert (code, report) == (2, None)
+    assert err == "ortho: frame is not orthogonal under the given form\n"
 
 
 def test_payloads_are_byte_identical_across_runs(capsys):

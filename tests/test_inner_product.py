@@ -12,6 +12,7 @@ from orthocheck import (
     GramInnerProduct,
     PreconditionError,
     ShapeError,
+    SpanMembershipError,
     SymmetryError,
     ZeroVectorError,
     evaluate,
@@ -27,6 +28,7 @@ from orthocheck import (
 )
 from orthocheck.dependence import Relation, factor_check, relation_point
 from orthocheck.inner_product import (
+    _orthogonal_samples,
     _projection_checks,
     coefficient_formula,
     first_nonorthogonal_pair,
@@ -236,9 +238,38 @@ def test_projection_equivalence_requires_orthogonality():
 
 
 def test_per_frame_check_proves_orthogonality_without_points():
-    assert _projection_checks(I2, frame_of((2, 0), (0, 3)), []) == []
+    assert _projection_checks(I2, [([2, 0], 1), ([0, 3], 1)], []) == []
     with pytest.raises(PreconditionError):
-        _projection_checks(I2, frame_of((1, 0), (1, 1)), [])
+        _projection_checks(I2, [([1, 0], 1), ([1, 1], 1)], [])
+
+
+def test_projection_equivalence_off_the_span_keeps_its_message():
+    """A thin frame and a point outside its span: the solve refuses it,
+    naming the point, after the frame is proved orthogonal."""
+    with pytest.raises(SpanMembershipError,
+                       match=r"^point \(1, 2, 1/2\) is outside the frame's span$"):
+        verify_projection_equivalence(I3, frame_of((1, 0, 0), (0, 3, 0)),
+                                      (1, 2, "1/2"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 6), data=st.data(), sampled=st.booleans(),
+       seed=st.integers(0, 2**64 - 1))
+def test_sweep_verdicts_are_the_solver_verdicts(dim, data, sampled, seed):
+    """Every verdict of the sweep's per-frame check, which compares the
+    formula with the drawn coordinates, is the solve route's verdict
+    ``solve_coordinates(frame, x) == formula``, and is True."""
+    m = data.draw(st.integers(2, dim))
+    G = (sample_inner_product(dim, 2, seed) if sampled
+         else identity_inner_product(dim))
+    for cleared, points in _orthogonal_samples(G, m, 2, 3, 3, seed):
+        fr = Frame._trusted(tuple(tuple(F(a, s) for a in U) for U, s in cleared))
+        verdicts = _projection_checks(G, cleared, points)
+        assert len(verdicts) == 3
+        for verdict, (_, (xn, xd)) in zip(verdicts, points):
+            x = tuple(F(a, xd) for a in xn)
+            formula = tuple(coefficient_formula(G, a, x) for a in fr)
+            assert verdict is (solve_coordinates(fr, x) == formula) is True
 
 
 def test_projection_equivalence_random_sweep():
