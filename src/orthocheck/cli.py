@@ -25,9 +25,9 @@ orthogonal and solving both frames of each rejection again, to integers
 ``(N, D)`` that it compares with the reported values by cross-multiplying.
 Exit codes: 0 verdict pass, 1 verdict fail, 2 usage or parse error, 3 an
 unexpected error inside the library (a bug; the traceback goes to stderr).
-A flag the chosen command path never reads is a usage error; ``--seed`` is
-accepted everywhere.  So are flags that ask for more work than the
-command's cap (see ``_cap_work``), and a seed outside [0, 2^64).
+A flag the chosen command path never reads is a usage error, and so are
+flags that ask for more work than the command's cap (see ``_cap_work``)
+and a seed outside [0, 2^64); ``--seed`` itself is accepted everywhere.
 """
 
 from __future__ import annotations

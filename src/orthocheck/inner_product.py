@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     DefinitenessError,
@@ -194,28 +194,27 @@ def verify_projection_equivalence(
     Requires the frame to be orthogonal under G (PreconditionError
     otherwise, before anything is solved) and ``x`` to lie in its span
     (:func:`solve_coordinates` raises SpanMembershipError).  For such
-    inputs the two routes always agree; :func:`_projection_checks` compares.
+    inputs the two routes always agree.
     """
-    def solved():  # read only once the frame is proved orthogonal
-        point = _row(G, x)
-        yield solve_coordinates(frame, x), point
-
-    return _projection_checks(G, [_row(G, v) for v in frame.vectors], solved())[0]
+    if not is_orthogonal_tuple(G, frame):
+        raise PreconditionError("frame is not orthogonal under the given form")
+    return (tuple(coefficient_formula(G, a, x) for a in frame.vectors)
+            == solve_coordinates(frame, x))
 
 
 def _projection_checks(
     G: GramInnerProduct,
     cleared: Sequence[_Cleared],
-    points: Iterable[tuple[Sequence[int | Fraction], _Cleared]],
+    points: list[tuple[list[int], _Cleared]],
 ) -> list[bool]:
     """Whether each point ``(t, (xn, xd))`` of a frame cleared to
     ``[(U_k, s_k)]`` has the formula's coordinates, ``t_k == <a_k, x> /
     <a_k, a_k>`` with ``x = xn / xd``, as the integer compare
     ``(Gn U_k . xn) s_k == t_k (Gn U_k . U_k) xd``.  ``Gn U_k`` is derived
     from G here; it proves the frame orthogonal (PreconditionError, even
-    with no points) before ``points``, possibly an iterator, is read.  The
-    frame is independent, so for a point drawn as ``sum(t_k a_k)`` this
-    holds exactly when the formula's coordinates expand back to x.
+    with no points).  The frame is independent, so for a point drawn as
+    ``sum(t_k a_k)`` this holds exactly when the formula's coordinates
+    expand back to x.
     """
     images = [(U, s, _gn(G, U)) for U, s in cleared]
     if _first_nonorthogonal(images) is not None:

@@ -578,6 +578,5 @@ def sample_span_point(frame: Frame, bound: int, seed: int) -> Vector:
     by construction.  The coefficients are the point's coordinates over
     the frame, unique as the frame is independent.
     """
-    N, L = _combine(list(map(_cleared, frame.vectors)),
-                    _draw_coefficients(frame.size, bound, seed))
-    return tuple([Fraction(a, L) for a in N])
+    return linear_combination(frame.vectors,
+                              _draw_coefficients(frame.size, bound, seed))

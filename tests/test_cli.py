@@ -639,6 +639,27 @@ def test_chain_defaults(capsys):
     assert report["payload"]["union_passes"] is True
 
 
+def test_chain_scans_only_its_last_member(capsys, monkeypatch):
+    """On its pass path ``chain`` makes one ``factor_check``, of the chain's
+    last member: m slot scans, however many members the chain has."""
+    import orthocheck.dependence as dependence
+
+    scans = []
+    real = dependence._scan_slot
+
+    def counted(points, index):
+        scans.append(index)
+        return real(points, index)
+
+    monkeypatch.setattr(dependence, "_scan_slot", counted)
+    code, report, _ = run_cli(capsys, "chain", "--dim", "3", "--m", "3",
+                              "--frames", "4", "--points", "3", "--seed", "5")
+    assert code == 0 and report["payload"]["union_passes"] is True
+    lengths = report["payload"]["chain_lengths"]
+    assert len(lengths) > 1 and lengths[-1] > 0
+    assert scans == [1, 2, 3]
+
+
 def test_pair_ip_fixture(capsys):
     code, report, _ = run_cli(capsys, "pair-ip", "--a=1,0", "--b=1,1")
     assert code == 0

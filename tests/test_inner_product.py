@@ -237,6 +237,28 @@ def test_projection_equivalence_requires_orthogonality():
         verify_projection_equivalence(I2, frame_of((1, 0), (1, 1)), (3, 5))
 
 
+def test_projection_equivalence_proves_orthogonality_before_the_span():
+    """A thin frame that is not orthogonal and a point outside its span:
+    the orthogonality precondition is what fails, not span membership."""
+    with pytest.raises(PreconditionError):
+        verify_projection_equivalence(I3, frame_of((1, 0, 0), (1, 1, 0)),
+                                      (1, 2, 3))
+
+
+def test_projection_equivalence_solves_nothing_for_a_nonorthogonal_frame(
+        monkeypatch):
+    import orthocheck.inner_product as inner_product
+
+    def refused(*args):
+        raise AssertionError("solve_coordinates called")
+
+    monkeypatch.setattr(inner_product, "solve_coordinates", refused)
+    for fr, x in [(frame_of((1, 0), (1, 1)), (3, 5)),
+                  (frame_of((1, 0, 0), (1, 1, 0)), (1, 2, 0))]:
+        with pytest.raises(PreconditionError):
+            verify_projection_equivalence(identity_inner_product(fr.dim), fr, x)
+
+
 def test_per_frame_check_proves_orthogonality_without_points():
     assert _projection_checks(I2, [([2, 0], 1), ([0, 3], 1)], []) == []
     with pytest.raises(PreconditionError):
@@ -257,8 +279,9 @@ def test_projection_equivalence_off_the_span_keeps_its_message():
        seed=st.integers(0, 2**64 - 1))
 def test_sweep_verdicts_are_the_solver_verdicts(dim, data, sampled, seed):
     """Every verdict of the sweep's per-frame check, which compares the
-    formula with the drawn coordinates, is the solve route's verdict
-    ``solve_coordinates(frame, x) == formula``, and is True."""
+    formula with the drawn coordinates, is the public check's verdict
+    ``verify_projection_equivalence(G, frame, x)``, solver against formula
+    in Fractions, and is True."""
     m = data.draw(st.integers(2, dim))
     G = (sample_inner_product(dim, 2, seed) if sampled
          else identity_inner_product(dim))
@@ -268,8 +291,7 @@ def test_sweep_verdicts_are_the_solver_verdicts(dim, data, sampled, seed):
         assert len(verdicts) == 3
         for verdict, (_, (xn, xd)) in zip(verdicts, points):
             x = tuple(F(a, xd) for a in xn)
-            formula = tuple(coefficient_formula(G, a, x) for a in fr)
-            assert verdict is (solve_coordinates(fr, x) == formula) is True
+            assert verdict is verify_projection_equivalence(G, fr, x) is True
 
 
 def test_projection_equivalence_random_sweep():

@@ -36,7 +36,7 @@ from orthocheck import (
     solve_coordinates,
     verify_orthogonal_maximality,
 )
-from orthocheck.dependence import Chain, chain_union
+from orthocheck.dependence import Chain
 from orthocheck.inner_product import first_nonorthogonal_pair
 from orthocheck.maximality import orthogonality_witness
 from orthocheck.serialize import frame_from_json, load_gram
@@ -71,10 +71,19 @@ def test_chain_order_has_its_own_error_type():
 
 
 def test_chain_union_is_last_member_for_nested_chains():
-    rel = build_orthogonal_relation(I2, 4, 3, 4, seed=1)
-    chain = sample_chain(rel, 5, seed=2)
-    union = chain_union(chain)
-    assert set(union.points) == set(chain.relations[-1].points)
+    """The set union of an ascending chain's members is its last member,
+    which is what lets ``chain_union_check`` scan that member alone; with
+    no member there is nothing to scan and the check passes."""
+    for seed in range(6):
+        rel = build_orthogonal_relation(I2, 4, 3, 4, seed=seed)
+        for depth in (0, 1, 2, 5):
+            chain = sample_chain(rel, depth, seed=seed + 100)
+            assert len(chain) == depth
+            if depth == 0:
+                assert chain_union_check(chain) is True
+                continue
+            union = set().union(*(member.points for member in chain))
+            assert union == set(chain.relations[-1].points)
 
 
 def test_chain_union_check_passes_on_built_chains():
@@ -88,6 +97,20 @@ def test_chain_union_check_rejects_bad_member():
     bad = Relation((relation_point(E2, (3, 5)), relation_point(SHEAR, (3, 5))))
     with pytest.raises(PreconditionError):
         chain_union_check(Chain((bad,)))
+
+
+def test_chain_union_check_names_the_first_member_that_does_not_factor():
+    """Member 0 factors and member 1 does not: member 1 is named.  When
+    both fail, member 0 is."""
+    good = Relation((relation_point(E2, (3, 5)),))
+    bad = Relation.from_points(good.points + (relation_point(SHEAR, (3, 5)),))
+    with pytest.raises(PreconditionError,
+                       match=r"^chain member 1 does not factor$"):
+        chain_union_check(Chain((good, bad)))
+    worse = Relation.from_points(bad.points + (relation_point(E2, (1, 0)),))
+    with pytest.raises(PreconditionError,
+                       match=r"^chain member 0 does not factor$"):
+        chain_union_check(Chain((bad, worse)))
 
 
 def test_empty_and_singleton_chains():
