@@ -226,11 +226,11 @@ def _projection_checks(
 
 
 def _orthogonalize(
-    G: GramInnerProduct, images: Sequence[_Image]
+    G: GramInnerProduct, cleared: Sequence[_Cleared]
 ) -> list[_Cleared]:
     """Integer Gram-Schmidt over vectors, in the given order, each read in
-    its one cleared form ``(U, s, Gn U)``, its :func:`_image`: the one
-    Gram-Schmidt loop.  Returns each output as ``(U, s)``.
+    its one cleared form ``(U, s)``: the one Gram-Schmidt loop.  Returns
+    each output in the same form.
 
     Output k keeps input k's ``U``, the same list object, when it is
     orthogonal to every earlier output (:func:`_as_vectors` reads this).  The
@@ -238,13 +238,12 @@ def _orthogonalize(
     ``<W, U> / <W, W>``, so projecting an earlier output W out of U is
     ``U <- <W,W> U - <W,U> W`` and ``s <- <W,W> s`` under G's numerator
     matrix, after which ``gcd(s, *U)`` is divided out.  Each output but the
-    last keeps ``Gn W`` and ``<W,W>``, so every later inner product is one
-    dot product; an input that is its own output reuses its given image.
+    last is mapped to ``Gn W`` once and keeps it with ``<W,W>``, so every
+    later inner product is one dot product.
     """
     done: list[tuple[list[int], list[int], int]] = []  # W, Gn W, <W,W>
     out: list[_Cleared] = []
-    for U, s, GU in images:
-        projected = False
+    for U, s in cleared:
         for W, GW, WW in done:
             WU = sum(map(mul, GW, U))
             if WU:
@@ -254,22 +253,21 @@ def _orthogonalize(
                 if g > 1:
                     U = [a // g for a in U]
                     s //= g
-                projected = True
         out.append((U, s))
-        if len(out) < len(images):
-            if projected:
-                GU = _gn(G, U)
+        if len(out) < len(cleared):
+            GU = _gn(G, U)
             done.append((U, GU, sum(map(mul, GU, U))))
     return out
 
 
-def _as_vectors(vectors: Sequence[Vector], images: Sequence[_Image],
+def _as_vectors(vectors: Sequence[Vector], cleared: Sequence[_Cleared],
                 outputs: Sequence[_Cleared]) -> tuple[Vector, ...]:
-    """:func:`_orthogonalize`'s outputs over ``vectors`` as Fraction
-    vectors: an output that kept its input's ``U`` is that input vector,
-    the same object, and any other is ``U / s``, one Fraction per entry."""
-    return tuple([v if U is image[0] else tuple([Fraction(a, s) for a in U])
-                  for v, image, (U, s) in zip(vectors, images, outputs)])
+    """:func:`_orthogonalize`'s outputs over ``vectors``, cleared to
+    ``cleared``, as Fraction vectors: an output that kept its input's ``U``
+    is that input vector, the same object, and any other is ``U / s``, one
+    Fraction per entry."""
+    return tuple([v if U is row[0] else tuple([Fraction(a, s) for a in U])
+                  for v, row, (U, s) in zip(vectors, cleared, outputs)])
 
 
 _ONE = Fraction(1)  # slot i's value over every candidate, one object
@@ -282,20 +280,21 @@ def _witness(
     its vectors' :func:`_image` under G and slots (i, j), with the collision
     point ``x = b_i + b_j`` and slot i's values of x over both frames.
 
-    Gram-Schmidt runs on the images with slot i first, so its first output
-    is ``b_i`` itself and reuses that image; the outputs are then put back
-    in the candidate's slot order.  With ``b = U / s``, x is
+    Gram-Schmidt runs on the images' ``(U, s)`` with slot i first, so its
+    first output is ``b_i`` itself; the outputs are then put back in the
+    candidate's slot order.  With ``b = U / s``, x is
     ``(U_i s_j + U_j s_i) / (s_i s_j)``, one Fraction per entry.  Slot i's
     value is 1 over the candidate, where x is ``e_i + e_j``, and
     ``<b_i, x> / <b_i, b_i> = 1 + ij s_i / (ii s_j)`` over the witness,
     with ``ii = Gn U_i . U_i`` and ``ij = Gn U_i . U_j``: the two agree
     exactly when ``<b_i, b_j> = 0``.
     """
+    cleared = [(U, s) for U, s, _ in images]
     order = [i - 1] + [k for k in range(len(images)) if k != i - 1]
-    outputs = _orthogonalize(G, [images[k] for k in order])
+    outputs = _orthogonalize(G, [cleared[k] for k in order])
     outputs.insert(i - 1, outputs.pop(0))
     # Gram-Schmidt keeps prefix spans: the witness is independent too.
-    witness = Frame._trusted(_as_vectors(candidate.vectors, images, outputs))
+    witness = Frame._trusted(_as_vectors(candidate.vectors, cleared, outputs))
     (U_i, s_i, GU_i), (U_j, s_j, _) = images[i - 1], images[j - 1]
     den = s_i * s_j
     x = tuple(Fraction(a * s_j + b * s_i, den) for a, b in zip(U_i, U_j))
@@ -317,8 +316,8 @@ def gram_schmidt(G: GramInnerProduct, vectors: Frame | Sequence[Vector]) -> Fram
     once per projected output entry.
     """
     frame = vectors if isinstance(vectors, Frame) else Frame(tuple(vectors))
-    images = [_image(G, v) for v in frame.vectors]
-    return Frame._trusted(_as_vectors(frame.vectors, images, _orthogonalize(G, images)))
+    cleared = [_row(G, v) for v in frame.vectors]
+    return Frame._trusted(_as_vectors(frame.vectors, cleared, _orthogonalize(G, cleared)))
 
 
 def _orthogonal_samples(
@@ -332,7 +331,7 @@ def _orthogonal_samples(
     and their combination, the point :func:`sample_span_point` makes."""
     for k in range(frame_count):
         rows = _draw_frame(G.dim, m, bound, derive_seed(seed, k, 0))
-        frame = _orthogonalize(G, [(U, 1, _gn(G, U)) for U in rows])
+        frame = _orthogonalize(G, [(U, 1) for U in rows])
         yield frame, [(c, _combine(frame, c)) for c in (
             _draw_coefficients(m, bound, derive_seed(seed, k, t + 1))
             for t in range(points_per_frame))]

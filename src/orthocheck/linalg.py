@@ -114,11 +114,6 @@ def as_vector(entries: Iterable[RationalLike]) -> Vector:
     return tuple(e if type(e) is Fraction else _rational(e) for e in entries)
 
 
-def vec(*entries: RationalLike) -> Vector:
-    """Shorthand: ``vec(3, "1/2")`` builds an exact vector."""
-    return as_vector(entries)
-
-
 def linear_combination(
     vectors: Sequence[Vector], coeffs: Sequence[RationalLike]
 ) -> Vector:

@@ -26,7 +26,7 @@ from .inner_product import (
     _witness,
     first_nonorthogonal_pair,  # noqa: F401  perfbench's traced run wraps it here
 )
-from .linalg import Frame, Vector, _check_nonnegative, _per_object, _Value, vec
+from .linalg import Frame, Vector, _check_nonnegative, _per_object, _Value, as_vector
 
 
 def orthogonality_witness(
@@ -54,37 +54,32 @@ def orthogonality_witness(
 
 
 class MaximalityReport(_Value):
-    """Verdict for one candidate frame against the orthogonal relation.
-
-    Orthogonal candidates are accepted.  A rejected candidate carries the
-    witness frame, the collision point, and the two disagreeing slot
-    values; the canonical relation entries of both frames at the
-    collision point reproduce the collision in the factorization scan.
+    """One candidate frame's verdict, as its certificate: accepted exactly
+    when it carries no witness.  A rejected candidate carries the witness
+    frame, the collision point, slot i's two disagreeing values and i; the
+    canonical relation entries of both frames at the collision point
+    reproduce the collision in the factorization scan.
     """
 
-    _fields = ("candidate", "verdict", "orthogonal_witness", "collision_point",
-               "values", "index", "other_index")
+    _fields = ("candidate", "orthogonal_witness", "collision_point", "values",
+               "index")
 
     def __init__(
         self,
         candidate: Frame,
-        verdict: str,
         orthogonal_witness: Frame | None = None,
         collision_point: Vector | None = None,
         values: tuple[Fraction, Fraction] | None = None,
         index: int | None = None,
-        other_index: int | None = None,
     ) -> None:
         self.__dict__.update(
-            candidate=candidate, verdict=verdict,
-            orthogonal_witness=orthogonal_witness,
+            candidate=candidate, orthogonal_witness=orthogonal_witness,
             collision_point=collision_point, values=values, index=index,
-            other_index=other_index,
         )
 
     @property
     def accepted(self) -> bool:
-        return self.verdict == "accepted"
+        return self.orthogonal_witness is None
 
 
 def verify_orthogonal_maximality(
@@ -106,14 +101,11 @@ def verify_orthogonal_maximality(
         images = [image(v) for v in candidate.vectors]
         pair = _first_nonorthogonal(images)
         if pair is None:
-            reports.append(MaximalityReport(candidate, "accepted"))
+            reports.append(MaximalityReport(candidate))
             continue
         i, j = pair
         witness, x, values = _witness(G, candidate, images, i, j)
-        reports.append(MaximalityReport(
-            candidate, "rejected", orthogonal_witness=witness,
-            collision_point=x, values=values, index=i, other_index=j,
-        ))
+        reports.append(MaximalityReport(candidate, witness, x, values, i))
     return tuple(reports)
 
 
@@ -126,7 +118,7 @@ def exhaustive_candidates_2d(bound: int) -> tuple[Frame, ...]:
     """
     _check_nonnegative(bound=bound)
     span = range(-bound, bound + 1)
-    grid = [((a, b), vec(a, b)) for a in span for b in span]
+    grid = [((a, b), as_vector((a, b))) for a in span for b in span]
     frames = []
     for (a1, a2), v in grid:
         for (b1, b2), w in grid:

@@ -202,18 +202,19 @@ def outcome_to_json(outcome: FactorizationOutcome) -> dict[str, Any]:
 
 def maximality_report_to_json(report: MaximalityReport,
                               to_json=vector_to_json) -> dict[str, Any]:
-    """Accepted reports carry candidate and verdict; rejected ones add the
-    witness frame, collision point, and the two disagreeing values.
-    ``to_json`` converts each candidate and witness vector.
+    """Verdict ``"accepted"`` and the candidate for a report without a
+    witness; ``"rejected"`` adds the witness frame, the collision point and
+    the two disagreeing values.  ``to_json`` converts each candidate and
+    witness vector.
     """
     candidate = [to_json(v) for v in report.candidate]
-    payload: dict[str, Any] = {"candidate": candidate, "verdict": report.verdict}
-    if not report.accepted:
-        payload["witness"] = [to_json(w) for w in report.orthogonal_witness]
-        payload["x"] = vector_to_json(report.collision_point)
-        payload["value_candidate"] = rational_to_json(report.values[0])
-        payload["value_witness"] = rational_to_json(report.values[1])
-    return payload
+    if report.accepted:
+        return {"candidate": candidate, "verdict": "accepted"}
+    return {"candidate": candidate, "verdict": "rejected",
+            "witness": [to_json(w) for w in report.orthogonal_witness],
+            "x": vector_to_json(report.collision_point),
+            "value_candidate": rational_to_json(report.values[0]),
+            "value_witness": rational_to_json(report.values[1])}
 
 
 def maximality_reports_to_json(reports: Iterable[MaximalityReport]

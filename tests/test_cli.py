@@ -225,11 +225,35 @@ def test_equivalence_over_a_non_orthogonal_frame_is_a_precondition_error(
     import orthocheck.inner_product as inner_product
 
     monkeypatch.setattr(inner_product, "_orthogonalize",
-                        lambda G, images: [(U, s) for U, s, _ in images])
+                        lambda G, cleared: list(cleared))
     code, report, err = run_cli(capsys, "equivalence", "--dim", "3", "--m", "3",
                                 "--frames", "2", "--points", "2")
     assert (code, report) == (2, None)
     assert err == "ortho: frame is not orthogonal under the given form\n"
+
+
+@pytest.mark.parametrize("argv, products", [
+    pytest.param(("equivalence", "--dim", "3", "--m", "3", "--frames", "2",
+                  "--points", "2"), 2 * (2 + 3), id="equivalence3"),
+    pytest.param(("factor", "--dim", "8", "--m", "8", "--frames", "12",
+                  "--points", "16"), 12 * 7, id="factor8"),
+])
+def test_sampled_frames_map_each_vector_under_the_form_once(
+        capsys, monkeypatch, argv, products):
+    """Gram-Schmidt reads each drawn row as ``(U, 1)`` and maps each output
+    but the last under G's numerator matrix once: m - 1 products per frame.
+    The equivalence check then maps the m finished vectors once more."""
+    import orthocheck.inner_product as inner_product
+
+    real, calls = inner_product._gn, []
+
+    def counted(G, U):
+        calls.append(U)
+        return real(G, U)
+
+    monkeypatch.setattr(inner_product, "_gn", counted)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(calls) == products
 
 
 def test_payloads_are_byte_identical_across_runs(capsys):
@@ -487,15 +511,14 @@ def _falsely_accepted(G, report):
     """The rejected candidate, reported as accepted."""
     from orthocheck.maximality import MaximalityReport
 
-    return MaximalityReport(report.candidate, "accepted")
+    return MaximalityReport(report.candidate)
 
 
 def _with(report, witness, values):
     from orthocheck.maximality import MaximalityReport
 
-    return MaximalityReport(report.candidate, report.verdict, witness,
-                            report.collision_point, values, report.index,
-                            report.other_index)
+    return MaximalityReport(report.candidate, witness, report.collision_point,
+                            values, report.index)
 
 
 @pytest.mark.parametrize(

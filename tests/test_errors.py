@@ -29,7 +29,7 @@ from orthocheck import (
     frame_of,
     solve_coordinates,
 )
-from orthocheck.linalg import vec
+from orthocheck.linalg import as_vector
 
 OVER = f"<a value over the {sys.get_int_max_str_digits()}-digit integer limit>"
 HUGE = 10 ** 5000
@@ -106,11 +106,11 @@ CASES = {
     ),
     "rational-literal": (
         RationalError,
-        lambda: vec(1, "x"),
+        lambda: as_vector((1, "x")),
         "not a rational literal: 'x'",
-        lambda: vec(1, [HUGE]),
+        lambda: as_vector((1, [HUGE])),
         f"not a rational literal: {OVER}",
-        lambda: vec(1, "7" * 4000 + "x"),
+        lambda: as_vector((1, "7" * 4000 + "x")),
         f"not a rational literal: '{'7' * 59}... (4001 characters)",
     ),
 }
@@ -137,7 +137,7 @@ def test_echoed_input_past_the_limit_keeps_its_error():
     an integer past the limit: the placeholder is printed, and the error
     stays a RationalError."""
     with pytest.raises(RationalError) as raised:
-        vec(1, [HUGE])
+        as_vector((1, [HUGE]))
     assert str(raised.value) == f"not a rational literal: {OVER}"
 
 

@@ -46,7 +46,6 @@ from orthocheck.linalg import (
     is_independent,
     matrix_rank,
     span_contains,
-    vec,
 )
 
 from oracles import (
@@ -73,7 +72,7 @@ def square(n):
 # --- vectors ---
 
 def test_vec_builds_fraction_tuple():
-    v = vec(1, "1/2", F(3, 4))
+    v = as_vector((1, "1/2", F(3, 4)))
     assert v == (F(1), F(1, 2), F(3, 4))
     assert all(isinstance(c, F) for c in v)
 
@@ -138,7 +137,7 @@ PROBES = ["1.5", "1e3", " 1/2 ", "\u0661/2", "1_000", 0.1, True, Decimal("1.5"),
 @pytest.mark.parametrize("entry", PROBES, ids=[repr(p)[:12] for p in PROBES])
 def test_vec_reads_only_the_literal_grammar(entry):
     with pytest.raises(RationalError):
-        vec(1, entry)
+        as_vector((1, entry))
 
 
 def _exact(e):
@@ -171,7 +170,7 @@ any_entry = st.one_of(
 # Each call, and how many of its four entries it reads.
 I2 = identity_inner_product(2)
 TAXONOMY = {
-    "vec": (2, lambda a, b, c, d: vec(a, b)),
+    "vec": (2, lambda a, b, c, d: as_vector((a, b))),
     "frame_of": (4, lambda a, b, c, d: frame_of((a, b), (c, d))),
     "Frame": (4, lambda a, b, c, d: Frame(((a, b), (c, d)))),
     "GramInnerProduct": (4, lambda a, b, c, d: GramInnerProduct(((a, b), (c, d)))),

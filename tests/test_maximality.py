@@ -196,11 +196,11 @@ def test_first_nonorthogonal_pair_ordering():
 
 def test_sweep_fixture_reports():
     reports = verify_orthogonal_maximality(I2, [SHEAR, E2])
-    assert [r.verdict for r in reports] == ["rejected", "accepted"]
+    assert [r.accepted for r in reports] == [False, True]
     rejected = reports[0]
     assert rejected.collision_point == (F(2), F(1))
     assert rejected.values == (F(1), F(2))
-    assert rejected.index == 1 and rejected.other_index == 2
+    assert rejected.index == 1 and rejected.orthogonal_witness == E2
 
 
 def _sampled_sweep(G):
@@ -264,7 +264,7 @@ def test_sweep_under_adapted_form():
     # orthogonal one and the standard basis is rejected
     G = frame_adapted_inner_product(SHEAR)
     reports = verify_orthogonal_maximality(G, [SHEAR, E2])
-    assert [r.verdict for r in reports] == ["accepted", "rejected"]
+    assert [r.accepted for r in reports] == [True, False]
 
 
 def test_sweep_shape_guards():
@@ -302,7 +302,7 @@ def test_sweep_matches_the_solving_route(case):
             continue
         i, j = pairs[0]
         witness, x, values = witness_by_solving(G, candidate, i, j)
-        assert (report.index, report.other_index) == (i, j)
+        assert report.index == i
         assert report.orthogonal_witness == witness
         assert report.collision_point == x
         assert report.values == values
@@ -381,7 +381,7 @@ def test_sweep_over_a_one_shot_generator_matches_a_tuple(G, dim):
     streamed = verify_orthogonal_maximality(G, fresh())
     held = verify_orthogonal_maximality(G, tuple(fresh()))
     assert streamed == held
-    assert {r.verdict for r in held} == {"accepted", "rejected"}
+    assert {r.accepted for r in held} == {True, False}
 
 
 # --- candidate grids ---

@@ -87,12 +87,10 @@ CASES = {
         Chain((REL,)),
     ),
     "MaximalityReport": (
-        MaximalityReport, (FRAME, "accepted"),
-        {"candidate": FRAME, "verdict": "accepted"},
-        f"MaximalityReport(candidate={FRAME!r}, verdict='accepted', "
-        "orthogonal_witness=None, collision_point=None, values=None, "
-        "index=None, other_index=None)",
-        MaximalityReport(SHEAR, "accepted"),
+        MaximalityReport, (FRAME,), {"candidate": FRAME},
+        f"MaximalityReport(candidate={FRAME!r}, orthogonal_witness=None, "
+        "collision_point=None, values=None, index=None)",
+        MaximalityReport(SHEAR),
     ),
     "RunConfig": (
         RunConfig, (), {},
