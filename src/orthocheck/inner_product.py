@@ -250,9 +250,8 @@ def _orthogonalize(
                 U = [WW * a - WU * b for a, b in zip(U, W)]
                 s *= WW
                 g = gcd(s, *U)
-                if g > 1:
-                    U = [a // g for a in U]
-                    s //= g
+                U = [a // g for a in U]
+                s //= g
         out.append((U, s))
         if len(out) < len(cleared):
             GU = _gn(G, U)

@@ -168,8 +168,6 @@ def _cleared(entries: Iterable[RationalLike]) -> tuple[list[int], int]:
     ratios = [(e if type(e) in _EXACT else _rational(e)).as_integer_ratio()
               for e in entries]
     d = lcm(*[q for _, q in ratios])
-    if d == 1:
-        return [p for p, _ in ratios], 1
     return [p * (d // q) for p, q in ratios], d
 
 
@@ -205,12 +203,8 @@ def _bareiss(rows: list[list[int]], swap: bool = True) -> tuple[list[int], int]:
         cols = range(c + 1, width)
         for row in rows[r + 1:]:
             factor = row[c]
-            if factor:
-                for k in cols:
-                    row[k] = (pivot * row[k] - factor * top[k]) // prev
-            elif pivot != prev:
-                for k in cols:
-                    row[k] = pivot * row[k] // prev
+            for k in cols:
+                row[k] = (pivot * row[k] - factor * top[k]) // prev
             row[c] = 0
         prev = pivot
         pivots.append(c)

@@ -62,10 +62,7 @@ def rational_from_json(obj: Any, location: str = "rational") -> Fraction:
 
 
 def vector_to_json(v: Vector) -> list[str]:
-    try:
-        return [str(entry) for entry in v]
-    except ValueError:  # an entry over the int/str limit: its error is raised
-        return [rational_to_json(entry) for entry in v]
+    return [rational_to_json(entry) for entry in v]
 
 
 def _array(obj: Any, location: str, what: str,

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 from random import Random
@@ -46,6 +47,7 @@ from orthocheck.serialize import load_gram, relation_from_json
 
 from oracles import first_conflict_pairwise, grouping_verdict
 from strategies import rationals, spelled
+from test_golden import GOLDEN, ROOT
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -601,3 +603,25 @@ def test_factor_check_matches_oracle_on_distinct_equal_objects(points):
         ce = out.counterexample
         assert (ce.index, ce.first, ce.second) == (index, rel.points[s], rel.points[t])
         assert ce.first is rel.points[s] and ce.second is rel.points[t]
+
+
+BUILT_GOLDEN = [entry["argv"] for entry in GOLDEN
+                if entry["argv"][0] in ("factor", "chain")
+                and "--input" not in entry["argv"]]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 17: built relations share no projection key, so their "
+    "factor verdict cannot fail"))
+@pytest.mark.parametrize("argv", BUILT_GOLDEN, ids=" ".join)
+def test_built_golden_relations_repeat_a_key_in_every_slot(argv, monkeypatch):
+    """Slot i's scan can only fail at a key two entries share: each slot of
+    the relation a golden ``factor`` or ``chain`` run builds must have one."""
+    from orthocheck.cli import _build_parser, _built_relation, _run_config
+
+    monkeypatch.chdir(ROOT)
+    rel = _built_relation(argv[0], _run_config(_build_parser().parse_args(argv)))
+    _, m = rel.shape
+    repeated = [sum(n > 1 for n in Counter(project(p, i) for p in rel).values())
+                for i in range(1, m + 1)]
+    assert all(repeated), repeated
