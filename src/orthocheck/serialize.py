@@ -7,9 +7,12 @@ whitespace so equal values serialize to equal bytes; golden fixtures and
 the CLI determinism contract both lean on that.
 
 Parsers raise :class:`RelationParseError` with a dotted/indexed location
-("points[3].frame[1][0]") for anything structurally wrong.  Semantic Gram
-failures (asymmetry, a non-positive minor) propagate as their own error
-types since they carry diagnostics a parse error would flatten.
+("points[3].frame[1][0]") for anything structurally wrong.  The location
+is built only on failure, by the ``except`` of each loop that holds an
+index (:class:`_Misread`).  Each call reads each distinct literal text
+once, through a table local to the call.  Semantic Gram failures
+(asymmetry, a non-positive minor) propagate as their own error types
+since they carry diagnostics a parse error would flatten.
 ``relation_from_json`` is the one relation reader.  It imports
 ``dependence`` when it runs, so a command that reads no relation does
 not load it.
@@ -50,44 +53,90 @@ def rational_to_json(value: Fraction) -> str:
             _over_limit("a result value") + " and cannot be written") from None
 
 
-def rational_from_json(obj: Any, location: str = "rational") -> Fraction:
-    if not isinstance(obj, str):
-        raise RelationParseError(
-            f"expected a \"p/q\" string, got {type(obj).__name__}", location
-        )
+class _Misread(Exception):
+    """A malformed element inside the JSON value being read.  ``path`` is
+    its location below that value (``"[3][1]"``), grown by the ``except``
+    of each enclosing loop as the error passes out; the reader handed the
+    value's own location raises it as a RelationParseError."""
+
+    def __init__(self, message: str, cause: BaseException | None = None):
+        self.message, self.cause, self.path = message, cause, ""
+
+
+def _read(read: Callable[[Any, dict], Any], obj: Any, location: str) -> Any:
+    """``read(obj, literals)`` with a fresh literal table; a failure is a
+    RelationParseError at ``location`` and the failing element's path."""
     try:
-        return _rational(obj)
-    except OrthoError as exc:
-        raise RelationParseError(str(exc), location) from None
+        return read(obj, {})
+    except _Misread as exc:
+        raise RelationParseError(exc.message, location + exc.path) from exc.cause
+
+
+def _literal(obj: Any, literals: dict[str, Fraction]) -> Fraction:
+    """A ``"p/q"`` string read by :func:`_rational`, once per distinct text
+    in ``literals``, the call's table; failures are not stored."""
+    if not isinstance(obj, str):
+        raise _Misread(f"expected a \"p/q\" string, got {type(obj).__name__}")
+    value = literals.get(obj)
+    if value is None:
+        try:
+            value = literals[obj] = _rational(obj)
+        except OrthoError as exc:
+            raise _Misread(str(exc)) from None
+    return value
+
+
+def rational_from_json(obj: Any, location: str = "rational") -> Fraction:
+    return _read(_literal, obj, location)
 
 
 def vector_to_json(v: Vector) -> list[str]:
     return [rational_to_json(entry) for entry in v]
 
 
-def _array(obj: Any, location: str, what: str,
-           parse: Callable[[Any, str], Any]) -> tuple:
-    """The entries of a non-empty JSON array of ``what``, each read by
-    ``parse`` at its indexed location ``location[k]``."""
-    if not isinstance(obj, list) or not obj:
-        raise RelationParseError(f"expected a non-empty array of {what}", location)
-    return tuple(parse(entry, f"{location}[{k}]") for k, entry in enumerate(obj))
+def _array(what: str, read: Callable[[Any, dict], Any]) -> Callable[[Any, dict], tuple]:
+    """The reader of a non-empty JSON array of ``what``, each entry read by
+    ``read``; a failing entry's index is put on its path here."""
+
+    def read_array(obj: Any, literals: dict[str, Fraction]) -> tuple:
+        if not isinstance(obj, list) or not obj:
+            raise _Misread(f"expected a non-empty array of {what}")
+        entries = []
+        for k, entry in enumerate(obj):
+            try:
+                entries.append(read(entry, literals))
+            except _Misread as exc:
+                exc.path = f"[{k}]{exc.path}"
+                raise
+        return tuple(entries)
+
+    return read_array
+
+
+_vector = _array("rationals", _literal)
 
 
 def vector_from_json(obj: Any, location: str = "vector") -> Vector:
-    return _array(obj, location, "rationals", rational_from_json)
+    return _read(_vector, obj, location)
 
 
 def frame_to_json(frame: Frame) -> list[list[str]]:
     return [vector_to_json(v) for v in frame]
 
 
-def frame_from_json(obj: Any, location: str = "frame") -> Frame:
-    vectors = _array(obj, location, "vectors", vector_from_json)
+_vectors = _array("vectors", _vector)
+
+
+def _frame(obj: Any, literals: dict[str, Fraction]) -> Frame:
+    vectors = _vectors(obj, literals)
     try:
         return Frame(vectors)
     except OrthoError as exc:
-        raise RelationParseError(str(exc), location) from exc
+        raise _Misread(str(exc), exc) from None
+
+
+def frame_from_json(obj: Any, location: str = "frame") -> Frame:
+    return _read(_frame, obj, location)
 
 
 def gram_to_json(G: GramInnerProduct) -> list[list[str]]:
@@ -98,7 +147,7 @@ def gram_from_json(obj: Any, location: str = "gram") -> GramInnerProduct:
     """Parse a Gram matrix.  Structure errors become parse errors; symmetry
     and definiteness failures keep their own types (and the failing minor).
     """
-    rows = _array(obj, location, "rows", vector_from_json)
+    rows = _read(_array("rows", _vector), obj, location)
     if any(len(row) != len(rows) for row in rows):
         raise RelationParseError(
             f"expected a square {len(rows)}x{len(rows)} matrix", location
@@ -121,39 +170,66 @@ def relation_to_json(rel: Relation) -> list[dict[str, Any]]:
 def relation_from_json(obj: Any, location: str = "points") -> Relation:
     """Parse a relation: an array of ``{frame, point, values}`` objects.
 
-    Frames are interned by the text of their JSON value (its ``repr``, a
-    faithful literal for JSON values), so a frame repeated across points
-    is parsed and validated once and then shared.  Only frames that parsed
-    are stored: a malformed frame raises at its first occurrence, with
-    that occurrence's location.
+    One load reads each distinct literal text once (:func:`_literal`), and
+    each distinct frame once: frames are interned by their rows as tuples,
+    and a hit is used only if the stored JSON value ``==`` this one, so a
+    frame repeated across points is parsed and validated once and then
+    shared.  Only what parsed is stored: a malformed literal or frame
+    raises at its first occurrence, with that occurrence's location, which
+    is built only then.
     """
     from .dependence import Relation, RelationPoint
 
     if not isinstance(obj, list):
         raise RelationParseError("expected an array of relation points", location)
-    frames: dict[str, Frame] = {}
+    literals: dict[str, Fraction] = {}
+    frames: dict[Any, tuple[Any, Frame]] = {}
     points = []
     for k, entry in enumerate(obj):
-        here = f"{location}[{k}]"
-        if not isinstance(entry, dict):
-            raise RelationParseError("expected an object", here)
-        missing = {"frame", "point", "values"} - entry.keys()
-        if missing:
-            raise RelationParseError(f"missing fields: {sorted(missing)}", here)
-        text = repr(entry["frame"])
-        frame = frames.get(text)
-        if frame is None:
-            frame = frames[text] = frame_from_json(entry["frame"], f"{here}.frame")
-        point = vector_from_json(entry["point"], f"{here}.point")
-        values = vector_from_json(entry["values"], f"{here}.values")
+        field = ""
         try:
+            if not isinstance(entry, dict):
+                raise _Misread("expected an object")
+            missing = {"frame", "point", "values"} - entry.keys()
+            if missing:
+                raise _Misread(f"missing fields: {sorted(missing)}")
+            field = ".frame"
+            frame = _interned(entry["frame"], frames, literals)
+            field = ".point"
+            point = _vector(entry["point"], literals)
+            field = ".values"
+            values = _vector(entry["values"], literals)
             points.append(RelationPoint(frame, point, values))
+        except _Misread as exc:
+            raise RelationParseError(
+                exc.message, f"{location}[{k}]{field}{exc.path}") from exc.cause
         except OrthoError as exc:
-            raise RelationParseError(str(exc), here) from exc
+            raise RelationParseError(str(exc), f"{location}[{k}]") from exc
     try:
         return Relation(points)
     except OrthoError as exc:
         raise RelationParseError(str(exc), location) from exc
+
+
+def _interned(obj: Any, frames: dict[Any, tuple[Any, Frame]],
+              literals: dict[str, Fraction]) -> Frame:
+    """The frame ``obj`` reads as, from ``frames`` when a frame with an
+    equal JSON value was read before.  The key, the rows as tuples, is
+    hashable for every well-formed frame; a key that is not is skipped."""
+    key = None
+    if type(obj) is list:
+        # Only list rows become tuples: a long string row stays one value.
+        key = tuple([tuple(row) if type(row) is list else row for row in obj])
+    try:
+        hit = frames.get(key)
+    except TypeError:  # a row holding a list or an object is unhashable
+        key = hit = None
+    if hit is not None and hit[0] == obj:
+        return hit[1]
+    frame = _frame(obj, literals)
+    if key is not None:
+        frames[key] = (obj, frame)
+    return frame
 
 
 def tables_to_json(

@@ -13,6 +13,7 @@ from orthocheck import (
     Relation,
     RelationParseError,
     SymmetryError,
+    build_orthogonal_relation,
     exhaustive_candidates_2d,
     factor_check,
     frame_of,
@@ -223,6 +224,16 @@ def test_relation_parse_validates_each_distinct_frame_once():
         relation_from_json([good, dependent, dict(dependent)])
     assert err.value.location == "points[1].frame"
 
+    # A frame interned earlier is reused only for an equal JSON value: each
+    # of these follows `good` and fails at its own place, with the third,
+    # not JSON, keyed like `good` by its rows as tuples.
+    for alias, where in ((["10", "01"], "frame[0]"),
+                         ([["1", "0"], ["0", 1]], "frame[1][1]"),
+                         ([("1", "0"), ("0", "1")], "frame[0]")):
+        with pytest.raises(RelationParseError) as err:
+            relation_from_json([good, dict(good, frame=alias)])
+        assert err.value.location == f"points[1].{where}"
+
     plane = {"frame": [["1", "0", "0"], ["0", "1", "0"]], "values": ["1", "1"]}
     with pytest.raises(RelationParseError) as err:  # shared frame, own span test
         relation_from_json([dict(plane, point=["1", "1", "0"]),
@@ -248,6 +259,80 @@ def test_relation_parse_runs_no_span_elimination_for_full_frames(monkeypatch):
     # point: a 4-vector frame spans all of Q^4
     assert len({id(p.frame) for p in rel.points}) == 3
     assert calls == [4, 4, 4]
+
+
+LIMIT = sys.get_int_max_str_digits()
+MALFORMED = [
+    ("1_0", "not a rational literal: '1_0'"),
+    ("3/0", "zero denominator: '3/0'"),
+    ("\u0663", "not a rational literal: '\u0663'"),
+    (3, 'expected a "p/q" string, got int'),
+    ("9" * (LIMIT + 1),
+     f"literal of {LIMIT + 1} digits exceeds the {LIMIT}-digit integer limit"),
+]
+
+
+def built_relation_json():
+    """157 entries over 10 dim-3 frames, each frame shared by its points."""
+    rel = build_orthogonal_relation(identity_inner_product(3), 10, 16, 3, 7, m=3)
+    obj = json.loads(canonical_dumps(relation_to_json(rel)))
+    assert len(obj) == 157
+    return obj
+
+
+@pytest.mark.parametrize("bad, message", MALFORMED,
+                         ids=["underscore", "zero-den", "arabic-indic", "number",
+                              "over-limit"])
+def test_relation_parse_locates_a_bad_literal_deep_in_a_built_relation(bad, message):
+    obj = built_relation_json()
+    for path, where in ((("point", 1), "point[1]"), (("values", 2), "values[2]"),
+                        (("frame", 1, 2), "frame[1][2]")):
+        corrupt = json.loads(json.dumps(obj))
+        *steps, last = path
+        target = corrupt[150]
+        for step in steps:
+            target = target[step]
+        target[last] = bad
+        with pytest.raises(RelationParseError) as err:
+            relation_from_json(corrupt)
+        assert err.value.location == f"points[150].{where}"
+        assert str(err.value) == f"points[150].{where}: {message}"
+
+    corrupt = json.loads(json.dumps(obj))
+    corrupt[3]["point"][0] = corrupt[5]["point"][0] = bad
+    with pytest.raises(RelationParseError) as err:  # a failure is not stored
+        relation_from_json(corrupt)
+    assert str(err.value) == f"points[3].point[0]: {message}"
+
+
+def dim8_relation_json():
+    """The relation `factor --dim 8 --m 8 --frames 12 --points 16` builds."""
+    rel = build_orthogonal_relation(identity_inner_product(8), 12, 16, 5, 0, m=8)
+    return json.loads(canonical_dumps(relation_to_json(rel)))
+
+
+@pytest.mark.parametrize("load, texts", [
+    (lambda: json.loads((FIXTURES / "relation4.json").read_text(encoding="utf-8")),
+     80),
+    (dim8_relation_json, 2196),
+], ids=["relation4", "dim8"])
+def test_relation_parse_reads_each_distinct_literal_once(monkeypatch, load, texts):
+    import orthocheck.serialize as serialize
+
+    obj = load()
+    assert len({text for entry in obj
+                for text in (*[e for row in entry["frame"] for e in row],
+                             *entry["point"], *entry["values"])}) == texts
+    rational = serialize._rational
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return rational(text)
+
+    monkeypatch.setattr(serialize, "_rational", counted)
+    assert relation_from_json(obj) == relation_from_json(json.loads(json.dumps(obj)))
+    assert len(calls) == 2 * texts  # two loads, one call per distinct text each
 
 
 def test_relation_parse_rejects_out_of_span_point():
