@@ -1,3 +1,4 @@
+import copy
 import json
 import sys
 from fractions import Fraction as F
@@ -241,6 +242,20 @@ def test_relation_parse_validates_each_distinct_frame_once():
     assert err.value.location == "points[1]"
 
 
+@pytest.mark.parametrize("frame, message", [
+    ([[["1"], "0"], ["0", "1"]], 'points[1].frame[0][0]: expected a "p/q" string, got list'),
+    ([{"a": "1"}, ["0", "1"]], "points[1].frame[0]: expected a non-empty array of rationals"),
+], ids=["list", "object"])
+def test_relation_parse_reads_a_frame_with_an_unhashable_row(frame, message):
+    # Such a frame has no interning key; it is read, and fails, at its place.
+    good = {"frame": [["1", "0"], ["0", "1"]], "point": ["1", "1"],
+            "values": ["1", "1"]}
+    bad = {"frame": frame, "point": ["1", "1"], "values": ["1", "1"]}
+    with pytest.raises(RelationParseError) as err:
+        relation_from_json([good, bad, copy.deepcopy(bad)])
+    assert str(err.value) == message
+
+
 def test_relation_parse_runs_no_span_elimination_for_full_frames(monkeypatch):
     import orthocheck.linalg as linalg
 
@@ -332,6 +347,27 @@ def test_relation_parse_reads_each_distinct_literal_once(monkeypatch, load, text
 
     monkeypatch.setattr(serialize, "_rational", counted)
     assert relation_from_json(obj) == relation_from_json(json.loads(json.dumps(obj)))
+    assert len(calls) == 2 * texts  # two loads, one call per distinct text each
+
+
+@pytest.mark.parametrize("name, entries, texts", [
+    ("gram12.json", 144, 76), ("gram16.json", 256, 133),
+])
+def test_gram_load_reads_each_distinct_literal_once(monkeypatch, name, entries, texts):
+    import orthocheck.serialize as serialize
+
+    rows = json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+    assert len([e for row in rows for e in row]) == entries
+    assert len({e for row in rows for e in row}) == texts
+    rational = serialize._rational
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return rational(text)
+
+    monkeypatch.setattr(serialize, "_rational", counted)
+    assert load_gram(str(FIXTURES / name)).matrix == gram_from_json(rows).matrix
     assert len(calls) == 2 * texts  # two loads, one call per distinct text each
 
 
