@@ -7,22 +7,22 @@ whitespace so equal values serialize to equal bytes; golden fixtures and
 the CLI determinism contract both lean on that.
 
 Parsers raise :class:`RelationParseError` with a dotted/indexed location
-("points[3].frame[1][0]") for anything structurally wrong.  The location
-is built only on failure, by the ``except`` of each loop that holds an
-index (:class:`_Misread`).  Each call reads each distinct literal text
-once, through a table local to the call.  Semantic Gram failures
-(asymmetry, a non-positive minor) propagate as their own error types
-since they carry diagnostics a parse error would flatten.
-``relation_from_json`` is the one relation reader.  It imports
-``dependence`` when it runs, so a command that reads no relation does
-not load it.
+("points[3].frame[1][0]") for anything structurally wrong.  Each reader
+takes its location as a tuple of parts, and a literal its index as well;
+the string is joined (:func:`_at`) only in the ``raise`` of a failure.
+Each call reads each distinct literal text once, through a table local
+to the call.  Semantic Gram failures (asymmetry, a non-positive minor)
+propagate as their own error types since they carry diagnostics a parse
+error would flatten.  ``relation_from_json`` is the one relation reader.
+It imports ``dependence`` when it runs, so a command that reads no
+relation does not load it.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from .errors import OrthoError, OutputLimitError, RelationParseError, _ends, _over_limit
 from .inner_product import GramInnerProduct
@@ -53,90 +53,75 @@ def rational_to_json(value: Fraction) -> str:
             _over_limit("a result value") + " and cannot be written") from None
 
 
-class _Misread(Exception):
-    """A malformed element inside the JSON value being read.  ``path`` is
-    its location below that value (``"[3][1]"``), grown by the ``except``
-    of each enclosing loop as the error passes out; the reader handed the
-    value's own location raises it as a RelationParseError."""
-
-    def __init__(self, message: str, cause: BaseException | None = None):
-        self.message, self.cause, self.path = message, cause, ""
+def _at(where: tuple) -> str:
+    """``where``'s parts joined: ``("points", 3, ".frame", 1)`` is
+    ``"points[3].frame[1]"``.  Only a reader's ``raise`` calls it."""
+    return "".join(part if type(part) is str else f"[{part}]" for part in where)
 
 
-def _read(read: Callable[[Any, dict], Any], obj: Any, location: str) -> Any:
-    """``read(obj, literals)`` with a fresh literal table; a failure is a
-    RelationParseError at ``location`` and the failing element's path."""
-    try:
-        return read(obj, {})
-    except _Misread as exc:
-        raise RelationParseError(exc.message, location + exc.path) from exc.cause
-
-
-def _literal(obj: Any, literals: dict[str, Fraction]) -> Fraction:
-    """A ``"p/q"`` string read by :func:`_rational`, once per distinct text
-    in ``literals``, the call's table; failures are not stored."""
+def _literal(obj: Any, literals: dict[str, Fraction], where: tuple,
+             part: int | str) -> Fraction:
+    """A ``"p/q"`` string at ``(*where, part)``, read by :func:`_rational`
+    once per distinct text in the call's table ``literals``, failures not."""
     if not isinstance(obj, str):
-        raise _Misread(f"expected a \"p/q\" string, got {type(obj).__name__}")
+        message = f"expected a \"p/q\" string, got {type(obj).__name__}"
+        raise RelationParseError(message, _at((*where, part)))
     value = literals.get(obj)
     if value is None:
         try:
             value = literals[obj] = _rational(obj)
         except OrthoError as exc:
-            raise _Misread(str(exc)) from None
+            raise RelationParseError(str(exc), _at((*where, part))) from None
     return value
 
 
 def rational_from_json(obj: Any, location: str = "rational") -> Fraction:
-    return _read(_literal, obj, location)
+    return _literal(obj, {}, (), location)
 
 
 def vector_to_json(v: Vector) -> list[str]:
     return [rational_to_json(entry) for entry in v]
 
 
-def _array(what: str, read: Callable[[Any, dict], Any]) -> Callable[[Any, dict], tuple]:
-    """The reader of a non-empty JSON array of ``what``, each entry read by
-    ``read``; a failing entry's index is put on its path here."""
-
-    def read_array(obj: Any, literals: dict[str, Fraction]) -> tuple:
-        if not isinstance(obj, list) or not obj:
-            raise _Misread(f"expected a non-empty array of {what}")
-        entries = []
-        for k, entry in enumerate(obj):
-            try:
-                entries.append(read(entry, literals))
-            except _Misread as exc:
-                exc.path = f"[{k}]{exc.path}"
-                raise
-        return tuple(entries)
-
-    return read_array
-
-
-_vector = _array("rationals", _literal)
+def _vector(obj: Any, literals: dict[str, Fraction], where: tuple) -> Vector:
+    """A non-empty JSON array of rationals at ``where``."""
+    if not isinstance(obj, list) or not obj:
+        raise RelationParseError("expected a non-empty array of rationals", _at(where))
+    entries = []
+    for k, entry in enumerate(obj):
+        entries.append(_literal(entry, literals, where, k))
+    return tuple(entries)
 
 
 def vector_from_json(obj: Any, location: str = "vector") -> Vector:
-    return _read(_vector, obj, location)
+    return _vector(obj, {}, (location,))
 
 
 def frame_to_json(frame: Frame) -> list[list[str]]:
     return [vector_to_json(v) for v in frame]
 
 
-_vectors = _array("vectors", _vector)
+def _rows(obj: Any, literals: dict[str, Fraction], where: tuple, what: str
+          ) -> tuple[Vector, ...]:
+    """A non-empty JSON array of ``what``, vectors, at ``where``."""
+    if not isinstance(obj, list) or not obj:
+        raise RelationParseError(f"expected a non-empty array of {what}", _at(where))
+    rows = []
+    for k, row in enumerate(obj):
+        rows.append(_vector(row, literals, (*where, k)))
+    return tuple(rows)
 
 
-def _frame(obj: Any, literals: dict[str, Fraction]) -> Frame:
-    vectors = _vectors(obj, literals)
+def _frame(obj: Any, literals: dict[str, Fraction], where: tuple) -> Frame:
+    vectors = _rows(obj, literals, where, "vectors")
     try:
         return Frame(vectors)
     except OrthoError as exc:
-        raise _Misread(str(exc), exc) from None
+        raise RelationParseError(str(exc), _at(where)) from exc
 
 
 def frame_from_json(obj: Any, location: str = "frame") -> Frame:
-    return _read(_frame, obj, location)
+    return _frame(obj, {}, (location,))
 
 
 def gram_to_json(G: GramInnerProduct) -> list[list[str]]:
@@ -147,11 +132,10 @@ def gram_from_json(obj: Any, location: str = "gram") -> GramInnerProduct:
     """Parse a Gram matrix.  Structure errors become parse errors; symmetry
     and definiteness failures keep their own types (and the failing minor).
     """
-    rows = _read(_array("rows", _vector), obj, location)
+    rows = _rows(obj, {}, (location,), "rows")
     if any(len(row) != len(rows) for row in rows):
-        raise RelationParseError(
-            f"expected a square {len(rows)}x{len(rows)} matrix", location
-        )
+        raise RelationParseError(f"expected a square {len(rows)}x{len(rows)} matrix",
+                                 location)
     return GramInnerProduct(rows)
 
 
@@ -175,8 +159,7 @@ def relation_from_json(obj: Any, location: str = "points") -> Relation:
     and a hit is used only if the stored JSON value ``==`` this one, so a
     frame repeated across points is parsed and validated once and then
     shared.  Only what parsed is stored: a malformed literal or frame
-    raises at its first occurrence, with that occurrence's location, which
-    is built only then.
+    raises at its first occurrence, with that occurrence's location.
     """
     from .dependence import Relation, RelationPoint
 
@@ -186,23 +169,17 @@ def relation_from_json(obj: Any, location: str = "points") -> Relation:
     frames: dict[Any, tuple[Any, Frame]] = {}
     points = []
     for k, entry in enumerate(obj):
-        field = ""
-        try:
-            if not isinstance(entry, dict):
-                raise _Misread("expected an object")
-            missing = {"frame", "point", "values"} - entry.keys()
-            if missing:
-                raise _Misread(f"missing fields: {sorted(missing)}")
-            field = ".frame"
-            frame = _interned(entry["frame"], frames, literals)
-            field = ".point"
-            point = _vector(entry["point"], literals)
-            field = ".values"
-            values = _vector(entry["values"], literals)
-            points.append(RelationPoint(frame, point, values))
-        except _Misread as exc:
+        if not isinstance(entry, dict):
+            raise RelationParseError("expected an object", f"{location}[{k}]")
+        missing = {"frame", "point", "values"} - entry.keys()
+        if missing:
             raise RelationParseError(
-                exc.message, f"{location}[{k}]{field}{exc.path}") from exc.cause
+                f"missing fields: {sorted(missing)}", f"{location}[{k}]")
+        frame = _interned(entry["frame"], frames, literals, (location, k, ".frame"))
+        point = _vector(entry["point"], literals, (location, k, ".point"))
+        values = _vector(entry["values"], literals, (location, k, ".values"))
+        try:
+            points.append(RelationPoint(frame, point, values))
         except OrthoError as exc:
             raise RelationParseError(str(exc), f"{location}[{k}]") from exc
     try:
@@ -212,10 +189,10 @@ def relation_from_json(obj: Any, location: str = "points") -> Relation:
 
 
 def _interned(obj: Any, frames: dict[Any, tuple[Any, Frame]],
-              literals: dict[str, Fraction]) -> Frame:
-    """The frame ``obj`` reads as, from ``frames`` when a frame with an
-    equal JSON value was read before.  The key, the rows as tuples, is
-    hashable for every well-formed frame; a key that is not is skipped."""
+              literals: dict[str, Fraction], where: tuple) -> Frame:
+    """The frame ``obj`` at ``where`` reads as, from ``frames`` when a frame
+    with an equal JSON value was read before.  The key, the rows as tuples,
+    is hashable for every well-formed frame; a key that is not is skipped."""
     key = None
     if type(obj) is list:
         # Only list rows become tuples: a long string row stays one value.
@@ -226,7 +203,7 @@ def _interned(obj: Any, frames: dict[Any, tuple[Any, Frame]],
         key = hit = None
     if hit is not None and hit[0] == obj:
         return hit[1]
-    frame = _frame(obj, literals)
+    frame = _frame(obj, literals, where)
     if key is not None:
         frames[key] = (obj, frame)
     return frame
