@@ -353,7 +353,7 @@ def sample_chain(rel: Relation, depth: int, seed: int) -> Chain:
     rng = random.Random(seed)
     count = len(rel)
     sizes = sorted(rng.randint(0, count) for _ in range(depth))
-    order = rng.sample(range(count), count) if count else []
+    order = rng.sample(range(count), count)
     return Chain(tuple(rel.take(order[:size]) for size in sizes))
 
 

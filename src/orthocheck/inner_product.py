@@ -229,44 +229,32 @@ def _orthogonalize(
     G: GramInnerProduct, cleared: Sequence[_Cleared]
 ) -> list[_Cleared]:
     """Integer Gram-Schmidt over vectors, in the given order, each read in
-    its one cleared form ``(U, s)``: the one Gram-Schmidt loop.  Returns
-    each output in the same form.
+    its one cleared form ``(U, s)`` with ``gcd(s, *U) == 1``: the one
+    Gram-Schmidt loop.  Returns each output in the same form.
 
-    Output k keeps input k's ``U``, the same list object, when it is
-    orthogonal to every earlier output (:func:`_as_vectors` reads this).  The
-    common denominator of G cancels in every projection coefficient
+    The common denominator of G cancels in every projection coefficient
     ``<W, U> / <W, W>``, so projecting an earlier output W out of U is
     ``U <- <W,W> U - <W,U> W`` and ``s <- <W,W> s`` under G's numerator
-    matrix, after which ``gcd(s, *U)`` is divided out.  Each output but the
-    last is mapped to ``Gn W`` once and keeps it with ``<W,W>``, so every
-    later inner product is one dot product.
+    matrix, after which ``gcd(s, *U)`` is divided out: for a zero ``<W,U>``
+    it is ``<W,W>``, and ``(U, s)`` comes back unchanged.  Each output but
+    the last is mapped to ``Gn W`` once and keeps it with ``<W,W>``, so
+    every later inner product is one dot product.
     """
     done: list[tuple[list[int], list[int], int]] = []  # W, Gn W, <W,W>
     out: list[_Cleared] = []
     for U, s in cleared:
         for W, GW, WW in done:
             WU = sum(map(mul, GW, U))
-            if WU:
-                U = [WW * a - WU * b for a, b in zip(U, W)]
-                s *= WW
-                g = gcd(s, *U)
-                U = [a // g for a in U]
-                s //= g
+            U = [WW * a - WU * b for a, b in zip(U, W)]
+            s *= WW
+            g = gcd(s, *U)
+            U = [a // g for a in U]
+            s //= g
         out.append((U, s))
         if len(out) < len(cleared):
             GU = _gn(G, U)
             done.append((U, GU, sum(map(mul, GU, U))))
     return out
-
-
-def _as_vectors(vectors: Sequence[Vector], cleared: Sequence[_Cleared],
-                outputs: Sequence[_Cleared]) -> tuple[Vector, ...]:
-    """:func:`_orthogonalize`'s outputs over ``vectors``, cleared to
-    ``cleared``, as Fraction vectors: an output that kept its input's ``U``
-    is that input vector, the same object, and any other is ``U / s``, one
-    Fraction per entry."""
-    return tuple([v if U is row[0] else tuple([Fraction(a, s) for a in U])
-                  for v, row, (U, s) in zip(vectors, cleared, outputs)])
 
 
 _ONE = Fraction(1)  # slot i's value over every candidate, one object
@@ -280,20 +268,20 @@ def _witness(
     point ``x = b_i + b_j`` and slot i's values of x over both frames.
 
     Gram-Schmidt runs on the images' ``(U, s)`` with slot i first, so its
-    first output is ``b_i`` itself; the outputs are then put back in the
-    candidate's slot order.  With ``b = U / s``, x is
+    first output is ``b_i``, kept as the candidate's own vector object; the
+    later outputs fill the other slots in order.  With ``b = U / s``, x is
     ``(U_i s_j + U_j s_i) / (s_i s_j)``, one Fraction per entry.  Slot i's
     value is 1 over the candidate, where x is ``e_i + e_j``, and
     ``<b_i, x> / <b_i, b_i> = 1 + ij s_i / (ii s_j)`` over the witness,
     with ``ii = Gn U_i . U_i`` and ``ij = Gn U_i . U_j``: the two agree
     exactly when ``<b_i, b_j> = 0``.
     """
-    cleared = [(U, s) for U, s, _ in images]
-    order = [i - 1] + [k for k in range(len(images)) if k != i - 1]
-    outputs = _orthogonalize(G, [cleared[k] for k in order])
-    outputs.insert(i - 1, outputs.pop(0))
+    rest = [(U, s) for k, (U, s, _) in enumerate(images) if k != i - 1]
+    outputs = _orthogonalize(G, [images[i - 1][:2], *rest])
+    vectors = [tuple([Fraction(a, s) for a in U]) for U, s in outputs[1:]]
+    vectors.insert(i - 1, candidate.vectors[i - 1])
     # Gram-Schmidt keeps prefix spans: the witness is independent too.
-    witness = Frame._trusted(_as_vectors(candidate.vectors, cleared, outputs))
+    witness = Frame._trusted(tuple(vectors))
     (U_i, s_i, GU_i), (U_j, s_j, _) = images[i - 1], images[j - 1]
     den = s_i * s_j
     x = tuple(Fraction(a * s_j + b * s_i, den) for a, b in zip(U_i, U_j))
@@ -311,12 +299,14 @@ def gram_schmidt(G: GramInnerProduct, vectors: Frame | Sequence[Vector]) -> Fram
     sequence is validated as one first, so dependent input raises
     DependentFrameError.
 
-    Runs over integers (:func:`_orthogonalize`), and Fractions are built
-    once per projected output entry.
+    Runs over integers (:func:`_orthogonalize`).  The first output is the
+    first input vector object; Fractions are built once per entry of each
+    later output.
     """
     frame = vectors if isinstance(vectors, Frame) else Frame(tuple(vectors))
-    cleared = [_row(G, v) for v in frame.vectors]
-    return Frame._trusted(_as_vectors(frame.vectors, cleared, _orthogonalize(G, cleared)))
+    outputs = _orthogonalize(G, [_row(G, v) for v in frame.vectors])
+    later = [tuple([Fraction(a, s) for a in U]) for U, s in outputs[1:]]
+    return Frame._trusted((frame.vectors[0], *later))
 
 
 def _orthogonal_samples(

@@ -182,7 +182,7 @@ def _bareiss(rows: list[list[int]], swap: bool = True) -> tuple[list[int], int]:
     nonzero entry in the current column wins.  With ``swap=False`` it
     stops at the first zero pivot.  Returns ``(pivot_columns, swap_count)``.
     """
-    n_rows, width = len(rows), len(rows[0]) if rows else 0
+    n_rows, width = len(rows), len(rows[0])
     pivots: list[int] = []
     swaps = 0
     prev = 1

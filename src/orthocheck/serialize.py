@@ -191,8 +191,8 @@ def relation_from_json(obj: Any, location: str = "points") -> Relation:
 def _interned(obj: Any, frames: dict[Any, tuple[Any, Frame]],
               literals: dict[str, Fraction], where: tuple) -> Frame:
     """The frame ``obj`` at ``where`` reads as, from ``frames`` when a frame
-    with an equal JSON value was read before.  The key, the rows as tuples,
-    is hashable for every well-formed frame; a key that is not is skipped."""
+    with an equal JSON value was read before, keyed by its rows as tuples:
+    a key that is hashable for every frame :func:`_frame` accepts."""
     key = None
     if type(obj) is list:
         # Only list rows become tuples: a long string row stays one value.
@@ -204,8 +204,7 @@ def _interned(obj: Any, frames: dict[Any, tuple[Any, Frame]],
     if hit is not None and hit[0] == obj:
         return hit[1]
     frame = _frame(obj, literals, where)
-    if key is not None:
-        frames[key] = (obj, frame)
+    frames[key] = (obj, frame)
     return frame
 
 

@@ -1,5 +1,6 @@
 import argparse
 import errno
+import gc
 import itertools
 import json
 import os
@@ -63,6 +64,43 @@ def test_main_calls_each_command_by_name_with_config_and_args(capsys,
         assert isinstance(args, argparse.Namespace)
         assert args.command == argv[0]
     assert len(calls) == 5
+
+
+def test_no_command_makes_cyclic_garbage(capsys):
+    """Every command frees what it builds by reference counting alone: after
+    a run the collector finds what it finds after building the parser,
+    argparse's own cycles, and nothing more.  The count is compared, not
+    pinned, since argparse's differs between Python versions."""
+    # One run per command path: both maximality sweeps, a built and a loaded
+    # factor scan, a small and the default equivalence run, chain and pair-ip.
+    runs = [
+        ("maximality", "--bound", "1"),
+        ("maximality", "--bound", "3"),
+        ("factor", "--frames", "1"),
+        ("factor", "--frames", "12"),
+        ("equivalence", "--frames", "1", "--points", "1"),
+        ("equivalence", "--frames", "8", "--points", "4"),
+        ("factor", "--input", str(ROOT / "tests" / "fixtures" / "relation4.json"),
+         "--dim", "4", "--m", "4"),
+        ("chain",),
+        ("pair-ip", "--a=1,0", "--b=1,1"),
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for argv in runs:  # warm up: imports and first-call caches
+            main(list(argv))
+        capsys.readouterr()
+        gc.collect()
+        _build_parser()
+        parser_only = gc.collect()
+        for argv in runs:
+            code = main(list(argv))
+            capsys.readouterr()
+            assert (code, gc.collect()) == (0, parser_only), argv
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_equivalence_defaults(capsys):

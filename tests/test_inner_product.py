@@ -366,7 +366,7 @@ def test_coefficient_formula_rejects_missized_vectors(a, x):
 def test_gram_schmidt_keeps_first_vector_and_span():
     fr = frame_of((1, 1, 0), (0, 1, 1))
     out = gram_schmidt(I3, fr)
-    assert out[0] == fr[0]
+    assert out[0] is fr[0]
     assert is_orthogonal_tuple(I3, out)
 
 

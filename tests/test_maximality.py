@@ -164,7 +164,7 @@ def test_witness_shares_slot_and_is_orthogonal():
     assert pair is not None
     i, j = pair
     witness, x = orthogonality_witness(fr, i, j, G)
-    assert witness[i - 1] == fr[i - 1]
+    assert witness[i - 1] is fr[i - 1]
     assert is_orthogonal_tuple(G, witness)
     # the collision point lies in both spans by construction
     assert solve_coordinates(fr, x)[i - 1] != solve_coordinates(witness, x)[i - 1]
