@@ -50,7 +50,8 @@ class RelationPoint(_Value):
     the exact coordinates of the point over the frame; the relation
     builders make the same entries from the coefficients they draw.
     Building instances with arbitrary values is allowed (oracle tests rely
-    on it), but span membership is always enforced.
+    on it), but span membership is enforced, except by the private
+    :meth:`_trusted`, given a point in the span and one value per vector.
 
     The hash covers the (frame, point) pair: it combines the frame's hash
     with the point's, from integer ratios (:func:`_vector_hash`), which is
@@ -75,15 +76,6 @@ class RelationPoint(_Value):
         if not span_contains(self.frame, self.point):
             raise _outside_span(self.point)
 
-    @classmethod
-    def _trusted(
-        cls, frame: Frame, point: Vector, values: Coordinates
-    ) -> "RelationPoint":
-        """An entry whose point is known to lie in the span, values fitting."""
-        p = object.__new__(cls)
-        p.__dict__.update(frame=frame, point=point, values=values)
-        return p
-
     @cached_property
     def point_hash(self) -> int:
         """``_vector_hash(self.point)``, once per relation point."""
@@ -97,7 +89,8 @@ def relation_point(frame: Frame, point: Vector) -> RelationPoint:
     """Canonical entry: values are the exact coordinates of the point; the
     solve is also its span test (SpanMembershipError outside the span)."""
     point = as_vector(point)
-    return RelationPoint._trusted(frame, point, solve_coordinates(frame, point))
+    return RelationPoint._trusted(
+        frame=frame, point=point, values=solve_coordinates(frame, point))
 
 
 class Relation(_Value):
@@ -105,7 +98,8 @@ class Relation(_Value):
 
     All points share one ambient dimension and frame size; duplicate
     (frame, point) pairs are rejected.  Use :meth:`from_points` to build
-    from a stream that may repeat entries.
+    from a stream that may repeat entries, and the private :meth:`_trusted`
+    from a tuple of points already known distinct and of one shape.
     """
 
     _fields = ("points",)
@@ -130,14 +124,7 @@ class Relation(_Value):
         """Build a relation, keeping the first of any duplicated pair."""
         kept, _ = _first_of_each_pair(points)
         _check_one_shape(kept)
-        return cls._trusted(kept)
-
-    @classmethod
-    def _trusted(cls, points: Iterable[RelationPoint]) -> "Relation":
-        """A relation over points already known distinct and of one shape."""
-        rel = object.__new__(cls)
-        rel.__dict__.update(points=tuple(points))
-        return rel
+        return cls._trusted(points=tuple(kept))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -153,7 +140,7 @@ class Relation(_Value):
         if picked and not 0 <= picked[0] <= picked[-1] < len(self.points):
             raise IndexError(f"indices {picked[0]}..{picked[-1]} reach outside "
                              f"a relation of {len(self.points)} points")
-        return Relation._trusted(self.points[i] for i in picked)
+        return Relation._trusted(points=tuple([self.points[i] for i in picked]))
 
     @property
     def shape(self) -> tuple[int, int] | None:
@@ -385,11 +372,11 @@ def build_orthogonal_relation(
     def entries() -> Iterator[RelationPoint]:
         for cleared, points in _orthogonal_samples(
                 G, m, frame_count, points_per_frame, bound, seed):
-            frame = Frame._trusted(tuple(
+            frame = Frame._trusted(vectors=tuple(
                 tuple([Fraction(a, s) for a in U]) for U, s in cleared))
             for c, (xn, xd) in points:
                 yield RelationPoint._trusted(
-                    frame, tuple([Fraction(a, xd) for a in xn]),
-                    tuple(map(Fraction, c)))
+                    frame=frame, point=tuple([Fraction(a, xd) for a in xn]),
+                    values=tuple(map(Fraction, c)))
 
     return Relation.from_points(entries())

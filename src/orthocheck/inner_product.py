@@ -281,7 +281,7 @@ def _witness(
     vectors = [tuple([Fraction(a, s) for a in U]) for U, s in outputs[1:]]
     vectors.insert(i - 1, candidate.vectors[i - 1])
     # Gram-Schmidt keeps prefix spans: the witness is independent too.
-    witness = Frame._trusted(tuple(vectors))
+    witness = Frame._trusted(vectors=tuple(vectors))
     (U_i, s_i, GU_i), (U_j, s_j, _) = images[i - 1], images[j - 1]
     den = s_i * s_j
     x = tuple(Fraction(a * s_j + b * s_i, den) for a, b in zip(U_i, U_j))
@@ -306,7 +306,7 @@ def gram_schmidt(G: GramInnerProduct, vectors: Frame | Sequence[Vector]) -> Fram
     frame = vectors if isinstance(vectors, Frame) else Frame(tuple(vectors))
     outputs = _orthogonalize(G, [_row(G, v) for v in frame.vectors])
     later = [tuple([Fraction(a, s) for a in U]) for U, s in outputs[1:]]
-    return Frame._trusted((frame.vectors[0], *later))
+    return Frame._trusted(vectors=(frame.vectors[0], *later))
 
 
 def _orthogonal_samples(

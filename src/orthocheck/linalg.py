@@ -41,7 +41,7 @@ RationalLike = Fraction | int | str
 Vector = tuple[Fraction, ...]
 Coordinates = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
-_T, _R = TypeVar("_T"), TypeVar("_R")
+_T, _R, _V = TypeVar("_T"), TypeVar("_R"), TypeVar("_V", bound="_Value")
 
 #: Rejection-sampling attempts before giving up.  Degenerate parameters
 #: (bound=0 can never yield an independent frame) fail loudly instead of
@@ -293,6 +293,14 @@ class _Value:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    @classmethod
+    def _trusted(cls: type[_V], **fields: object) -> _V:
+        """An instance from ``fields``, one per name in ``_fields``, without
+        ``__init__``'s checks: its class docstring says what callers prove."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(fields)
+        return obj
+
     def _values(self) -> tuple:
         return tuple([self.__dict__[name] for name in self._fields])
 
@@ -320,8 +328,8 @@ class Frame(_Value):
 
     Independence is checked exactly at construction, so holding a Frame is
     proof of it.  Library code that has just proved independence another
-    way (a nonzero determinant, a rank test, Gram-Schmidt) builds through
-    the private :meth:`_trusted` instead of proving it again.  Instances
+    way (a nonzero determinant, a rank test, Gram-Schmidt) passes the
+    Fraction vectors to the private :meth:`_trusted` instead.  Instances
     are immutable and hashable; equality is entrywise and exact.  The hash
     of each vector, from integer ratios (:func:`_vector_hash`), is computed
     once, on first use of :attr:`slot_hashes` or ``hash()``, and kept on
@@ -350,13 +358,6 @@ class Frame(_Value):
             raise DependentFrameError(
                 f"frame vectors are linearly dependent: {_shown(vectors)}"
             )
-
-    @classmethod
-    def _trusted(cls, vectors: tuple[Vector, ...]) -> "Frame":
-        """A frame over Fraction vectors already known to be independent."""
-        frame = object.__new__(cls)
-        frame.__dict__.update(vectors=vectors)
-        return frame
 
     @property
     def dim(self) -> int:
@@ -525,7 +526,7 @@ def sample_frame(dim: int, m: int, bound: int, seed: int) -> Frame:
     Each draw is ranked as ints (:func:`_draw_frame`); Fractions are built
     for the accepted one.
     """
-    return Frame._trusted(tuple(
+    return Frame._trusted(vectors=tuple(
         tuple(map(Fraction, row)) for row in _draw_frame(dim, m, bound, seed)))
 
 

@@ -123,5 +123,5 @@ def exhaustive_candidates_2d(bound: int) -> tuple[Frame, ...]:
     for (a1, a2), v in grid:
         for (b1, b2), w in grid:
             if a1 * b2 - a2 * b1:  # the independence proof, over ints
-                frames.append(Frame._trusted((v, w)))
+                frames.append(Frame._trusted(vectors=(v, w)))
     return tuple(frames)

@@ -128,14 +128,14 @@ def gram_to_json(G: GramInnerProduct) -> list[list[str]]:
     return [vector_to_json(row) for row in G.matrix]
 
 
-def gram_from_json(obj: Any, location: str = "gram") -> GramInnerProduct:
+def gram_from_json(obj: Any) -> GramInnerProduct:
     """Parse a Gram matrix.  Structure errors become parse errors; symmetry
     and definiteness failures keep their own types (and the failing minor).
     """
-    rows = _rows(obj, {}, (location,), "rows")
+    rows = _rows(obj, {}, ("gram",), "rows")
     if any(len(row) != len(rows) for row in rows):
         raise RelationParseError(f"expected a square {len(rows)}x{len(rows)} matrix",
-                                 location)
+                                 "gram")
     return GramInnerProduct(rows)
 
 
@@ -151,7 +151,7 @@ def relation_to_json(rel: Relation) -> list[dict[str, Any]]:
     return [relation_point_to_json(p) for p in rel.points]
 
 
-def relation_from_json(obj: Any, location: str = "points") -> Relation:
+def relation_from_json(obj: Any) -> Relation:
     """Parse a relation: an array of ``{frame, point, values}`` objects.
 
     One load reads each distinct literal text once (:func:`_literal`), and
@@ -164,28 +164,28 @@ def relation_from_json(obj: Any, location: str = "points") -> Relation:
     from .dependence import Relation, RelationPoint
 
     if not isinstance(obj, list):
-        raise RelationParseError("expected an array of relation points", location)
+        raise RelationParseError("expected an array of relation points", "points")
     literals: dict[str, Fraction] = {}
     frames: dict[Any, tuple[Any, Frame]] = {}
     points = []
     for k, entry in enumerate(obj):
         if not isinstance(entry, dict):
-            raise RelationParseError("expected an object", f"{location}[{k}]")
+            raise RelationParseError("expected an object", f"points[{k}]")
         missing = {"frame", "point", "values"} - entry.keys()
         if missing:
             raise RelationParseError(
-                f"missing fields: {sorted(missing)}", f"{location}[{k}]")
-        frame = _interned(entry["frame"], frames, literals, (location, k, ".frame"))
-        point = _vector(entry["point"], literals, (location, k, ".point"))
-        values = _vector(entry["values"], literals, (location, k, ".values"))
+                f"missing fields: {sorted(missing)}", f"points[{k}]")
+        frame = _interned(entry["frame"], frames, literals, ("points", k, ".frame"))
+        point = _vector(entry["point"], literals, ("points", k, ".point"))
+        values = _vector(entry["values"], literals, ("points", k, ".values"))
         try:
             points.append(RelationPoint(frame, point, values))
         except OrthoError as exc:
-            raise RelationParseError(str(exc), f"{location}[{k}]") from exc
+            raise RelationParseError(str(exc), f"points[{k}]") from exc
     try:
         return Relation(points)
     except OrthoError as exc:
-        raise RelationParseError(str(exc), location) from exc
+        raise RelationParseError(str(exc), "points") from exc
 
 
 def _interned(obj: Any, frames: dict[Any, tuple[Any, Frame]],
@@ -301,9 +301,9 @@ def _load_json(path: str) -> Any:
 
 def load_relation(path: str) -> Relation:
     """Read a relation from a JSON file (array of {frame, point, values})."""
-    return relation_from_json(_load_json(path), "points")
+    return relation_from_json(_load_json(path))
 
 
 def load_gram(path: str) -> GramInnerProduct:
     """Read a Gram matrix from a JSON file (array of arrays of "p/q")."""
-    return gram_from_json(_load_json(path), "gram")
+    return gram_from_json(_load_json(path))

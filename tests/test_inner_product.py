@@ -286,7 +286,8 @@ def test_sweep_verdicts_are_the_solver_verdicts(dim, data, sampled, seed):
     G = (sample_inner_product(dim, 2, seed) if sampled
          else identity_inner_product(dim))
     for cleared, points in _orthogonal_samples(G, m, 2, 3, 3, seed):
-        fr = Frame._trusted(tuple(tuple(F(a, s) for a in U) for U, s in cleared))
+        fr = Frame._trusted(
+            vectors=tuple(tuple(F(a, s) for a in U) for U, s in cleared))
         verdicts = _projection_checks(G, cleared, points)
         assert len(verdicts) == 3
         for verdict, (_, (xn, xd)) in zip(verdicts, points):

@@ -623,7 +623,7 @@ def test_solve_rejects_wrong_dimension():
 
 
 def test_solve_rejects_a_dependent_trusted_frame():
-    fr = Frame._trusted(((F(1), F(2)), (F(2), F(4))))
+    fr = Frame._trusted(vectors=((F(1), F(2)), (F(2), F(4))))
     with pytest.raises(DependentFrameError):
         solve_coordinates(fr, (1, 2))
 
@@ -632,7 +632,7 @@ def test_solve_rejects_a_dependent_trusted_frame_with_asserts_off():
     code = (
         "from fractions import Fraction as F\n"
         "from orthocheck import DependentFrameError, Frame, solve_coordinates\n"
-        "fr = Frame._trusted(((F(1), F(2)), (F(2), F(4))))\n"
+        "fr = Frame._trusted(vectors=((F(1), F(2)), (F(2), F(4))))\n"
         "try:\n"
         "    solve_coordinates(fr, (1, 2))\n"
         "except DependentFrameError:\n"

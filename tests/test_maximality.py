@@ -376,7 +376,7 @@ def test_sweep_over_a_one_shot_generator_matches_a_tuple(G, dim):
             fr = sample_frame(dim, dim, 2, seed)
             if seed % 3 == 0:
                 fr = gram_schmidt(G, fr)
-            yield Frame._trusted(tuple(tuple(v) for v in fr.vectors))
+            yield Frame._trusted(vectors=tuple(tuple(v) for v in fr.vectors))
 
     streamed = verify_orthogonal_maximality(G, fresh())
     held = verify_orthogonal_maximality(G, tuple(fresh()))
