@@ -17,7 +17,10 @@ its payload and whether it passed; ``main`` looks it up by name, times
 it, assembles the report (command, config echo, payload, verdict,
 ``duration_s``) and writes it, to stdout or ``--output``, as canonical
 JSON.  With a fixed config the payload is byte-identical across runs and
-platforms; only ``duration_s`` varies.
+platforms; only ``duration_s`` varies.  ``main`` runs the command and the
+write with the cyclic garbage collector off and restores the caller's
+setting, because no command makes cyclic garbage (pinned by
+``test_no_command_makes_cyclic_garbage``).
 ``maximality`` passes only if every report survives a re-check that
 reads nothing the sweep computed: one pass over all reports, with its own
 table, clearing each vector once, proving each accepted candidate
@@ -33,6 +36,7 @@ and a seed outside [0, 2^64); ``--seed`` itself is accepted everywhere.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from functools import partial
@@ -441,40 +445,46 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
 
-    try:
-        config = _run_config(args)
-        # Looked up when main runs, so a rebound ``cmd_*`` is the one called.
-        command = globals()["cmd_" + args.command.replace("-", "_")]
-        started = time.perf_counter()
-        payload, passed = command(config, args)
-        report = {
-            "command": args.command,
-            "config": config.to_json(),
-            "payload": payload,
-            "verdict": "pass" if passed else "fail",
-            "duration_s": round(time.perf_counter() - started, 6),
-        }
-        data = (canonical_dumps(report) + "\n").encode("utf-8")
-        if args.output is None:
-            sys.stdout.buffer.write(data)
-        else:
-            with open(args.output, "wb") as handle:
-                handle.write(data)
-    except (OrthoError, OSError) as exc:
-        if isinstance(exc, OSError) and isinstance(exc.filename, str):
-            exc.filename = _ends(exc.filename)  # a long path would flood stderr
-        print(f"ortho: {exc}", file=sys.stderr)
-        return 2
-    except Exception:
-        # Not a usage error: a bug.  Print the traceback as an uncaught
-        # exception would, but exit 3: Python's own exit code for an
-        # uncaught exception, 1, would read as a failing verdict.
-        sys.excepthook(*sys.exc_info())
-        return 3
-    return 0 if passed else 1
+        try:
+            config = _run_config(args)
+            # Looked up when main runs, so a rebound ``cmd_*`` is the one called.
+            command = globals()["cmd_" + args.command.replace("-", "_")]
+            started = time.perf_counter()
+            payload, passed = command(config, args)
+            report = {
+                "command": args.command,
+                "config": config.to_json(),
+                "payload": payload,
+                "verdict": "pass" if passed else "fail",
+                "duration_s": round(time.perf_counter() - started, 6),
+            }
+            data = (canonical_dumps(report) + "\n").encode("utf-8")
+            if args.output is None:
+                sys.stdout.buffer.write(data)
+            else:
+                with open(args.output, "wb") as handle:
+                    handle.write(data)
+        except (OrthoError, OSError) as exc:
+            if isinstance(exc, OSError) and isinstance(exc.filename, str):
+                exc.filename = _ends(exc.filename)  # a long path would flood stderr
+            print(f"ortho: {exc}", file=sys.stderr)
+            return 2
+        except Exception:
+            # Not a usage error: a bug.  Print the traceback as an uncaught
+            # exception would, but exit 3: Python's own exit code for an
+            # uncaught exception, 1, would read as a failing verdict.
+            sys.excepthook(*sys.exc_info())
+            return 3
+        return 0 if passed else 1
+    finally:
+        if enabled:
+            gc.enable()

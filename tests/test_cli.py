@@ -66,41 +66,116 @@ def test_main_calls_each_command_by_name_with_config_and_args(capsys,
     assert len(calls) == 5
 
 
-def test_no_command_makes_cyclic_garbage(capsys):
+RELATION4 = str(ROOT / "tests" / "fixtures" / "relation4.json")
+RELATION4_CONFLICT = str(ROOT / "tests" / "fixtures" / "relation4_conflict.json")
+
+
+def test_no_command_makes_cyclic_garbage(capsys, tmp_path):
     """Every command frees what it builds by reference counting alone: after
     a run the collector finds what it finds after building the parser,
     argparse's own cycles, and nothing more.  The count is compared, not
-    pinned, since argparse's differs between Python versions."""
+    pinned, since argparse's differs between Python versions.  ``main``
+    runs with the collector off, so the failing and error paths are held
+    to the same rule."""
+    output = str(tmp_path / "report.json")
     # One run per command path: both maximality sweeps, a built and a loaded
-    # factor scan, a small and the default equivalence run, chain and pair-ip.
+    # factor scan, a small and the default equivalence run, chain and pair-ip;
+    # then a failing verdict and four usage errors.
     runs = [
-        ("maximality", "--bound", "1"),
-        ("maximality", "--bound", "3"),
-        ("factor", "--frames", "1"),
-        ("factor", "--frames", "12"),
-        ("equivalence", "--frames", "1", "--points", "1"),
-        ("equivalence", "--frames", "8", "--points", "4"),
-        ("factor", "--input", str(ROOT / "tests" / "fixtures" / "relation4.json"),
-         "--dim", "4", "--m", "4"),
-        ("chain",),
-        ("pair-ip", "--a=1,0", "--b=1,1"),
+        (0, ("maximality", "--bound", "1")),
+        (0, ("maximality", "--bound", "3")),
+        (0, ("factor", "--frames", "1")),
+        (0, ("factor", "--frames", "12")),
+        (0, ("equivalence", "--frames", "1", "--points", "1")),
+        (0, ("equivalence", "--frames", "8", "--points", "4")),
+        (0, ("factor", "--input", RELATION4, "--dim", "4", "--m", "4")),
+        (0, ("chain",)),
+        (0, ("pair-ip", "--a=1,0", "--b=1,1")),
+        (1, ("factor", "--input", RELATION4_CONFLICT, "--dim", "4", "--m", "4",
+             "--output", output)),
+        (2, ("factor", "--input", str(tmp_path / "missing.json"))),
+        (2, ("equivalence", "--dim", "4", "--m", "4", "--gram", RELATION4)),
+        (2, ("maximality", "--dim", "3", "--m", "2")),
+        (2, ("factor", "--frames", "99999999")),
     ]
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for argv in runs:  # warm up: imports and first-call caches
+        for _, argv in runs:  # warm up: imports and first-call caches
             main(list(argv))
         capsys.readouterr()
         gc.collect()
         _build_parser()
         parser_only = gc.collect()
-        for argv in runs:
+        for expected, argv in runs:
             code = main(list(argv))
             capsys.readouterr()
-            assert (code, gc.collect()) == (0, parser_only), argv
+            assert (code, gc.collect()) == (expected, parser_only), argv
     finally:
         if enabled:
             gc.enable()
+
+
+def _raise_bug(config, args):
+    raise RuntimeError("a bug")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("expected, argv", [
+    (0, ("pair-ip", "--a=1,0", "--b=1,1")),
+    (1, ("factor", "--input", RELATION4_CONFLICT, "--dim", "4", "--m", "4",
+         "--output", "{tmp}/report.json")),
+    (2, ("factor", "--no-such-flag")),
+    (2, ("factor", "--input", "{tmp}/missing.json")),
+    (3, ("chain",)),
+], ids=["pass", "fail", "argparse-error", "missing-input", "bug"])
+def test_main_restores_the_callers_gc_setting(capsys, monkeypatch, tmp_path,
+                                              enabled, expected, argv):
+    """``main`` turns the cyclic collector off for the command and hands
+    the caller's setting back on every exit path."""
+    import orthocheck.cli as cli
+
+    monkeypatch.setattr(cli, "cmd_chain", _raise_bug)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+        assert (code, gc.isenabled()) == (expected, enabled)
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("maximality", "--bound", "3", "--output", "{tmp}/report.json"),
+    ("factor", "--input", RELATION4, "--dim", "4", "--m", "4"),
+], ids=["max2d", "factor-input"])
+def test_no_collection_runs_inside_main(capsys, tmp_path, argv):
+    """With the collector on at entry, ``main`` still runs no collection:
+    the count of ``"start"`` events is 0, not a time.  A collection counts
+    if ``main``'s frame is on the stack when it starts; the one that the
+    restored setting lets run next belongs to the caller (under a tracer it
+    starts right after ``main`` returns)."""
+    starts = []
+
+    def count(phase, info):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not main.__code__:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+    finally:
+        gc.callbacks.remove(count)
+        if not was:
+            gc.disable()
+    capsys.readouterr()
+    assert (code, starts) == (0, [])
 
 
 def test_equivalence_defaults(capsys):
